@@ -192,7 +192,8 @@ int main(int argc, char** argv) {
   if (args.mode == "monolithic") {
     ExplorationResult res = problem->solve(opts);
     std::cout << "status: " << milp::to_string(res.solution.status) << ", solver time "
-              << res.solver_seconds << "s, " << res.solution.nodes_explored << " nodes\n";
+              << res.solver_seconds << "s, " << res.solution.nodes_explored << " nodes, "
+              << res.solution.simplex_iterations << " simplex iterations\n";
     res.print_degradation(std::cout);
     if (res.degraded()) {
       std::cout << "degradation: " << res.degradation_json() << "\n";

@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   opts.budget = milp::Budget::of_seconds(budget);
   ExplorationResult res = problem->solve(opts);
   std::cout << "status: " << milp::to_string(res.solution.status) << ", solver time "
-            << res.solver_seconds << "s, " << res.solution.nodes_explored << " nodes\n";
+            << res.solver_seconds << "s, " << res.solution.nodes_explored << " nodes, "
+            << res.solution.simplex_iterations << " simplex iterations\n";
   res.print_degradation(std::cout);
   if (!res.feasible()) return 1;
 

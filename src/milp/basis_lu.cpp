@@ -1,6 +1,7 @@
 #include "milp/basis_lu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -68,7 +69,8 @@ class DenseBasis final : public BasisRep {
     return true;
   }
 
-  void ftran(std::vector<double>& x) const override {
+  void ftran(std::vector<double>& x,
+             const std::vector<std::int32_t>* /*nz*/) const override {
     std::vector<double>& y = scratch_;
     std::fill(y.begin(), y.end(), 0.0);
     for (std::size_t k = 0; k < m_; ++k) {
@@ -80,7 +82,8 @@ class DenseBasis final : public BasisRep {
     std::copy(y.begin(), y.end(), x.begin());
   }
 
-  void btran(std::vector<double>& x) const override {
+  void btran(std::vector<double>& x,
+             const std::vector<std::int32_t>* /*nz*/) const override {
     std::vector<double>& y = scratch_;
     std::fill(y.begin(), y.end(), 0.0);
     for (std::size_t i = 0; i < m_; ++i) {
@@ -137,24 +140,39 @@ void eta_ftran(const EtaFile& f, std::vector<double>& x) {
     const std::int32_t b = f.start[static_cast<std::size_t>(k)];
     const std::int32_t e = f.start[static_cast<std::size_t>(k) + 1];
     for (std::int32_t s = b; s < e; ++s) {
-      const ColEntry& en = f.ent[static_cast<std::size_t>(s)];
-      x[static_cast<std::size_t>(en.row)] -= en.val * t;
+      const auto es = static_cast<std::size_t>(s);
+      x[static_cast<std::size_t>(f.ent_pos[es])] -= f.ent_val[es] * t;
     }
   }
 }
 
-/// x := E_1^-T ... E_k^-T x over one eta chunk, newest eta first.
-void eta_btran(const EtaFile& f, std::vector<double>& x) {
-  for (int k = f.count(); k-- > 0;) {
+/// x := E_1^-T ... E_k^-T x over one eta chunk, newest eta first; `count`
+/// limits it to the chunk's oldest etas.
+void eta_btran(const EtaFile& f, std::vector<double>& x, int count) {
+  for (int k = count; k-- > 0;) {
     const std::size_t r = static_cast<std::size_t>(f.pos[static_cast<std::size_t>(k)]);
     double s = x[r];
     const std::int32_t b = f.start[static_cast<std::size_t>(k)];
     const std::int32_t e = f.start[static_cast<std::size_t>(k) + 1];
     for (std::int32_t t = b; t < e; ++t) {
-      const ColEntry& en = f.ent[static_cast<std::size_t>(t)];
-      s -= en.val * x[static_cast<std::size_t>(en.row)];
+      const auto et = static_cast<std::size_t>(t);
+      s -= f.ent_val[et] * x[static_cast<std::size_t>(f.ent_pos[et])];
     }
     x[r] = s * f.inv_pivot[static_cast<std::size_t>(k)];
+  }
+}
+
+void set_bit(std::uint64_t* bits, std::size_t k) {
+  bits[k >> 6] |= std::uint64_t{1} << (k & 63);
+}
+
+/// Sets bit to_pivot[i] in `todo` for every listed i with x[i] != 0.
+void mark_nonzeros(const std::vector<double>& x, const std::vector<std::int32_t>& idx,
+                   const std::vector<std::int32_t>& to_pivot, std::uint64_t* todo) {
+  for (const std::int32_t i : idx) {
+    if (x[static_cast<std::size_t>(i)] != 0.0) {
+      set_bit(todo, static_cast<std::size_t>(to_pivot[static_cast<std::size_t>(i)]));
+    }
   }
 }
 
@@ -166,24 +184,26 @@ class SparseLuBasis final : public BasisRep {
         eta_fill_factor_(eta_fill_factor),
         lu_(std::make_shared<const LuData>()),
         solve_scratch_(m, 0.0),
-        tk_scratch_(m, 0.0) {}
+        todo_((m + 63) / 64, 0),
+        eta_head_(m, -1) {}
 
   bool factorize(const std::int32_t* col_start, const ColEntry* col_ent,
                  const std::vector<std::int32_t>& basic) override;
-  void ftran(std::vector<double>& x) const override;
-  void btran(std::vector<double>& x) const override;
+  void ftran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const override;
+  void btran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const override;
 
   void update(const std::vector<double>& w, std::size_t r,
               const std::vector<std::int32_t>& wnz) override {
     etas_.pos.push_back(static_cast<std::int32_t>(r));
-    etas_.pivot.push_back(w[r]);
     etas_.inv_pivot.push_back(1.0 / w[r]);
     for (const std::int32_t i : wnz) {
       if (static_cast<std::size_t>(i) != r) {
-        etas_.ent.push_back({i, w[static_cast<std::size_t>(i)]});
+        etas_.ent_pos.push_back(i);
+        etas_.ent_val.push_back(w[static_cast<std::size_t>(i)]);
       }
     }
-    etas_.start.push_back(static_cast<std::int32_t>(etas_.ent.size()));
+    etas_.start.push_back(static_cast<std::int32_t>(etas_.ent_pos.size()));
+    index_eta(etas_, etas_.count() - 1);
   }
 
   [[nodiscard]] bool fill_heavy() const override {
@@ -201,6 +221,10 @@ class SparseLuBasis final : public BasisRep {
     if (etas_.count() > 0) {
       auto c = std::make_shared<EtaChunk>();
       c->etas = etas_;
+      for (std::size_t g = eta_file_.size() - static_cast<std::size_t>(etas_.count());
+           g < eta_file_.size(); ++g) {
+        eta_file_[g] = &c->etas;
+      }
       c->prev = head_;
       c->total = (head_ ? head_->total : 0) + etas_.count();
       frozen_.push_back(c.get());
@@ -228,6 +252,10 @@ class SparseLuBasis final : public BasisRep {
     }
     std::reverse(frozen_.begin(), frozen_.end());
     etas_.clear();
+    clear_eta_index();
+    for (const EtaChunk* c : frozen_) {
+      for (int k = 0; k < c->etas.count(); ++k) index_eta(c->etas, k);
+    }
     return true;
   }
 
@@ -247,8 +275,54 @@ class SparseLuBasis final : public BasisRep {
   mutable std::size_t frozen_nnz_ = 0;
   mutable EtaFile etas_;
 
-  mutable std::vector<double> solve_scratch_;  ///< U-solve / L^T-solve output
-  mutable std::vector<double> tk_scratch_;     ///< per-pivot temporaries
+  /// U-solve / L^T-solve output, all zero (+-0) between solves: each
+  /// triangular pass zeroes the input entries it consumes, then the solve
+  /// swaps this buffer with the caller's vector.
+  mutable std::vector<double> solve_scratch_;
+  /// Bitset over pivots: the triangular steps left to run in the current
+  /// solve. All zero between solves (each pass clears a bit as it runs it).
+  mutable std::vector<std::uint64_t> todo_;
+  mutable std::vector<std::int32_t> dense_nz_;  ///< pattern of a solve's dense input
+
+  // Transposed view of the whole eta file, so a btran of a sparse input
+  // runs only the etas that can see a nonzero. Eta g (numbered oldest first
+  // across chunks and tail) is entry eta_local_[g] of *eta_file_[g]. The
+  // etas that pivot at position p or read it form a list, newest first:
+  // eta_head_[p] is its first node (-1: none) in the pooled eta_node_.
+  struct EtaNode {
+    std::int32_t eta;
+    std::int32_t next;
+  };
+  mutable std::vector<const EtaFile*> eta_file_;
+  std::vector<std::int32_t> eta_local_;
+  std::vector<std::int32_t> eta_head_;
+  std::vector<EtaNode> eta_node_;
+  mutable std::vector<std::uint64_t> eta_todo_;    ///< etas left to run; zero between solves
+  mutable std::vector<std::int32_t> eta_written_;  ///< positions the sparse pass wrote
+
+  void index_eta(const EtaFile& f, int k) {
+    const auto g = static_cast<std::int32_t>(eta_file_.size());
+    eta_file_.push_back(&f);
+    eta_local_.push_back(k);
+    auto link = [&](std::int32_t p) {
+      std::int32_t& head = eta_head_[static_cast<std::size_t>(p)];
+      eta_node_.push_back({g, head});
+      head = static_cast<std::int32_t>(eta_node_.size() - 1);
+    };
+    const auto kk = static_cast<std::size_t>(k);
+    link(f.pos[kk]);
+    for (std::int32_t t = f.start[kk]; t < f.start[kk + 1]; ++t) {
+      link(f.ent_pos[static_cast<std::size_t>(t)]);
+    }
+  }
+  void clear_eta_index() {
+    eta_file_.clear();
+    eta_local_.clear();
+    std::fill(eta_head_.begin(), eta_head_.end(), -1);
+    eta_node_.clear();
+  }
+  void eta_btran_sparse(std::vector<double>& x, const std::vector<std::int32_t>& nz) const;
+  void eta_btran_through(std::vector<double>& x, std::size_t g) const;
 
   // Factorization workspace (reused across refactorizations).
   std::vector<std::vector<ColEntry>> wcols_;      ///< working columns (active rows)
@@ -293,6 +367,7 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
   frozen_.clear();
   frozen_nnz_ = 0;
   etas_.clear();
+  clear_eta_index();
   auto lu = std::make_shared<LuData>();
   lu->m = m_;
   if (m_ == 0) {
@@ -302,7 +377,8 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
   // Size the fresh factor arrays off the previous factorization so the
   // push_back growth below rarely reallocates mid-elimination.
   lu->l_ent.reserve(lu_->l_ent.size() + 16);
-  lu->u_ent.reserve(lu_->u_ent.size() + 16);
+  lu->u_pos.reserve(lu_->u_pos.size() + 16);
+  lu->u_val.reserve(lu_->u_val.size() + 16);
 
   // Working copy of the basis matrix, column-wise by basis position, plus a
   // row-wise pattern of positions. Invariant: wcols_ holds exactly the
@@ -346,7 +422,6 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
   std::vector<char> pos_done(m_, 0);
   lu->pivot_row.resize(m_);
   lu->pivot_pos.resize(m_);
-  lu->u_diag.resize(m_);
   lu->u_diag_inv.resize(m_);
   lu->l_start.assign(1, 0);
   lu->u_start.assign(1, 0);
@@ -429,6 +504,21 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
       const std::size_t q = static_cast<std::size_t>(q32);
       if (pos_done[q] || q == ppos) continue;
       auto& wc = wcols_[q];
+      if (lrows.empty()) {
+        // Singleton pivot column: the elimination only moves the pivot-row
+        // entry into U (no fill, no cancellation), so skip the scatter and
+        // gather; the rest of the column keeps its order.
+        const auto it = std::find_if(wc.begin(), wc.end(), [&](const ColEntry& e) {
+          return static_cast<std::size_t>(e.row) == prow;
+        });
+        if (it == wc.end()) continue;  // stale pattern entry: skip
+        lu->u_pos.push_back(q32);
+        lu->u_val.push_back(it->val);
+        wc.erase(it);
+        bkt_unlink(q32);
+        bkt_link(q32, static_cast<std::int32_t>(wc.size()));
+        continue;
+      }
       ++stamp_;
       for (const ColEntry& e : wc) {
         wval_[static_cast<std::size_t>(e.row)] = e.val;
@@ -436,7 +526,8 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
       }
       if (wstamp_[prow] != stamp_) continue;  // stale pattern entry: skip
       const double uq = wval_[prow];
-      lu->u_ent.push_back({q32, uq});
+      lu->u_pos.push_back(q32);
+      lu->u_val.push_back(uq);
       fills.clear();
       for (std::size_t t = 0; t < lrows.size(); ++t) {
         const std::size_t i = static_cast<std::size_t>(lrows[t]);
@@ -477,88 +568,267 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
     // Retire the pivot.
     lu->pivot_row[static_cast<std::size_t>(k)] = static_cast<std::int32_t>(prow);
     lu->pivot_pos[static_cast<std::size_t>(k)] = static_cast<std::int32_t>(ppos);
-    lu->u_diag[static_cast<std::size_t>(k)] = pval;
     lu->u_diag_inv[static_cast<std::size_t>(k)] = 1.0 / pval;
     for (std::size_t t = 0; t < lrows.size(); ++t) {
       lu->l_ent.push_back({lrows[t], lvals[t]});
     }
     lu->l_start.push_back(static_cast<std::int32_t>(lu->l_ent.size()));
-    lu->u_start.push_back(static_cast<std::int32_t>(lu->u_ent.size()));
+    lu->u_start.push_back(static_cast<std::int32_t>(lu->u_pos.size()));
     pos_done[ppos] = 1;
     bkt_unlink(best_pos);
     wcols_[ppos].clear();
     rpat_[prow].clear();
+    if (!lrows.empty()) lu->l_steps.push_back(static_cast<std::int32_t>(k));
+  }
+
+  // Inverse permutations, then the reverse U index: bucket every U entry's
+  // row k under the pivot that writes the entry's position (counting sort).
+  const std::vector<std::int32_t>& pos_pivot = lu->pos_pivot;
+  lu->row_pivot.resize(m_);
+  lu->pos_pivot.resize(m_);
+  for (std::size_t k = 0; k < m_; ++k) {
+    lu->row_pivot[static_cast<std::size_t>(lu->pivot_row[k])] = static_cast<std::int32_t>(k);
+    lu->pos_pivot[static_cast<std::size_t>(lu->pivot_pos[k])] = static_cast<std::int32_t>(k);
+  }
+  lu->ut_start.assign(m_ + 1, 0);
+  for (const std::int32_t p : lu->u_pos) {
+    ++lu->ut_start[static_cast<std::size_t>(pos_pivot[static_cast<std::size_t>(p)]) + 1];
+  }
+  for (std::size_t s = 0; s < m_; ++s) lu->ut_start[s + 1] += lu->ut_start[s];
+  lu->ut_row.resize(lu->u_pos.size());
+  std::vector<std::int32_t> cursor(lu->ut_start.begin(), lu->ut_start.end() - 1);
+  for (std::size_t k = 0; k < m_; ++k) {
+    for (std::int32_t t = lu->u_start[k]; t < lu->u_start[k + 1]; ++t) {
+      const std::size_t s = static_cast<std::size_t>(
+          pos_pivot[static_cast<std::size_t>(lu->u_pos[static_cast<std::size_t>(t)])]);
+      lu->ut_row[static_cast<std::size_t>(cursor[s]++)] = static_cast<std::int32_t>(k);
+    }
   }
 
   lu_ = std::move(lu);
   return true;
 }
 
-void SparseLuBasis::ftran(std::vector<double>& x) const {
+void SparseLuBasis::ftran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const {
   const LuData& lu = *lu_;
-  // L pass, in pivot order, on the row-indexed input.
-  for (std::size_t k = 0; k < m_; ++k) {
+  std::uint64_t* const todo = todo_.data();
+  // L pass, in pivot order, on the row-indexed input. Steps with an empty L
+  // column change nothing, so only `l_steps` are walked. Rows the pass
+  // writes are marked for the U pass: they are outside the caller's `nz`.
+  for (const std::int32_t k32 : lu.l_steps) {
+    const std::size_t k = static_cast<std::size_t>(k32);
     const double xk = x[static_cast<std::size_t>(lu.pivot_row[k])];
     if (xk == 0.0) continue;
     const std::int32_t b = lu.l_start[k];
     const std::int32_t e = lu.l_start[k + 1];
     for (std::int32_t t = b; t < e; ++t) {
-      x[static_cast<std::size_t>(lu.l_ent[static_cast<std::size_t>(t)].row)] -=
-          lu.l_ent[static_cast<std::size_t>(t)].val * xk;
+      const ColEntry& en = lu.l_ent[static_cast<std::size_t>(t)];
+      x[static_cast<std::size_t>(en.row)] -= en.val * xk;
+      set_bit(todo, static_cast<std::size_t>(lu.row_pivot[static_cast<std::size_t>(en.row)]));
     }
   }
-  // U back-substitution, producing the position-indexed result.
+  // U back-substitution, row-oriented, producing the position-indexed
+  // result. A row runs only when its input is nonzero or the reverse index
+  // marks it as reading a nonzero result; any other row would compute a
+  // zero from zeros. Rows run in descending pivot order, highest bit first.
   std::vector<double>& y = solve_scratch_;
-  for (std::size_t kk = m_; kk-- > 0;) {
-    double t = x[static_cast<std::size_t>(lu.pivot_row[kk])];
-    const std::int32_t b = lu.u_start[kk];
-    const std::int32_t e = lu.u_start[kk + 1];
-    for (std::int32_t s = b; s < e; ++s) {
-      const ColEntry& en = lu.u_ent[static_cast<std::size_t>(s)];
-      t -= en.val * y[static_cast<std::size_t>(en.row)];  // en.row is a position
-    }
-    y[static_cast<std::size_t>(lu.pivot_pos[kk])] = t * lu.u_diag_inv[kk];
+  if (nz == nullptr) {
+    gather_nonzeros(x, dense_nz_);
+    nz = &dense_nz_;
   }
-  std::copy(y.begin(), y.end(), x.begin());
+  mark_nonzeros(x, *nz, lu.row_pivot, todo);
+  for (std::size_t wd = todo_.size(); wd-- > 0;) {
+    while (todo[wd] != 0) {
+      const int bit = 63 - std::countl_zero(todo[wd]);
+      todo[wd] &= ~(std::uint64_t{1} << bit);
+      const std::size_t kk = wd * 64 + static_cast<std::size_t>(bit);
+      double& in = x[static_cast<std::size_t>(lu.pivot_row[kk])];
+      double t = in;
+      in = 0.0;
+      const std::int32_t b = lu.u_start[kk];
+      const std::int32_t e = lu.u_start[kk + 1];
+      for (std::int32_t s = b; s < e; ++s) {
+        const auto us = static_cast<std::size_t>(s);
+        t -= lu.u_val[us] * y[static_cast<std::size_t>(lu.u_pos[us])];
+      }
+      const double v = t * lu.u_diag_inv[kk];
+      y[static_cast<std::size_t>(lu.pivot_pos[kk])] = v;
+      if (v == 0.0) continue;
+      // Readers of this result are earlier pivots: lower bits, still ahead.
+      for (std::int32_t s = lu.ut_start[kk]; s < lu.ut_start[kk + 1]; ++s) {
+        set_bit(todo, static_cast<std::size_t>(lu.ut_row[static_cast<std::size_t>(s)]));
+      }
+    }
+  }
+  x.swap(y);
   // Eta replay, oldest first: x := E_k^-1 ... E_1^-1 x.
   for (const EtaChunk* c : frozen_) eta_ftran(c->etas, x);
   eta_ftran(etas_, x);
 }
 
-void SparseLuBasis::btran(std::vector<double>& x) const {
-  // Eta transposes, newest first: x := E_1^-T ... E_k^-T x.
-  eta_btran(etas_, x);
-  for (auto c = frozen_.rbegin(); c != frozen_.rend(); ++c) eta_btran((*c)->etas, x);
-  const LuData& lu = *lu_;
-  // U^T forward solve on the position-indexed input.
-  std::vector<double>& tk = tk_scratch_;
-  for (std::size_t k = 0; k < m_; ++k) {
-    const double t = x[static_cast<std::size_t>(lu.pivot_pos[k])] * lu.u_diag_inv[k];
-    tk[k] = t;
-    if (t == 0.0) continue;
-    const std::int32_t b = lu.u_start[k];
-    const std::int32_t e = lu.u_start[k + 1];
-    for (std::int32_t s = b; s < e; ++s) {
-      const ColEntry& en = lu.u_ent[static_cast<std::size_t>(s)];
-      x[static_cast<std::size_t>(en.row)] -= en.val * t;  // en.row is a position
+void SparseLuBasis::eta_btran_sparse(std::vector<double>& x,
+                                     const std::vector<std::int32_t>& nz) const {
+  // Same steps as eta_btran over the chain, newest first, but an eta runs
+  // only once a position it pivots at or reads holds a nonzero; any other
+  // eta would rewrite a zero with a zero. Etas run highest bit first, and a
+  // position a run turns nonzero marks the older etas touching it. Once
+  // more than half of the older etas are marked anyway, plain replay of
+  // all of them is cheaper than chasing marks.
+  eta_written_.clear();
+  eta_todo_.resize((eta_file_.size() + 63) / 64, 0);
+  std::uint64_t* const run = eta_todo_.data();
+  std::size_t pending = 0;  // marked etas not yet run
+  auto touch = [&](std::size_t p, std::int32_t below) {
+    for (std::int32_t n = eta_head_[p]; n >= 0;) {
+      const EtaNode& node = eta_node_[static_cast<std::size_t>(n)];
+      const auto g = static_cast<std::size_t>(node.eta);
+      const std::uint64_t bit = std::uint64_t{1} << (g & 63);
+      if (node.eta < below && (run[g >> 6] & bit) == 0) {
+        run[g >> 6] |= bit;
+        ++pending;
+      }
+      n = node.next;
+    }
+  };
+  // Runs eta g; true when it turned its position from zero to nonzero.
+  auto run_eta = [&](std::size_t g) {
+    const EtaFile& f = *eta_file_[g];
+    const auto k = static_cast<std::size_t>(eta_local_[g]);
+    const auto r = static_cast<std::size_t>(f.pos[k]);
+    const bool was_zero = x[r] == 0.0;
+    double s = x[r];
+    for (std::int32_t t = f.start[k]; t < f.start[k + 1]; ++t) {
+      const auto et = static_cast<std::size_t>(t);
+      s -= f.ent_val[et] * x[static_cast<std::size_t>(f.ent_pos[et])];
+    }
+    x[r] = s * f.inv_pivot[k];
+    eta_written_.push_back(f.pos[k]);
+    return was_zero && x[r] != 0.0;
+  };
+  for (const std::int32_t i : nz) {
+    if (x[static_cast<std::size_t>(i)] != 0.0) {
+      touch(static_cast<std::size_t>(i), static_cast<std::int32_t>(eta_file_.size()));
     }
   }
-  // L^T backward solve, producing the row-indexed result.
+  for (std::size_t wd = eta_todo_.size(); wd-- > 0;) {
+    while (run[wd] != 0) {
+      const int bit = 63 - std::countl_zero(run[wd]);
+      run[wd] &= ~(std::uint64_t{1} << bit);
+      --pending;
+      const std::size_t g = wd * 64 + static_cast<std::size_t>(bit);
+      if (2 * pending > g) {
+        std::fill(run, run + wd + 1, std::uint64_t{0});
+        eta_btran_through(x, g);
+        return;
+      }
+      if (run_eta(g)) touch(static_cast<std::size_t>(eta_written_.back()), static_cast<std::int32_t>(g));
+    }
+  }
+}
+
+void SparseLuBasis::eta_btran_through(std::vector<double>& x, std::size_t g) const {
+  // Plain replay of etas g .. 0, newest first: the rest of g's chunk, then
+  // the older chunks.
+  const EtaFile* f = eta_file_[g];
+  eta_btran(*f, x, eta_local_[g] + 1);
+  eta_written_.insert(eta_written_.end(), f->pos.begin(), f->pos.begin() + eta_local_[g] + 1);
+  auto c = frozen_.rbegin();
+  if (f != &etas_) {
+    while (&(*c)->etas != f) ++c;
+    ++c;
+  }
+  for (; c != frozen_.rend(); ++c) {
+    eta_btran((*c)->etas, x, (*c)->etas.count());
+    eta_written_.insert(eta_written_.end(), (*c)->etas.pos.begin(), (*c)->etas.pos.end());
+  }
+}
+
+void SparseLuBasis::btran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const {
+  const LuData& lu = *lu_;
+  std::uint64_t* const todo = todo_.data();
+  // Eta transposes, newest first: x := E_1^-T ... E_k^-T x.
+  if (nz != nullptr) {
+    eta_btran_sparse(x, *nz);
+    // The etas wrote only the positions they ran at: those and `nz` cover x.
+    mark_nonzeros(x, eta_written_, lu.pos_pivot, todo);
+  } else if (!eta_file_.empty()) {
+    eta_written_.clear();
+    eta_btran_through(x, eta_file_.size() - 1);
+  }
+  // U^T forward solve on the position-indexed input, column-oriented. A
+  // pivot runs only when its input is nonzero (an input the scatter touches
+  // is marked as it goes); the rest would yield zeros and scatter nothing.
+  // Pivots run in ascending order, lowest bit first. Each value goes
+  // straight to its row of the result: that is where the L^T pass starts.
   std::vector<double>& y = solve_scratch_;
-  for (std::size_t kk = m_; kk-- > 0;) {
-    double v = tk[kk];
+  if (nz == nullptr) {
+    gather_nonzeros(x, dense_nz_);
+    nz = &dense_nz_;
+  }
+  mark_nonzeros(x, *nz, lu.pos_pivot, todo);
+  for (std::size_t wd = 0; wd < todo_.size(); ++wd) {
+    while (todo[wd] != 0) {
+      const int bit = std::countr_zero(todo[wd]);
+      todo[wd] &= todo[wd] - 1;
+      const std::size_t k = wd * 64 + static_cast<std::size_t>(bit);
+      double& in = x[static_cast<std::size_t>(lu.pivot_pos[k])];
+      const double t = in * lu.u_diag_inv[k];
+      in = 0.0;
+      y[static_cast<std::size_t>(lu.pivot_row[k])] = t;
+      if (t == 0.0) continue;
+      const std::int32_t b = lu.u_start[k];
+      const std::int32_t e = lu.u_start[k + 1];
+      for (std::int32_t s = b; s < e; ++s) {
+        const auto us = static_cast<std::size_t>(s);
+        const auto p = static_cast<std::size_t>(lu.u_pos[us]);
+        x[p] -= lu.u_val[us] * t;
+        // The position's pivot is a later one: a higher bit, still ahead.
+        set_bit(todo, static_cast<std::size_t>(lu.pos_pivot[p]));
+      }
+    }
+  }
+  // L^T backward solve over the non-empty L columns, producing the
+  // row-indexed result. Step kk reads only rows of later pivots, which are
+  // final by then, so skipping the empty steps is exact.
+  for (auto it = lu.l_steps.rbegin(); it != lu.l_steps.rend(); ++it) {
+    const std::size_t kk = static_cast<std::size_t>(*it);
+    double& out = y[static_cast<std::size_t>(lu.pivot_row[kk])];
+    double v = out;
     const std::int32_t b = lu.l_start[kk];
     const std::int32_t e = lu.l_start[kk + 1];
     for (std::int32_t s = b; s < e; ++s) {
       const ColEntry& en = lu.l_ent[static_cast<std::size_t>(s)];
       v -= en.val * y[static_cast<std::size_t>(en.row)];
     }
-    y[static_cast<std::size_t>(lu.pivot_row[kk])] = v;
+    out = v;
   }
-  std::copy(y.begin(), y.end(), x.begin());
+  x.swap(y);
 }
 
 }  // namespace
+
+void gather_nonzeros(const std::vector<double>& v, std::vector<std::int32_t>& nz) {
+  constexpr std::size_t kBlock = 8;
+  const std::size_t size = v.size();
+  nz.resize(size);
+  std::size_t n = 0;
+  auto gather = [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      nz[n] = static_cast<std::int32_t>(i);
+      n += v[i] != 0.0 ? 1 : 0;
+    }
+  };
+  std::size_t i0 = 0;
+  for (; i0 + kBlock <= size; i0 += kBlock) {
+    // One test per block: the OR of the bit patterns, shifted past the sign
+    // so that -0 counts as zero.
+    std::uint64_t bits = 0;
+    for (std::size_t i = i0; i < i0 + kBlock; ++i) bits |= std::bit_cast<std::uint64_t>(v[i]) << 1;
+    if (bits != 0) gather(i0, i0 + kBlock);
+  }
+  gather(i0, size);
+  nz.resize(n);
+}
 
 std::unique_ptr<BasisRep> make_basis_rep(BasisKernel kernel, std::size_t m,
                                          double markowitz_tol,

@@ -38,47 +38,62 @@ enum class BasisKernel : std::uint8_t { SparseLu, Dense };
 
 /// Product-form eta file in pooled (flat) storage. Eta k records that basis
 /// position `pos[k]` was repivoted on the ftran'd entering column w:
-/// `pivot[k]` = w[pos[k]], and the other nonzeros of w (position-indexed)
-/// are `ent[start[k] .. start[k+1])`. Appending an eta never allocates per
-/// update (amortized growth of the pooled arrays, whose capacity survives
-/// refactorizations), and replay walks contiguous memory.
+/// `inv_pivot[k]` = 1 / w[pos[k]], and the other nonzeros of w are the
+/// entries t in [start[k], start[k+1]), at position `ent_pos[t]` with value
+/// `ent_val[t]` (two arrays: no padding per entry). Appending an eta never
+/// allocates per update (amortized growth of the pooled arrays, whose
+/// capacity survives refactorizations), and replay walks contiguous memory.
 struct EtaFile {
   std::vector<std::int32_t> start{0};  ///< size count()+1
   std::vector<std::int32_t> pos;       ///< repivoted basis position per eta
-  std::vector<double> pivot;
   std::vector<double> inv_pivot;       ///< 1/pivot, precomputed (replay multiplies)
-  std::vector<ColEntry> ent;           ///< pooled off-pivot entries
+  std::vector<std::int32_t> ent_pos;   ///< pooled off-pivot entries: position
+  std::vector<double> ent_val;         ///< pooled off-pivot entries: value
 
   [[nodiscard]] int count() const { return static_cast<int>(pos.size()); }
-  [[nodiscard]] std::size_t nnz() const { return ent.size(); }
+  [[nodiscard]] std::size_t nnz() const { return ent_pos.size(); }
   void clear() {
     start.assign(1, 0);
     pos.clear();
-    pivot.clear();
     inv_pivot.clear();
-    ent.clear();
+    ent_pos.clear();
+    ent_val.clear();
   }
 };
 
 /// Sparse LU factors of a basis matrix B (with row and position
 /// permutations folded into the pivot order): B = L * U up to permutation.
 /// Immutable once built; shared by snapshots across threads.
+///
+/// Besides the factors, `factorize` records index arrays that let the solves
+/// follow the nonzeros: the inverse permutations, `l_steps` (the pivots with
+/// a non-empty L column, the only L steps that can change a vector) and the
+/// reverse U index (`ut_*`: which U rows read the value a pivot writes).
+/// They change which steps run, never the arithmetic of a step that does.
 struct LuData {
   std::size_t m = 0;
   std::vector<std::int32_t> pivot_row;  ///< original row of pivot k
   std::vector<std::int32_t> pivot_pos;  ///< basis position of pivot k
+  std::vector<std::int32_t> row_pivot;  ///< pivot of original row i (inverse)
+  std::vector<std::int32_t> pos_pivot;  ///< pivot of basis position p (inverse)
   /// L, column per pivot k (unit diagonal implicit): entries are
   /// (original row, multiplier).
   std::vector<std::int32_t> l_start;  ///< size m+1
   std::vector<ColEntry> l_ent;
-  /// U, row per pivot k (diagonal split out): entries are
-  /// (basis position, value).
+  /// U, row per pivot k (diagonal split out): entry t has basis position
+  /// u_pos[t] and value u_val[t] (two arrays: no padding per entry).
   std::vector<std::int32_t> u_start;  ///< size m+1
-  std::vector<ColEntry> u_ent;
-  std::vector<double> u_diag;      ///< pivot value per k
-  std::vector<double> u_diag_inv;  ///< 1/u_diag, so the solves multiply
+  std::vector<std::int32_t> u_pos;
+  std::vector<double> u_val;
+  std::vector<double> u_diag_inv;  ///< 1/pivot value per k, so the solves multiply
+  /// Pivots k with a non-empty L column, ascending.
+  std::vector<std::int32_t> l_steps;
+  /// Reverse U index: the U rows holding position pivot_pos[s] are
+  /// ut_row[ut_start[s] .. ut_start[s+1]) (each one a pivot k < s).
+  std::vector<std::int32_t> ut_start;  ///< size m+1
+  std::vector<std::int32_t> ut_row;
 
-  [[nodiscard]] std::size_t nnz() const { return l_ent.size() + u_ent.size() + m; }
+  [[nodiscard]] std::size_t nnz() const { return l_ent.size() + u_pos.size() + m; }
 };
 
 /// A frozen run of etas, linked to the run before it: a chain of chunks is
@@ -102,10 +117,17 @@ struct FactorState {
   [[nodiscard]] int eta_count() const { return etas ? etas->total : 0; }
 };
 
-/// Abstract basis representation. Vectors are dense (length m); sparsity is
-/// exploited internally by skipping zeros. "Row-indexed" means indexed by
-/// original constraint row, "position-indexed" by basis position (the row of
-/// `basic_` the column occupies).
+/// Abstract basis representation. Vectors are dense (length m). "Row-indexed"
+/// means indexed by original constraint row, "position-indexed" by basis
+/// position (the row of `basic_` the column occupies).
+///
+/// Solve contract: a kernel may skip a step whose inputs are all zero, but
+/// every step it runs keeps the arithmetic and summation order of its plain
+/// every-step loop, so its results are bit for bit those of that loop over
+/// the same factors (a zero may differ in sign) and the simplex pivot
+/// sequence does not depend on what was skipped. A solve may swap its
+/// result buffer into `x` rather than copy it, so callers must not hold
+/// pointers into `x`'s storage across the call.
 class BasisRep {
  public:
   virtual ~BasisRep() = default;
@@ -118,11 +140,14 @@ class BasisRep {
   virtual bool factorize(const std::int32_t* col_start, const ColEntry* col_ent,
                          const std::vector<std::int32_t>& basic) = 0;
 
-  /// x := B^-1 x. Input row-indexed, output position-indexed.
-  virtual void ftran(std::vector<double>& x) const = 0;
+  /// x := B^-1 x. Input row-indexed, output position-indexed. `nz` is
+  /// null for a dense input, or lists rows that hold every nonzero of x
+  /// (zeros and repeats allowed), sparing a sparse kernel its O(m) scan.
+  virtual void ftran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const = 0;
 
-  /// x := B^-T x. Input position-indexed, output row-indexed.
-  virtual void btran(std::vector<double>& x) const = 0;
+  /// x := B^-T x. Input position-indexed, output row-indexed. `nz` as for
+  /// ftran, over positions.
+  virtual void btran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const = 0;
 
   /// Product-form update after a pivot at basis position `r`; `w` is the
   /// ftran result of the entering column (position-indexed, w[r] != 0) and
@@ -146,6 +171,11 @@ class BasisRep {
 
   [[nodiscard]] virtual const char* name() const = 0;
 };
+
+/// Writes the indices i with v[i] != 0 to `nz`, ascending. Solve vectors
+/// are sparse with no regular pattern, so this skips all-zero blocks of
+/// eight and gathers the rest branch-free.
+void gather_nonzeros(const std::vector<double>& v, std::vector<std::int32_t>& nz);
 
 /// Builds a kernel for an m-row basis. `markowitz_tol` and `eta_fill_factor`
 /// only affect the sparse kernel (see SimplexOptions).

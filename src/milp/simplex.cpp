@@ -139,6 +139,8 @@ void SimplexSolver::build_from_model(const Model& model) {
   scratch_wnz_.reserve(m_);
   scratch_y_.resize(m_);
   scratch_rho_.resize(m_);
+  scratch_rho_nz_.reserve(m_);
+  scratch_infeasible_.resize((m_ + 63) / 64);
   scratch_d_.resize(total_cols_);
   scratch_alpha_.resize(total_cols_);
   scratch_alpha_nz_.reserve(total_cols_);
@@ -200,16 +202,21 @@ void SimplexSolver::initial_basis() {
 
 void SimplexSolver::ftran(std::int32_t col, std::vector<double>& w) const {
   std::fill(w.begin(), w.end(), 0.0);
+  std::vector<std::int32_t>& nz = scratch_in_nz_;
+  nz.clear();
   for (const ColEntry& e : this->col(static_cast<std::size_t>(col))) {
     w[static_cast<std::size_t>(e.row)] += e.val;
+    nz.push_back(e.row);
   }
-  rep_->ftran(w);
+  rep_->ftran(w, &nz);
 }
 
 void SimplexSolver::btran_row(std::size_t r, std::vector<double>& rho) const {
   rho.assign(m_, 0.0);
   rho[r] = 1.0;
-  rep_->btran(rho);
+  std::vector<std::int32_t>& nz = scratch_in_nz_;
+  nz.assign(1, static_cast<std::int32_t>(r));
+  rep_->btran(rho, &nz);
 }
 
 void SimplexSolver::price_row(const std::vector<double>& rho,
@@ -219,9 +226,10 @@ void SimplexSolver::price_row(const std::vector<double>& rho,
   // must only read through the nonzero list.
   alpha_nz.clear();
   const std::int64_t stamp = ++mark_stamp_;
-  for (std::size_t i = 0; i < m_; ++i) {
+  gather_nonzeros(rho, scratch_rho_nz_);
+  for (const std::int32_t i32 : scratch_rho_nz_) {
+    const std::size_t i = static_cast<std::size_t>(i32);
     const double r = rho[i];
-    if (r == 0.0) continue;
     for (const ColEntry& e : row_adj(i)) {
       const std::size_t j = static_cast<std::size_t>(e.row);  // a column index
       if (scratch_mark_[j] != stamp) {
@@ -270,7 +278,7 @@ void SimplexSolver::compute_basic_values() {
     if (status_[j] == ColStatus::Basic || xval_[j] == 0.0) continue;
     for (const ColEntry& e : col(j)) r[static_cast<std::size_t>(e.row)] -= e.val * xval_[j];
   }
-  rep_->ftran(r);  // r := B^-1 r, position-indexed
+  rep_->ftran(r, nullptr);  // r := B^-1 r, position-indexed
   for (std::size_t i = 0; i < m_; ++i) {
     xval_[static_cast<std::size_t>(basic_[i])] = r[i];
   }
@@ -303,7 +311,7 @@ void SimplexSolver::price(const std::vector<double>& cost, std::vector<double>& 
   for (std::size_t i = 0; i < m_; ++i) {
     y[i] = cost[static_cast<std::size_t>(basic_[i])];
   }
-  rep_->btran(y);
+  rep_->btran(y, nullptr);
   // d_j = c_j - y * A_j  for nonbasic columns.
   for (std::size_t j = 0; j < total_cols_; ++j) {
     if (status_[j] == ColStatus::Basic) { d[j] = 0.0; continue; }
@@ -441,17 +449,16 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       ftran(q, w);
     }
 
-    // Ratio test: how far can the entering variable move? The scan doubles
-    // as the collection pass for w's nonzero positions, which the bookkeeping
-    // below and the kernel update then iterate instead of all of w.
+    // Ratio test: how far can the entering variable move? It walks w's
+    // nonzero positions, which the bookkeeping below and the kernel update
+    // then iterate instead of all of w.
     double t_best = kInf;
     if (lb_[q] > -kInf && ub_[q] < kInf) t_best = ub_[q] - lb_[q];  // own bound flip
     std::int32_t leave_row = -1;
     bool leave_to_upper = false;
-    wnz.clear();
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (w[i] == 0.0) continue;
-      wnz.push_back(static_cast<std::int32_t>(i));
+    gather_nonzeros(w, wnz);
+    for (const std::int32_t i32 : wnz) {
+      const std::size_t i = static_cast<std::size_t>(i32);
       if (std::abs(w[i]) <= kRatioTol) continue;
       const double rho_i = -qdir * w[i];  // d x_B(i) / d t
       const std::int32_t k = basic_[i];
@@ -699,12 +706,28 @@ SolveStatus SimplexSolver::dual_loop() {
   std::vector<double>& rho = scratch_rho_;
   std::vector<double>& alphas = scratch_alpha_;
   std::vector<std::int32_t>& alpha_nz = scratch_alpha_nz_;
+  // Bitset of the rows whose basic variable violates a bound by more than
+  // feas_tol, kept in step with xval_: only those rows can leave, so the
+  // leaving-row search visits them instead of all m.
+  std::vector<std::uint64_t>& infeasible = scratch_infeasible_;
+  auto mark_violation = [&](std::size_t i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    if (bound_violation(basic_[i]) > opts_.feas_tol) {
+      infeasible[i >> 6] |= bit;
+    } else {
+      infeasible[i >> 6] &= ~bit;
+    }
+  };
+  auto fill_violations = [&] {
+    for (std::size_t i = 0; i < m_; ++i) mark_violation(i);
+  };
+  fill_violations();
   int degen_streak = 0;
 
   // Reduced costs are maintained incrementally across pivots (same pivot-row
-  // update as the primal loop); full pricing only at entry, after
-  // refactorization, and periodically against drift.
-  price(pert_cost_, d);
+  // update as the primal loop); full pricing after refactorization and
+  // periodically against drift. The entry pricing is the caller's
+  // dual_feasible() pass, which left them in d.
   int prices_stale = 0;
 
   for (;;) {
@@ -723,6 +746,7 @@ SolveStatus SimplexSolver::dual_loop() {
     if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
       if (!refactorize()) return SolveStatus::NumericalError;
       compute_basic_values();
+      fill_violations();
       price(pert_cost_, d);
       prices_stale = 0;
     }
@@ -731,12 +755,16 @@ SolveStatus SimplexSolver::dual_loop() {
       prices_stale = 0;
     }
 
-    // Leaving row: largest primal bound violation among basic variables.
+    // Leaving row: largest primal bound violation among basic variables
+    // (the first such row, scanning rows in ascending order).
     std::int32_t leave_row = -1;
     double worst = opts_.feas_tol;
-    for (std::size_t i = 0; i < m_; ++i) {
-      const double v = bound_violation(basic_[i]);
-      if (v > worst) { worst = v; leave_row = static_cast<std::int32_t>(i); }
+    for (std::size_t wd = 0; wd < infeasible.size(); ++wd) {
+      for (std::uint64_t bits = infeasible[wd]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const double v = bound_violation(basic_[i]);
+        if (v > worst) { worst = v; leave_row = static_cast<std::int32_t>(i); }
+      }
     }
     if (leave_row < 0) {
       obj_value_ = current_objective(cost_) + obj_constant_;
@@ -793,6 +821,7 @@ SolveStatus SimplexSolver::dual_loop() {
     if (std::abs(w[r]) < opts_.pivot_tol) {
       if (!refactorize()) return SolveStatus::NumericalError;
       compute_basic_values();
+      fill_violations();
       continue;
     }
     if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::NanPivot)) {
@@ -808,10 +837,7 @@ SolveStatus SimplexSolver::dual_loop() {
     if (std::abs(delta) <= kDegenTol) ++reopt_stats_.degen_pivots;
     if (degen_streak > 10 * opts_.bland_threshold) return SolveStatus::NumericalError;
 
-    wnz.clear();
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (w[i] != 0.0) wnz.push_back(static_cast<std::int32_t>(i));
-    }
+    gather_nonzeros(w, wnz);
     xval_[q] += delta;
     if (delta != 0.0) {
       for (const std::int32_t i : wnz) {
@@ -841,6 +867,9 @@ SolveStatus SimplexSolver::dual_loop() {
     basic_[r] = q;
     basis_pos_[q] = static_cast<std::int32_t>(r);
     status_[q] = ColStatus::Basic;
+    // The pivot moved only the basic values of w's nonzero rows (r included,
+    // which now holds q).
+    for (const std::int32_t i : wnz) mark_violation(static_cast<std::size_t>(i));
     update_factors(w, r, wnz);
     ++total_iterations_;
   }
@@ -882,7 +911,7 @@ std::vector<double> SimplexSolver::dual_values() const {
   for (std::size_t i = 0; i < m_; ++i) {
     y[i] = cost_[static_cast<std::size_t>(basic_[i])];
   }
-  rep_->btran(y);
+  rep_->btran(y, nullptr);
   // cost_ is negated for Maximize models; flip back to the model's sense.
   if (maximize_) {
     for (double& v : y) v = -v;
@@ -909,7 +938,7 @@ SimplexSolver::Basis SimplexSolver::export_basis() const {
   b.basic.assign(basic_.begin(), basic_.end());
   b.art_sign.resize(m_);
   for (std::size_t i = 0; i < m_; ++i) {
-    b.art_sign[i] = art_val(i);
+    b.art_sign[i] = art_val(i) < 0.0 ? std::int8_t{-1} : std::int8_t{1};
   }
   b.factor = rep_->snapshot();
   return b;

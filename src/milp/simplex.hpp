@@ -241,6 +241,9 @@ class SimplexSolver {
 
   // --- simplex cores ---
   SolveStatus primal_loop(const std::vector<double>& cost, bool phase_one);
+  /// Dual simplex iterations. Expects `scratch_d_` to hold the reduced costs
+  /// of `pert_cost_` for the current basis — the dual_feasible() pass that
+  /// reoptimize_dual runs first leaves exactly that.
   SolveStatus dual_loop();
   /// True if the current basis satisfies the reduced-cost sign conditions.
   bool dual_feasible();
@@ -327,6 +330,9 @@ class SimplexSolver {
   mutable std::vector<double> scratch_alpha_;
   mutable std::vector<std::int32_t> scratch_alpha_nz_;
   mutable std::vector<double> scratch_rho_;
+  mutable std::vector<std::int32_t> scratch_rho_nz_;  ///< nonzero rows of rho
+  mutable std::vector<std::int32_t> scratch_in_nz_;   ///< ftran/btran input pattern
+  std::vector<std::uint64_t> scratch_infeasible_;  ///< dual loop: rows out of bounds
   // price_row first-touch marks (per-call stamps; never reset, 64-bit).
   mutable std::vector<std::int64_t> scratch_mark_;
   mutable std::int64_t mark_stamp_ = 0;

@@ -20,9 +20,9 @@ namespace archex::milp {
 /// Compact snapshot of a simplex basis: the column status vector plus the
 /// basic column of every row. Bounds and values are *not* part of a basis;
 /// they are reconstructed on install from the receiving solver's current
-/// bounds. `art_sign` records the sign each artificial column was given by
-/// the exporting solver's cold start (the matrix entry, not a status), so
-/// the importer rebuilds the exact same basis matrix.
+/// bounds. `art_sign` records the sign (+1 or -1) each artificial column was
+/// given by the exporting solver's cold start (the matrix entry, not a
+/// status), so the importer rebuilds the exact same basis matrix.
 ///
 /// `factor` additionally carries the exporter's factorization state when
 /// the kernel supports snapshots (sparse LU): the importer then replays
@@ -38,7 +38,7 @@ namespace archex::milp {
 struct Basis {
   std::vector<std::uint8_t> status;   ///< ColStatus per column (total_cols)
   std::vector<std::int32_t> basic;    ///< basic column per row (m)
-  std::vector<double> art_sign;       ///< artificial column sign per row (m)
+  std::vector<std::int8_t> art_sign;  ///< artificial column sign per row, +-1 (m)
   std::shared_ptr<const FactorState> factor;  ///< optional factorization
 };
 
