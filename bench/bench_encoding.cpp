@@ -62,7 +62,7 @@ Row run_new(const Instance& inst) {
   row.vars = st.num_vars;
   row.cons = st.num_constraints;
   milp::MilpOptions opts;
-  opts.time_limit_s = 30;
+  opts.budget = milp::Budget::of_seconds(30);
   const auto t0 = Clock::now();
   ExplorationResult res = p.solve(opts);
   row.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -91,7 +91,7 @@ Row run_legacy(const Instance& inst) {
   row.vars = st.num_vars;
   row.cons = st.num_constraints;
   milp::MilpOptions opts;
-  opts.time_limit_s = 30;
+  opts.budget = milp::Budget::of_seconds(30);
   const auto t0 = Clock::now();
   milp::Solution sol = milp::solve_milp(enc.model(), opts);
   row.seconds = std::chrono::duration<double>(Clock::now() - t0).count();

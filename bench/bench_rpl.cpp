@@ -7,7 +7,7 @@
 ///   * Fig. 4b — adding max_total_idle_rate(M, 10) drives parallel slower
 ///               machines: total idle rate drops 28 -> 8 parts/min (3.5x).
 ///
-/// Flags: --time-limit=S
+/// Flags: --budget=S (wall-clock allowance of each solve)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -52,10 +52,10 @@ struct Outcome {
   const char* status = "";
 };
 
-Outcome run(const RplConfig& cfg, double time_limit) {
+Outcome run(const RplConfig& cfg, double budget_s) {
   auto p = make_problem(cfg);
   milp::MilpOptions opts;
-  opts.time_limit_s = time_limit;
+  opts.budget = milp::Budget::of_seconds(budget_s);
   ExplorationResult res = p->solve(opts);
   Outcome out;
   out.stats = res.stats;
@@ -80,17 +80,17 @@ Outcome run(const RplConfig& cfg, double time_limit) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double time_limit = 300.0;
+  double budget_s = 300.0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--time-limit=", 0) == 0) time_limit = std::stod(a.substr(13));
+    if (a.rfind("--budget=", 0) == 0) budget_s = std::stod(a.substr(9));
   }
   RplConfig cfg;
-  std::printf("=== RPL benchmark (Sec. 4.2), time limit %gs/solve ===\n\n", time_limit);
+  std::printf("=== RPL benchmark (Sec. 4.2), budget %gs/solve ===\n\n", budget_s);
   echo_table3(cfg);
 
   std::printf("--- Fig. 4a: no idle requirement (paper: line B reused in Omega2) ---\n");
-  const Outcome a = run(cfg, time_limit);
+  const Outcome a = run(cfg, budget_s);
   std::printf("MILP: %zu vars, %zu constraints (paper: ~3,000 vars, ~5,000 constraints)\n",
               a.stats.num_vars, a.stats.num_constraints);
   std::printf("status: %s in %.1fs; cost %.0f; total idle %.1f parts/min; "
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   std::printf("--- Fig. 4b: max_total_idle_rate(Machine, 10) ---\n");
   cfg.max_total_idle = 10.0;
-  const Outcome b = run(cfg, time_limit);
+  const Outcome b = run(cfg, budget_s);
   std::printf("status: %s in %.1fs; cost %.0f; total idle %.1f parts/min\n", b.status,
               b.seconds, b.cost, b.idle);
   if (a.ok && b.ok && b.idle > 0) {

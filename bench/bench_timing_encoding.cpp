@@ -63,7 +63,7 @@ Row run(const Pipeline& pl, CycleTimeEncoding enc, double bound) {
   Row row;
   row.cons = p.model().num_constraints();
   milp::MilpOptions opts;
-  opts.time_limit_s = 30;
+  opts.budget = milp::Budget::of_seconds(30);
   const auto t0 = Clock::now();
   ExplorationResult res = p.solve(opts);
   row.seconds = std::chrono::duration<double>(Clock::now() - t0).count();

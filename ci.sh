@@ -136,6 +136,23 @@ build/examples/milp_solve build/epn_ci_model.lp --threads=1 \
   --inject=singular:300 --certify > /dev/null
 echo "fault injection: ladder recovered, certificates ok"
 
+echo "=== resilience: one budget bounds the whole lazy loop ==="
+# `--budget` is converted to one end at loop entry, so solve + analyze +
+# learn of every iteration spend the same second; re-solves get a quarter of
+# what is left. The run must exit 0 (the anytime fallback keeps the last
+# architecture) in under 1.5 s of wall time, where a fresh allowance per
+# re-solve takes over 2 s.
+python3 - build/examples/epn_explorer <<'EOF'
+import subprocess, sys, time
+t0 = time.monotonic()
+subprocess.run([sys.argv[1], "--mode=lazy", "--scale=small", "--budget=1"],
+               check=True, stdout=subprocess.DEVNULL)
+wall = time.monotonic() - t0
+if wall >= 1.5:
+    sys.exit(f"FAIL: --budget=1 lazy EPN run took {wall:.2f} s (limit 1.5 s)")
+print(f"budget drill: --budget=1 lazy EPN run finished in {wall:.2f} s")
+EOF
+
 echo "=== bench: Release-provenance smoke (BM_LpSolve/1000) ==="
 # One 1000-row LP solve through the guarded bench runner: the runner refuses
 # results from non-Release builds (the BENCH_*.json provenance gate), and the
@@ -297,7 +314,7 @@ build/tools/archex_batch --workers=1 build/serve_drill/solo.ndjson \
 
 # --- A: mixed concurrent batch; stdin EOF = graceful close (finish all) ---
 {
-  printf '{"id":"anytime","lp_file":"build/serve_drill/hard.lp","deadline_ms":500}\n'
+  printf '{"id":"anytime","lp_file":"build/serve_drill/hard.lp","budget_ms":500}\n'
   printf '{"id":"poison","lp_file":"build/serve_drill/sib11.lp","inject":"nan-pivot:2:0:1000000000","retries":0}\n'
   for s in 11 12 13 14 15 16; do
     printf '{"id":"sib%s","lp_file":"build/serve_drill/sib%s.lp"}\n' "$s" "$s"
@@ -309,7 +326,7 @@ build/tools/archex_serve --workers=2 < build/serve_drill/mixed.ndjson \
 
 # --- B: tiny queue behind a blocker; droppable siblings must shed ---
 {
-  printf '{"id":"blocker","lp_file":"build/serve_drill/hard.lp","deadline_ms":1500}\n'
+  printf '{"id":"blocker","lp_file":"build/serve_drill/hard.lp","budget_ms":1500}\n'
   for s in 11 12 13 14; do
     printf '{"id":"shed%s","lp_file":"build/serve_drill/sib%s.lp","droppable":true}\n' "$s" "$s"
   done

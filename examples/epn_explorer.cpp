@@ -8,7 +8,7 @@
 ///                [--sweep=N]
 ///
 /// `--budget` is the wall-clock allowance (milp::Budget, the one time knob
-/// of the stack); `--time-limit=SECONDS` remains as its deprecated alias.
+/// of the stack); in lazy mode it bounds the whole loop.
 /// `--sweep=N` demonstrates the compiled pipeline (docs/pipeline.md):
 /// compile the spec once, then solve N cost-perturbation scenarios
 /// against the frozen artifact, warm-starting each from the previous
@@ -65,7 +65,6 @@ Args parse_args(int argc, char** argv) {
     if (arg.rfind("--mode=", 0) == 0) a.mode = arg.substr(7);
     else if (arg.rfind("--scale=", 0) == 0) a.scale = arg.substr(8);
     else if (arg.rfind("--budget=", 0) == 0) a.budget = std::stod(arg.substr(9));
-    else if (arg.rfind("--time-limit=", 0) == 0) a.budget = std::stod(arg.substr(13));  // deprecated alias
     else if (arg.rfind("--max-nodes=", 0) == 0) a.max_nodes = std::stoll(arg.substr(12));
     else if (arg.rfind("--sweep=", 0) == 0) a.sweep = std::stoi(arg.substr(8));
     else if (arg == "--dot") a.dot = true;
@@ -208,10 +207,16 @@ int main(int argc, char** argv) {
   } else {
     EpnLazyResult res = solve_lazy_epn(*problem, cfg, opts);
     for (const EpnLazyIteration& it : res.iterations) {
-      std::cout << "iteration " << it.index << ": cost " << it.cost << ", r = (" << it.worst_hv
-                << ", " << it.worst_lv << "), " << it.stats.num_constraints
-                << " constraints, " << it.stats.num_vars << " variables, "
-                << it.solve_seconds << "s\n";
+      std::cout << "iteration " << it.index << ": ";
+      if (it.architecture.nodes.empty()) {
+        // The solve failed (budget spent, or learning made it infeasible).
+        std::cout << milp::to_string(it.status) << ", no architecture, ";
+      } else {
+        std::cout << "cost " << it.cost << ", r = (" << it.worst_hv << ", " << it.worst_lv
+                  << "), ";
+      }
+      std::cout << it.stats.num_constraints << " constraints, " << it.stats.num_vars
+                << " variables, " << it.solve_seconds << "s\n";
     }
     std::cout << (res.converged ? "converged" : "NOT converged") << "\n";
     res.final_result.print_degradation(std::cout);

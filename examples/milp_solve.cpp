@@ -9,9 +9,9 @@
 ///                   [--inject=site:n[:seed]] [--checkpoint=FILE]
 ///                   [--checkpoint-interval=S] [--resume]
 ///
-/// `--budget=S` is the wall-clock allowance (milp::Budget); `--time-limit=S`
-/// remains as its deprecated alias. `--threads=N` sets the tree search's
-/// workers: 1 (the default) is deterministic, 0 means one per hardware thread.
+/// `--budget=S` is the wall-clock allowance (milp::Budget). `--threads=N`
+/// sets the tree search's workers: 1 (the default) is deterministic, 0 means
+/// one per hardware thread.
 ///
 /// Exit codes follow the termination reason: 0 optimal, 3 infeasible,
 /// 4 unbounded, 5 node limit, 6 time limit, 7 iteration limit, 8 numerical
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  double time_limit = 300.0;
+  double budget_s = 300.0;
   std::int64_t max_nodes = -1;  // -1 = keep the library default
   int threads = 1;              // 0 = one per hardware thread
   bool relaxation = false;
@@ -106,9 +106,7 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--budget=", 0) == 0) {
-      if (!parse_num(a, 9, to_d, time_limit)) return 2;
-    } else if (a.rfind("--time-limit=", 0) == 0) {  // deprecated alias
-      if (!parse_num(a, 13, to_d, time_limit)) return 2;
+      if (!parse_num(a, 9, to_d, budget_s)) return 2;
     } else if (a.rfind("--max-nodes=", 0) == 0) {
       long long v = 0;
       if (!parse_num(a, 12, to_ll, v)) return 2;
@@ -174,7 +172,7 @@ int main(int argc, char** argv) {
     } else {
       MilpOptions opts;
       if (profiling) opts.profiler = &profiler;
-      opts.budget = Budget::of_seconds(time_limit);
+      opts.budget = Budget::of_seconds(budget_s);
       if (max_nodes >= 0) opts.max_nodes = max_nodes;
       opts.num_threads = threads;
       opts.trace = !trace_path.empty();

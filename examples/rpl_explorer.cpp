@@ -4,8 +4,8 @@
 /// Usage:
 ///   rpl_explorer [--idle=N] [--budget=SECONDS] [--dot]
 ///
-/// `--time-limit=SECONDS` is the deprecated alias of `--budget` (both route
-/// through milp::Budget, the stack's one time knob).
+/// `--budget` is the wall-clock allowance (milp::Budget, the stack's one
+/// time knob).
 ///
 /// Without --idle this reproduces the Fig. 4a experiment (line B reused for
 /// product A in operation mode Omega2); with --idle=10 it reproduces
@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--idle=", 0) == 0) cfg.max_total_idle = std::stod(arg.substr(7));
     else if (arg.rfind("--budget=", 0) == 0) budget = std::stod(arg.substr(9));
-    else if (arg.rfind("--time-limit=", 0) == 0) budget = std::stod(arg.substr(13));  // deprecated alias
     else if (arg == "--dot") dot = true;
     else {
       std::cerr << "unknown argument: " << arg << "\n";

@@ -5,9 +5,6 @@
 /// Usage:
 ///   spec_explorer <problem.spec> <components.lib> [--budget=SECONDS]
 ///
-/// `--time-limit=SECONDS` is the deprecated alias of `--budget` (both route
-/// through milp::Budget).
-///
 /// Domain patterns (has_sufficient_power, has_operation_mode) are registered
 /// before parsing, so the shipped data/epn.spec and data/rpl.spec both load
 /// through the same generic front end — the extensibility story of Sec. 3.
@@ -30,7 +27,6 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--budget=", 0) == 0) budget = std::stod(arg.substr(9));
-    else if (arg.rfind("--time-limit=", 0) == 0) budget = std::stod(arg.substr(13));  // deprecated alias
   }
 
   // Make the domain-specific patterns resolvable from spec files.

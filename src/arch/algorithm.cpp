@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 
 #include "arch/patterns/general.hpp"
 #include "graph/digraph.hpp"
@@ -41,79 +39,79 @@ std::map<std::string, double> analyze_reliability(const Problem& p, const Archit
 
 LazyResult solve_lazy(Problem& p, const std::vector<ReliabilityRequirement>& requirements,
                       const LazyOptions& options) {
-  using Clock = std::chrono::steady_clock;
-  LazyResult result;
+  // Built on the generic iterative scheme below, like the EPN loop: the
+  // analysis closure runs the exact reliability analysis of every
+  // requirement, the learning closure raises the disjoint-path requirement
+  // of every violated sink. The per-sink report of each analyzed candidate
+  // is collected beside the loop and merged into its step afterwards.
+  struct Violation {
+    std::size_t req;
+    NodeId sink;
+  };
+  std::map<std::pair<std::size_t, NodeId>, int> learned;  // (requirement, sink) -> k
+  std::vector<Violation> violated;  // filled by analysis, consumed by learning
+  std::vector<LazyIteration> reports;  // one per analyzed candidate
 
-  // Current learned requirement per (requirement index, sink node).
-  std::map<std::pair<std::size_t, NodeId>, int> learned;
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    const auto t0 = Clock::now();
-    ExplorationResult er = p.solve(options.milp);
-    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-
-    LazyIteration snap;
-    snap.index = iter;
-    snap.stats = er.stats;
-    snap.solve_seconds = secs;
-
-    if (!er.feasible()) {
-      // The learned constraints made the problem infeasible: report and stop.
-      result.final_result = std::move(er);
-      result.iterations.push_back(std::move(snap));
-      return result;
-    }
-    snap.cost = er.architecture.cost;
-    snap.architecture = er.architecture;
-
-    // Exact analysis of every requirement; collect violations.
-    bool all_met = true;
-    bool can_strengthen = false;
+  const AnalysisFn analyze = [&](Problem& prob, const Architecture& arch) {
+    LazyIteration& report = reports.emplace_back();
+    violated.clear();
     for (std::size_t r = 0; r < requirements.size(); ++r) {
       const ReliabilityRequirement& req = requirements[r];
-      const std::vector<NodeId> sources = p.arch_template().select(req.sources);
-      for (const auto& [sink_name, prob] : analyze_reliability(p, er.architecture, req)) {
-        snap.sink_fail_prob[sink_name] = std::max(snap.sink_fail_prob[sink_name], prob);
-        const NodeId sink = p.arch_template().find(sink_name);
-        const auto key = std::make_pair(r, sink);
-        if (auto it = learned.find(key); it != learned.end()) {
-          snap.required_paths[sink_name] =
-              std::max(snap.required_paths[sink_name], it->second);
+      for (const auto& [sink_name, prob_fail] : analyze_reliability(prob, arch, req)) {
+        double& worst = report.sink_fail_prob[sink_name];
+        worst = std::max(worst, prob_fail);
+        const NodeId sink = prob.arch_template().find(sink_name);
+        if (auto it = learned.find({r, sink}); it != learned.end()) {
+          int& shown = report.required_paths[sink_name];
+          shown = std::max(shown, it->second);
         }
-        if (prob <= req.threshold) continue;
-        all_met = false;
-
-        // Conflict-driven learning: the current configuration provides d
-        // disjoint source paths; require d+1 from now on (strictly more
-        // than both the measured redundancy and anything learned before).
-        const int measured = measured_disjoint_paths(er.architecture, sources, sink);
-        int& k = learned[key];
-        k = std::max({k + 1, measured + 1, 1});
-        if (k <= options.max_path_requirement) {
-          can_strengthen = true;
-          patterns::emit_disjoint_paths(p, sources, sink, k, /*disjoint_sources=*/true,
-                                        "lazy" + std::to_string(r) + "i" + std::to_string(k));
-          snap.required_paths[sink_name] = k;
-        }
+        if (prob_fail > req.threshold) violated.push_back({r, sink});
       }
     }
+    AnalysisVerdict verdict;
+    verdict.accepted = violated.empty();
+    return verdict;
+  };
 
-    result.iterations.push_back(snap);
-    if (all_met) {
-      result.converged = true;
-      result.final_result = std::move(er);
-      return result;
+  const LearnFn learn = [&](Problem& prob, const Architecture& arch) {
+    bool strengthened = false;
+    for (const Violation& v : violated) {
+      // Conflict-driven learning: the current configuration provides d
+      // disjoint source paths; require d+1 from now on (strictly more than
+      // both the measured redundancy and anything learned before).
+      const std::vector<NodeId> sources =
+          prob.arch_template().select(requirements[v.req].sources);
+      const int measured = measured_disjoint_paths(arch, sources, v.sink);
+      int& k = learned[{v.req, v.sink}];
+      k = std::max({k + 1, measured + 1, 1});
+      if (k > options.max_path_requirement) continue;  // redundancy ceiling
+      patterns::emit_disjoint_paths(prob, sources, v.sink, k, /*disjoint_sources=*/true,
+                                    "lazy" + std::to_string(v.req) + "i" + std::to_string(k));
+      int& shown = reports.back().required_paths[prob.arch_template().node(v.sink).name];
+      shown = std::max(shown, k);
+      strengthened = true;
     }
-    if (!can_strengthen) {
-      // Redundancy ceiling reached without meeting the threshold.
-      result.final_result = std::move(er);
-      return result;
-    }
-  }
+    return strengthened;
+  };
 
-  if (!result.iterations.empty()) {
-    // Ran out of iterations: report the last architecture found.
-    result.final_result.architecture = result.iterations.back().architecture;
+  IterativeResult generic =
+      solve_iteratively(p, analyze, learn, options.milp, options.max_iterations);
+
+  LazyResult result;
+  result.converged = generic.converged;
+  result.final_result = std::move(generic.final_result);
+  result.iterations.reserve(generic.steps.size());
+  for (std::size_t i = 0; i < generic.steps.size(); ++i) {
+    IterativeStep& step = generic.steps[i];
+    // Only a solve that failed (always the last step) went unanalyzed.
+    LazyIteration it = i < reports.size() ? std::move(reports[i]) : LazyIteration{};
+    it.index = step.index;
+    it.status = step.status;
+    it.cost = step.cost;
+    it.stats = step.stats;
+    it.architecture = std::move(step.architecture);
+    it.solve_seconds = step.solve_seconds;
+    result.iterations.push_back(std::move(it));
   }
   return result;
 }
@@ -123,48 +121,32 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
   using Clock = std::chrono::steady_clock;
   IterativeResult result;
 
-  // One monotonic deadline for the whole scheme, not a fresh `time_limit_s`
-  // per iteration: earlier revisions restarted the budget at every re-solve,
-  // so a learning loop with a 30 s limit could legally run for minutes. The
-  // per-call limit is converted to an absolute deadline once, here, and the
-  // per-iteration relative limit is disarmed; a caller-supplied absolute
-  // deadline (serve requests) already spans iterations and wins if tighter.
+  // One end for the whole scheme, not a fresh allowance per re-solve: the
+  // budget is converted once, here, so solve + analyze + learn of every
+  // iteration spend the same allowance (an `end` the caller already set —
+  // a serve request's admission deadline — wins if earlier).
+  const Clock::time_point end = milp_options.budget.deadline_from(Clock::now());
   milp::MilpOptions opts = milp_options;
-  if (std::isfinite(opts.time_limit_s)) {
-    const auto now = Clock::now();
-    const double limit_s = std::max(opts.time_limit_s, 0.0);
-    // Same headroom guard as solve_milp's arming: a huge-but-finite limit
-    // (the 1e18 default) would overflow the clock's integer representation,
-    // so anything beyond half the clock's remaining range stays "never".
-    const double headroom_s =
-        std::chrono::duration<double>(Clock::time_point::max() - now).count();
-    if (limit_s < headroom_s * 0.5) {
-      opts.deadline = std::min(
-          opts.deadline,
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(limit_s)));
-      opts.time_limit_s = std::numeric_limits<double>::infinity();
-    }
-  }
+  opts.budget = milp::Budget::until(end);
 
   for (int iter = 1; iter <= max_iterations; ++iter) {
     const auto t0 = Clock::now();
     // Re-solves (iteration >= 2) are sliced to a quarter of the remaining
     // budget: a learned model that cannot be closed would otherwise run to
-    // the overall deadline and starve every iteration after it. The solver
+    // the overall end and starve every iteration after it. The solver
     // keeps its best incumbent at the slice boundary, which is all the
     // analysis and learning steps consume, and a stalled re-solve therefore
     // costs at most 25% of what is left. Iteration 1 is exempt — a scheme
     // that converges immediately keeps single-solve semantics — and the
-    // overall deadline still bounds everything.
-    milp::MilpOptions iter_opts = opts;
-    if (iter > 1 && opts.deadline != Clock::time_point::max() && t0 < opts.deadline) {
-      iter_opts.deadline = t0 + (opts.deadline - t0) / 4;
+    // overall end still bounds everything.
+    if (iter > 1 && end != Clock::time_point::max() && t0 < end) {
+      opts.budget = milp::Budget::until(t0 + (end - t0) / 4);
     }
-    ExplorationResult er = p.solve(iter_opts);
+    ExplorationResult er = p.solve(opts);
 
     IterativeStep step;
     step.index = iter;
+    step.status = er.solution.status;
     step.stats = er.stats;
     step.solve_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 
@@ -196,22 +178,16 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
 
     const AnalysisVerdict verdict = analyze(p, er.architecture);
     step.metrics = verdict.metrics;
-
-    if (verdict.accepted) {
-      result.steps.push_back(std::move(step));
-      result.converged = true;
-      result.final_result = std::move(er);
-      return result;
-    }
-    const bool strengthened = learn(p, er.architecture);
+    const bool strengthened = !verdict.accepted && learn(p, er.architecture);
     result.steps.push_back(std::move(step));
-    if (!strengthened) {
-      result.final_result = std::move(er);
+    // The last candidate is the result, whether the loop converged, cannot
+    // learn more, or runs out of iterations after this one.
+    result.final_result = std::move(er);
+    if (verdict.accepted) {
+      result.converged = true;
       return result;
     }
-  }
-  if (!result.steps.empty()) {
-    result.final_result.architecture = result.steps.back().architecture;
+    if (!strengthened) return result;
   }
   return result;
 }

@@ -33,6 +33,9 @@ struct ReliabilityRequirement {
 /// Snapshot of one lazy iteration (what Fig. 3a-c shows per step).
 struct LazyIteration {
   int index = 0;
+  /// The iteration's solve status: a budget-killed re-solve reports
+  /// TimeLimit here, with no architecture and cost 0.
+  milp::SolveStatus status = milp::SolveStatus::NumericalError;
   double cost = 0.0;
   /// Exact link failure probability per sink node name.
   std::map<std::string, double> sink_fail_prob;
@@ -57,11 +60,13 @@ struct LazyResult {
   std::vector<LazyIteration> iterations;
 };
 
-/// Runs the lazy iterative scheme on `p`. The problem must have been
-/// constructed with all *non-reliability* patterns applied; `requirements`
-/// are checked by exact analysis between iterations. The learning step
-/// raises the vertex-disjoint-path requirement of each violated sink to one
-/// more than the current architecture provides.
+/// Runs the lazy iterative scheme on `p`: `solve_iteratively` with the
+/// exact reliability analysis and disjoint-path learning as its hooks. The
+/// problem must have been constructed with all *non-reliability* patterns
+/// applied; `requirements` are checked by exact analysis between
+/// iterations. The learning step raises the vertex-disjoint-path
+/// requirement of each violated sink to one more than the current
+/// architecture provides.
 LazyResult solve_lazy(Problem& p, const std::vector<ReliabilityRequirement>& requirements,
                       const LazyOptions& options = {});
 
@@ -96,6 +101,7 @@ using LearnFn = std::function<bool(Problem&, const Architecture&)>;
 /// Iteration snapshot of the generic scheme.
 struct IterativeStep {
   int index = 0;
+  milp::SolveStatus status = milp::SolveStatus::NumericalError;  ///< of this step's solve
   double cost = 0.0;
   std::map<std::string, double> metrics;
   milp::ModelStats stats;
@@ -112,7 +118,11 @@ struct IterativeResult {
 /// Runs the generic lazy scheme: solve -> analyze -> learn -> repeat.
 /// Terminates when the analysis accepts a candidate, when learning cannot
 /// strengthen the formulation further, when an iteration produces no
-/// architecture, or after `max_iterations`.
+/// architecture, or after `max_iterations`; `final_result` is the last
+/// iteration's result (or, when a budget stopped a re-solve without an
+/// incumbent, the previous architecture under the TimeLimit status).
+/// `milp_options.budget` bounds the whole loop: it is converted to one
+/// absolute end at entry, and re-solves get a quarter of what is left.
 IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const LearnFn& learn,
                                   const milp::MilpOptions& milp_options = {},
                                   int max_iterations = 12);

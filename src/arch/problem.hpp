@@ -173,9 +173,9 @@ class Problem {
   // --- solving --------------------------------------------------------------
   /// Assembles the cost function and solves the monolithic MILP (the eager
   /// method). Use algorithm.hpp for the lazy iterative scheme. The options'
-  /// `deadline`/`cancel` fields are honored end-to-end: an absolute deadline
+  /// `budget`/`cancel` fields are honored end-to-end: a `Budget::until` end
   /// armed before encoding charges encode time against the same budget the
-  /// solver sees (an expired deadline returns TimeLimit without running
+  /// solver sees (a spent budget returns TimeLimit without running
   /// presolve), and a set cancel flag preempts the solve at the next poll.
   ExplorationResult solve(const milp::MilpOptions& options = {});
 

@@ -369,6 +369,7 @@ EpnLazyResult solve_lazy_epn(Problem& p, const EpnConfig& cfg,
   for (IterativeStep& step : generic.steps) {
     EpnLazyIteration it;
     it.index = step.index;
+    it.status = step.status;
     it.cost = step.cost;
     it.stats = step.stats;
     it.solve_seconds = step.solve_seconds;

@@ -93,6 +93,9 @@ void register_epn_patterns();
 /// One iteration snapshot of the EPN lazy loop (what Fig. 3a-c plots).
 struct EpnLazyIteration {
   int index = 0;
+  /// The iteration's solve status: a budget-killed re-solve reports
+  /// TimeLimit here, with no architecture and cost 0.
+  milp::SolveStatus status = milp::SolveStatus::NumericalError;
   double cost = 0.0;
   double worst_hv = 0.0;  ///< worst link failure prob over HV loads
   double worst_lv = 0.0;  ///< worst link failure prob over LV loads

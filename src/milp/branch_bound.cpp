@@ -1090,14 +1090,14 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     s.metrics = reg->snapshot();
   };
 
-  // An absolute deadline that already passed (the arch layer arms one per
-  // exploration, and a service request may sit in an admission queue past
-  // its budget) returns before presolve touches the model: the caller gets
-  // TimeLimit with zero nodes, not a presolve bill it can no longer afford.
-  // The `time_limit_s <= 0` path is untouched — it still runs the root LP's
-  // first poll so nodes_explored stays 1 as it always has.
-  if (options.deadline != Clock::time_point::max() &&
-      Clock::now() >= options.deadline) {
+  // The one conversion point of the solve's budget (milp/budget.hpp): the
+  // relative allowance measured from solve entry, capped by its absolute
+  // end. A budget already spent at entry — an allowance <= 0, an end the
+  // lazy loop or an admission queue has already passed — returns before
+  // presolve touches the model: TimeLimit with zero nodes, not a presolve
+  // bill the caller can no longer afford.
+  const Clock::time_point deadline = options.budget.deadline_from(t0);
+  if (Clock::now() >= deadline) {
     sol.status = SolveStatus::TimeLimit;
     sol.solve_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     if (threads_req == 1) sol.cpu_seconds = sol.solve_seconds;
@@ -1180,19 +1180,6 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     }
   }
 
-  // One conversion point for every relative budget (milp/budget.hpp): the
-  // preferred `budget` knob and its deprecated `time_limit_s` alias both
-  // become absolute deadlines measured from solve entry — the tighter wins.
-  // Budget::deadline_from carries the historical clamp rules: <= 0 times out
-  // immediately, NaN/+inf (and limits beyond the clock's ~centuries of
-  // range) keep the "never" sentinel.
-  Clock::time_point deadline =
-      Budget::tighter(options.budget, Budget::of_seconds(options.time_limit_s))
-          .deadline_from(t0);
-  // An absolute caller deadline tightens (never relaxes) the derived one, so
-  // the budget remains a per-call cap while `options.deadline` is the
-  // end-to-end budget shared across encode/presolve/solve phases.
-  deadline = std::min(deadline, options.deadline);
   MilpOptions node_options = options;
   node_options.lp.deadline = deadline;  // simplex loops honor the wall clock
   if (node_options.lp.cancel == nullptr) node_options.lp.cancel = options.cancel;

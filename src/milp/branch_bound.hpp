@@ -10,7 +10,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -30,25 +29,13 @@ struct MilpOptions {
   double gap_abs = 1e-9;          ///< absolute optimality gap
   double gap_rel = 1e-9;          ///< relative optimality gap
   std::int64_t max_nodes = 10'000'000;
-  /// The preferred time-budget knob (milp/budget.hpp): one relative
-  /// wall-clock allowance, measured from `solve_milp` entry and converted to
-  /// an absolute deadline at exactly one point. Combined (min) with the
-  /// deprecated `time_limit_s` alias and the absolute `deadline` below.
+  /// The one time knob (milp/budget.hpp): a relative allowance measured
+  /// from `solve_milp` entry and/or an absolute end (`Budget::until`),
+  /// converted to one deadline at solve entry. A budget already spent at
+  /// entry — `seconds <= 0`, or an `end` already passed — returns
+  /// `TimeLimit` with zero nodes before presolve runs. The arch layer's lazy
+  /// loops pass `Budget::until(...)` so every re-solve shares one end.
   Budget budget = Budget::unlimited();
-  /// Deprecated alias of `budget` (wall-clock limit in seconds); kept so
-  /// existing call sites compile unchanged. Values ≤ 0 time out immediately;
-  /// only +inf (or a limit beyond the clock's ~centuries of range) disables
-  /// it. New code should set `budget` instead.
-  double time_limit_s = 1e18;
-  /// Absolute monotonic deadline, combined (min) with the deadline derived
-  /// from `time_limit_s`. Unlike a per-call time limit, an absolute deadline
-  /// is shared end-to-end across phases and re-solves: the arch layer arms
-  /// it once per exploration so encode-heavy or lazy-iterating models cannot
-  /// restart the budget at every `solve_milp` call. A deadline that has
-  /// already passed returns `TimeLimit` before presolve runs. The default
-  /// (`time_point::max()`) leaves only `time_limit_s` in charge.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
   /// Cooperative cancellation token, polled wherever the deadline is polled
   /// (simplex iteration loops every 256 iterations, each B&B node boundary).
   /// Setting the pointed-to flag stops the solve exactly like an expired

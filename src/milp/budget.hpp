@@ -1,21 +1,24 @@
 /// \file budget.hpp
 /// The one time-budget type of the stack.
 ///
-/// Every layer used to grow its own knob for the same idea — "this much wall
-/// clock, measured from some start point": `MilpOptions::time_limit_s` and
-/// `MilpOptions::deadline`, the serve request's `deadline_ms`, the explorer
-/// examples' `--time-limit` flags. `Budget` is now the single documented
-/// type they all funnel through, and `deadline_from()` the single conversion
-/// point where a relative budget becomes an absolute monotonic deadline
-/// (including the clamp/overflow rules that used to live inline in
-/// `solve_milp`). The old fields remain as deprecated aliases; each call
-/// site converts exactly once, at its own start point:
+/// A `Budget` is a wall-clock allowance with two parts: a relative
+/// allowance (`seconds`, measured from a start point the caller names) and
+/// an absolute end (`end`, a monotonic time point). Either part may be
+/// unlimited; the budget ends at whichever comes first. This header is the
+/// only module that knows both kinds of limit: every other layer holds a
+/// `Budget` and asks `deadline_from()` for the absolute deadline, the one
+/// conversion point (including the clamp/overflow rules).
 ///
-///   * `solve_milp` — from solve entry (per-call cap);
-///   * `arch::solve` / `Problem::solve` — passed through via MilpOptions;
-///   * `serve::ExplorationService` — from request *admission*, so queue wait
-///     spends the budget too;
-///   * explorers — from process start of the exploration.
+/// Where each layer converts:
+///
+///   * `solve_milp` — once, at solve entry (`MilpOptions::budget`);
+///   * `solve_iteratively` / the lazy loops — once, at loop entry, into
+///     `Budget::until(...)`, so solve + analyze + learn of every iteration
+///     spend the same allowance;
+///   * `serve::ExplorationService` — from request *admission*
+///     (`budget_ms`), so queue wait spends the budget too;
+///   * explorers — their `--budget` flag is the `MilpOptions::budget` of the
+///     whole exploration.
 #pragma once
 
 #include <algorithm>
@@ -25,40 +28,51 @@
 
 namespace archex::milp {
 
-/// A relative wall-clock allowance. Value semantics, trivially copyable.
+/// A wall-clock allowance. Value semantics, trivially copyable.
 struct Budget {
   using Clock = std::chrono::steady_clock;
 
-  /// Allowance in seconds. +inf (the default) = unlimited; values <= 0 mean
-  /// "already exhausted" (an immediate TimeLimit); NaN is treated as
-  /// unlimited — the same semantics `time_limit_s` always had.
+  /// Relative allowance in seconds. +inf (the default) = unlimited; values
+  /// <= 0 mean "already exhausted" (an immediate TimeLimit); NaN is treated
+  /// as unlimited.
   double seconds = std::numeric_limits<double>::infinity();
+  /// Absolute end. `time_point::max()` (the default) = none; a time point
+  /// already passed means "already exhausted".
+  Clock::time_point end = Clock::time_point::max();
 
   [[nodiscard]] static constexpr Budget unlimited() { return {}; }
   [[nodiscard]] static constexpr Budget of_seconds(double s) { return {s}; }
   [[nodiscard]] static constexpr Budget of_ms(double ms) {
     return {ms / 1000.0};
   }
+  /// A budget that ends at the absolute time point `t`, whenever it starts.
+  [[nodiscard]] static constexpr Budget until(Clock::time_point t) {
+    return {std::numeric_limits<double>::infinity(), t};
+  }
 
-  /// True when this budget actually constrains anything (finite seconds).
-  [[nodiscard]] bool limited() const { return std::isfinite(seconds); }
+  /// True when this budget actually constrains anything.
+  [[nodiscard]] bool limited() const {
+    return std::isfinite(seconds) || end != Clock::time_point::max();
+  }
 
   /// THE conversion point: the absolute deadline of this budget measured
-  /// from `start`. Unlimited budgets — and budgets beyond half the clock's
-  /// remaining range (~centuries; the duration cast would overflow) — return
-  /// the "never" sentinel `Clock::time_point::max()`. Negative budgets clamp
-  /// to `start` itself: an immediately expired deadline.
+  /// from `start` — the earlier of `start + seconds` and `end`. An unlimited
+  /// relative part — or one beyond half the clock's remaining range
+  /// (~centuries; the duration cast would overflow) — leaves only `end`
+  /// (the "never" sentinel `Clock::time_point::max()` by default). Negative
+  /// allowances clamp to `start` itself: an immediately expired deadline.
   [[nodiscard]] Clock::time_point deadline_from(Clock::time_point start) const {
-    if (!std::isfinite(seconds)) return Clock::time_point::max();
+    if (!std::isfinite(seconds)) return end;
     const double limit_s = std::max(seconds, 0.0);
     const double headroom_s =
         std::chrono::duration<double>(Clock::time_point::max() - start).count();
-    if (limit_s >= headroom_s * 0.5) return Clock::time_point::max();
-    return start + std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(limit_s));
+    if (limit_s >= headroom_s * 0.5) return end;
+    return std::min(end, start + std::chrono::duration_cast<Clock::duration>(
+                                     std::chrono::duration<double>(limit_s)));
   }
 
-  /// min() of two budgets: the tighter allowance wins (NaN loses).
+  /// min() of two budgets, part by part: the tighter allowance and the
+  /// earlier end win (a NaN allowance loses).
   [[nodiscard]] static Budget tighter(Budget a, Budget b) {
     const double as = std::isnan(a.seconds)
                           ? std::numeric_limits<double>::infinity()
@@ -66,7 +80,7 @@ struct Budget {
     const double bs = std::isnan(b.seconds)
                           ? std::numeric_limits<double>::infinity()
                           : b.seconds;
-    return {std::min(as, bs)};
+    return {std::min(as, bs), std::min(a.end, b.end)};
   }
 };
 

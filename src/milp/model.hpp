@@ -140,7 +140,7 @@ enum class TermReason : std::uint8_t {
   Infeasible,    ///< proven infeasible
   Unbounded,     ///< LP relaxation unbounded
   NodeLimit,     ///< max_nodes hit
-  TimeLimit,     ///< time_limit_s hit
+  TimeLimit,     ///< time budget spent
   IterationLimit,///< simplex iteration cap hit (LP-relaxation solves)
   Numerical,     ///< numerical failure
 };

@@ -123,9 +123,14 @@ std::optional<Request> Request::from_json(const Json& j, std::string* err) {
       return fail("op 'sweep' requires a non-empty 'sweep' array");
     }
   }
+  // Removed time keys fail loudly: ignoring them, as unknown keys are,
+  // would silently run an old client's request without a bound.
+  for (const char* removed : {"deadline_ms", "time_limit_s"}) {
+    if (j.find(removed) != nullptr) {
+      return fail("'" + std::string(removed) + "' was removed; use 'budget_ms'");
+    }
+  }
   r.budget_ms = j.get_number("budget_ms", 0.0);
-  r.deadline_ms = j.get_number("deadline_ms", 0.0);
-  r.time_limit_s = j.get_number("time_limit_s", 0.0);
   r.threads = static_cast<int>(j.get_number("threads", 1.0));
   r.max_nodes = static_cast<std::int64_t>(j.get_number("max_nodes", 0.0));
   r.retries = static_cast<int>(j.get_number("retries", -1.0));
@@ -137,9 +142,7 @@ std::optional<Request> Request::from_json(const Json& j, std::string* err) {
   r.resume = j.get_bool("resume", false);
   r.preemptible = j.get_bool("preemptible", true);
   if (r.threads < 1 || r.threads > 64) return fail("'threads' out of range");
-  if (r.budget_ms < 0 || r.deadline_ms < 0 || r.time_limit_s < 0) {
-    return fail("'budget_ms' / 'deadline_ms' / 'time_limit_s' must be >= 0");
-  }
+  if (r.budget_ms < 0) return fail("'budget_ms' must be >= 0");
   return r;
 }
 
@@ -160,8 +163,6 @@ Json Request::to_json() const {
     j["sweep"] = Json(std::move(arr));
   }
   if (budget_ms > 0) j["budget_ms"] = budget_ms;
-  if (deadline_ms > 0) j["deadline_ms"] = deadline_ms;
-  if (time_limit_s > 0) j["time_limit_s"] = time_limit_s;
   if (threads != 1) j["threads"] = threads;
   if (max_nodes > 0) j["max_nodes"] = max_nodes;
   if (retries >= 0) j["retries"] = retries;

@@ -65,13 +65,9 @@ struct Request {
   /// End-to-end budget in milliseconds, measured from *admission* (queue
   /// wait spends it too — a request that waited its whole budget gets an
   /// immediate anytime answer, not a fresh solver allowance). 0 = none.
-  /// The canonical time knob (milp/budget.hpp is the conversion point);
-  /// `deadline_ms` below is its deprecated alias and loses when both are
-  /// set.
+  /// The one time knob of a request (milp/budget.hpp is the conversion
+  /// point); `parse_request` rejects the keys of the removed time knobs.
   double budget_ms = 0.0;
-  /// Deprecated alias of `budget_ms`; kept for existing clients. 0 = none.
-  double deadline_ms = 0.0;
-  double time_limit_s = 0.0;  ///< per-solve-call cap; 0 = none
   int threads = 1;            ///< B&B worker threads for this request
   std::int64_t max_nodes = 0; ///< 0 = solver default
   /// NumericalError retry budget (the service-level ladder: tightened

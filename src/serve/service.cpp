@@ -101,13 +101,12 @@ BuiltModel build_model(const Request& req) {
   return b;
 }
 
-/// THE conversion from the request's time knobs to an absolute deadline
-/// (satellite of milp/budget.hpp): `budget_ms` is canonical, `deadline_ms`
-/// its deprecated alias (budget_ms wins when both are set), 0 means
-/// unlimited. Measured from admission so queue wait spends the budget.
+/// THE conversion from the request's time knob to an absolute deadline
+/// (via milp/budget.hpp): `budget_ms`, 0 meaning unlimited, measured from
+/// admission so queue wait spends the budget.
 Clock::time_point deadline_of(const Request& req, Clock::time_point admitted) {
-  const double ms = req.budget_ms > 0 ? req.budget_ms : req.deadline_ms;
-  return (ms > 0 ? milp::Budget::of_ms(ms) : milp::Budget::unlimited())
+  return (req.budget_ms > 0 ? milp::Budget::of_ms(req.budget_ms)
+                            : milp::Budget::unlimited())
       .deadline_from(admitted);
 }
 
@@ -327,8 +326,7 @@ Response ExplorationService::execute(const Request& req,
 
   milp::MilpOptions base;
   base.num_threads = req.threads;
-  if (req.time_limit_s > 0) base.time_limit_s = req.time_limit_s;
-  base.deadline = deadline;
+  base.budget = milp::Budget::until(deadline);
   base.cancel = &cancel_;
   if (req.max_nodes > 0) base.max_nodes = req.max_nodes;
   if (fault_armed) base.fault = &fault;
@@ -556,8 +554,7 @@ Response ExplorationService::execute_compiled(const Request& req,
 
   milp::MilpOptions base;
   base.num_threads = req.threads;
-  if (req.time_limit_s > 0) base.time_limit_s = req.time_limit_s;
-  base.deadline = deadline;
+  base.budget = milp::Budget::until(deadline);
   base.cancel = &cancel_;
   if (req.max_nodes > 0) base.max_nodes = req.max_nodes;
 

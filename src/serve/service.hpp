@@ -11,9 +11,9 @@
 ///     is shed (explicit `rejected` response, never a silent drop), falling
 ///     back to rejecting the newcomer;
 ///   * deadline — one absolute monotonic budget per request measured from
-///     admission, threaded through encode/presolve/solve/extract via
-///     `MilpOptions::deadline`; expiry yields the best incumbent as an
-///     anytime `degraded` result with its bound gap;
+///     admission, threaded through encode/presolve/solve/extract as
+///     `MilpOptions::budget = Budget::until(deadline)`; expiry yields the
+///     best incumbent as an anytime `degraded` result with its bound gap;
 ///   * retry — a bounded ladder above the solver's own recovery for solves
 ///     that still end in NumericalError: tightened tolerances, then the
 ///     dense oracle kernel, with deterministic seeded backoff between

@@ -120,14 +120,20 @@ TEST(IterativeSchemeTest, RespectsIterationBudget) {
   IterativeResult res = solve_iteratively(p, never, noop_learn, {}, 4);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.steps.size(), 4u);
+  // Running out of iterations reports the last iteration's real result,
+  // not a default-constructed one.
+  ASSERT_TRUE(res.final_result.feasible());
+  EXPECT_EQ(res.final_result.solution.status, milp::SolveStatus::Optimal);
+  EXPECT_EQ(res.final_result.solution.objective, res.steps.back().cost);
 }
 
 TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
-  // Regression: `time_limit_s` used to restart at every re-solve, so a
-  // learning loop with a 0.2 s limit could legally run all ten iterations
-  // (each individually fast) and never time out. The limit is now converted
-  // to one absolute deadline at entry; a learn step that burns the whole
-  // budget must make the *next* solve come back TimeLimit and end the loop.
+  // Regression: the budget used to restart at every re-solve, so a
+  // learning loop with a 0.2 s budget could legally run all ten iterations
+  // (each individually fast) and never time out. The budget is now
+  // converted to one absolute end at entry; a learn step that burns the
+  // whole budget must make the *next* solve come back TimeLimit and end the
+  // loop.
   LatencyNet net;
   Problem p(net.lib, net.tmpl);
   p.set_functional_flow({"Src", "Mid", "Snk"});
@@ -140,7 +146,7 @@ TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
     return true;
   };
   milp::MilpOptions opts;
-  opts.time_limit_s = 0.2;  // spans solve + analyze + learn, end to end
+  opts.budget = milp::Budget::of_seconds(0.2);  // spans solve + analyze + learn
 
   const auto t0 = std::chrono::steady_clock::now();
   IterativeResult res = solve_iteratively(p, never, slow_learn, opts, 10);
@@ -152,6 +158,7 @@ TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
   // iteration 2's solve times out immediately — never ten fresh budgets.
   EXPECT_EQ(res.steps.size(), 2u);
   EXPECT_EQ(res.final_result.solution.status, milp::SolveStatus::TimeLimit);
+  EXPECT_EQ(res.steps.back().status, milp::SolveStatus::TimeLimit);
   EXPECT_LT(secs, 2.0);
   // Anytime fallback: the budget-stopped re-solve had no incumbent of its
   // own, so the loop surfaces iteration 1's architecture (flagged degraded
@@ -163,8 +170,8 @@ TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
 }
 
 TEST(IterativeSchemeTest, CallerDeadlineWinsOverRelativeLimit) {
-  // A serve request's absolute deadline spans the whole request; when it is
-  // tighter than the per-call limit it must win — here it is already
+  // A serve request's absolute end spans the whole request; when it is
+  // tighter than the relative allowance it must win — here it is already
   // expired, so even iteration 1 returns TimeLimit without exploring.
   LatencyNet net;
   Problem p(net.lib, net.tmpl);
@@ -174,8 +181,9 @@ TEST(IterativeSchemeTest, CallerDeadlineWinsOverRelativeLimit) {
   const AnalysisFn never = [](Problem&, const Architecture&) { return AnalysisVerdict{}; };
   const LearnFn noop = [](Problem&, const Architecture&) { return false; };
   milp::MilpOptions opts;
-  opts.time_limit_s = 3600.0;  // generous relative limit loses to...
-  opts.deadline = std::chrono::steady_clock::now();  // ...an expired deadline
+  opts.budget = milp::Budget::tighter(
+      milp::Budget::of_seconds(3600.0),                         // generous allowance loses to...
+      milp::Budget::until(std::chrono::steady_clock::now()));  // ...an expired end
 
   IterativeResult res = solve_iteratively(p, never, noop, opts, 5);
   EXPECT_FALSE(res.converged);

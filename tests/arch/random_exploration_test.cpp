@@ -150,7 +150,7 @@ TEST_P(RandomExploration, FeasibleResultsSatisfyEveryAppliedPattern) {
   p.add_symmetry_breaking();
 
   milp::MilpOptions opts;
-  opts.time_limit_s = 20;
+  opts.budget = milp::Budget::of_seconds(20);
   ExplorationResult res = p.solve(opts);
   if (!res.feasible()) return;  // infeasible random combos are fine
 

@@ -117,7 +117,7 @@ TEST(ArchAnalyzeTest, DiagnoserStaysQuietOnFeasibleSolve) {
   auto p = domains::epn::make_problem(tiny_config());
   enable_infeasibility_diagnosis(*p);
   milp::MilpOptions o;
-  o.time_limit_s = 30;
+  o.budget = milp::Budget::of_seconds(30);
   const ExplorationResult res = p->solve(o);
   ASSERT_TRUE(res.feasible()) << milp::to_string(res.solution.status);
   EXPECT_TRUE(res.infeasibility_explanation.empty());

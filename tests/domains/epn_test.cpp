@@ -67,7 +67,7 @@ TEST(EpnProblemTest, TinyInstanceSolvesAndSatisfiesStructure) {
   const EpnConfig cfg = tiny_config();
   auto p = make_problem(cfg);
   milp::MilpOptions o;
-  o.time_limit_s = 30;
+  o.budget = milp::Budget::of_seconds(30);
   ExplorationResult res = p->solve(o);
   ASSERT_TRUE(res.feasible());
 
@@ -105,7 +105,7 @@ TEST(EpnProblemTest, SufficientPowerHolds) {
   const EpnConfig cfg = tiny_config();
   auto p = make_problem(cfg);
   milp::MilpOptions o;
-  o.time_limit_s = 30;
+  o.budget = milp::Budget::of_seconds(30);
   ExplorationResult res = p->solve(o);
   ASSERT_TRUE(res.feasible());
   const ArchTemplate& t = p->arch_template();
@@ -134,7 +134,7 @@ TEST(EpnProblemTest, RedundancyRequirementRaisesReliability) {
   redundant.critical_threshold = 1e-5;  // k = 2 for critical loads
 
   milp::MilpOptions o;
-  o.time_limit_s = 60;
+  o.budget = milp::Budget::of_seconds(60);
   auto p1 = make_problem(tiny);
   auto p2 = make_problem(redundant);
   ExplorationResult r1 = p1->solve(o);
@@ -163,7 +163,7 @@ TEST(EpnLazyTest, ConvergesWithPaperTrajectory) {
   cfg.reliability_eager = false;
   auto p = make_problem(cfg);
   milp::MilpOptions o;
-  o.time_limit_s = 60;
+  o.budget = milp::Budget::of_seconds(60);
   EpnLazyResult res = solve_lazy_epn(*p, cfg, o, 6);
   ASSERT_TRUE(res.converged);
   ASSERT_GE(res.iterations.size(), 2u);

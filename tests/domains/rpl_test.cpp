@@ -55,7 +55,7 @@ TEST(RplProblemTest, BothModesSatisfied) {
   const RplConfig cfg = tiny_config();
   auto p = make_problem(cfg);
   milp::MilpOptions o;
-  o.time_limit_s = 60;
+  o.budget = milp::Budget::of_seconds(60);
   ExplorationResult res = p->solve(o);
   ASSERT_TRUE(res.feasible());
   const Architecture& a = res.architecture;
@@ -103,7 +103,7 @@ TEST(RplProblemTest, IdleBoundHolds) {
   cfg.max_total_idle = 20.0;
   auto p = make_problem(cfg);
   milp::MilpOptions o;
-  o.time_limit_s = 60;
+  o.budget = milp::Budget::of_seconds(60);
   ExplorationResult res = p->solve(o);
   ASSERT_TRUE(res.feasible());
   EXPECT_LE(total_idle_rate(*p, res.architecture), cfg.max_total_idle + 1e-5);
@@ -114,7 +114,7 @@ TEST(RplProblemTest, IdleBoundReducesIdleRate) {
   RplConfig tight = tiny_config();
   tight.max_total_idle = 20.0;
   milp::MilpOptions o;
-  o.time_limit_s = 60;
+  o.budget = milp::Budget::of_seconds(60);
   auto p1 = make_problem(loose);
   auto p2 = make_problem(tight);
   ExplorationResult r1 = p1->solve(o);

@@ -439,9 +439,9 @@ TEST(DeadlineArmingTest, NonPositiveTimeLimitsTimeOutImmediately) {
   for (double limit : {0.0, -1e-4, -1.0}) {
     MilpOptions opts;
     opts.num_threads = 1;
-    opts.time_limit_s = limit;
+    opts.budget = Budget::of_seconds(limit);
     const Solution s = solve_milp(m, opts);
-    EXPECT_EQ(s.status, SolveStatus::TimeLimit) << "time_limit_s=" << limit;
+    EXPECT_EQ(s.status, SolveStatus::TimeLimit) << "budget=" << limit;
   }
 }
 
@@ -453,9 +453,9 @@ TEST(DeadlineArmingTest, HugeFiniteTimeLimitsStillSolve) {
   for (double limit : {1.5e9, 1e18}) {
     MilpOptions opts;
     opts.num_threads = 1;
-    opts.time_limit_s = limit;
+    opts.budget = Budget::of_seconds(limit);
     const Solution s = solve_milp(m, opts);
-    EXPECT_EQ(s.status, SolveStatus::Optimal) << "time_limit_s=" << limit;
+    EXPECT_EQ(s.status, SolveStatus::Optimal) << "budget=" << limit;
   }
 }
 

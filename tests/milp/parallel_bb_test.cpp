@@ -192,7 +192,7 @@ TEST(ParallelBBTest, EpnSameOptimumAcrossThreadCounts) {
     auto p = make_problem(cfg);
     milp::MilpOptions o;
     o.num_threads = 1;
-    o.time_limit_s = 60;
+    o.budget = Budget::of_seconds(60);
     const ExplorationResult r = p->solve(o);
     ASSERT_TRUE(r.solution.optimal());
     obj1 = r.solution.objective;
@@ -201,7 +201,7 @@ TEST(ParallelBBTest, EpnSameOptimumAcrossThreadCounts) {
     auto p = make_problem(cfg);
     milp::MilpOptions o;
     o.num_threads = 4;
-    o.time_limit_s = 60;
+    o.budget = Budget::of_seconds(60);
     const ExplorationResult r = p->solve(o);
     ASSERT_TRUE(r.solution.optimal());
     EXPECT_NEAR(r.solution.objective, obj1, 1e-6);
@@ -281,14 +281,14 @@ TEST(ParallelBBTest, PoolStressHardKnapsack) {
   const Model m = hard_knapsack_fixture(50, 42);
   MilpOptions seq;
   seq.num_threads = 1;
-  seq.time_limit_s = 300;
+  seq.budget = Budget::of_seconds(300);
   const Solution s1 = solve_milp(m, seq);
   ASSERT_TRUE(s1.optimal());
   EXPECT_GT(s1.nodes_explored, 10000);  // genuinely large tree
 
   MilpOptions par;
   par.num_threads = 4;
-  par.time_limit_s = 300;
+  par.budget = Budget::of_seconds(300);
   const Solution s4 = solve_milp(m, par);
   ASSERT_TRUE(s4.optimal());
   EXPECT_NEAR(s4.objective, s1.objective, 1e-6);

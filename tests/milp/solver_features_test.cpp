@@ -52,7 +52,7 @@ TEST(SolverFeatureTest, MilpTimeLimitWithoutIncumbentIsTruthful) {
   m.add_constraint(tw <= LinExpr(40.0));
   m.set_objective(tv, ObjectiveSense::Maximize);
   MilpOptions o;
-  o.time_limit_s = 0.0;
+  o.budget = Budget::of_seconds(0.0);
   const Solution s = solve_milp(m, o);
   EXPECT_NE(s.status, SolveStatus::Optimal);
 }

@@ -98,7 +98,7 @@ TEST(TermReasonTest, NodeLimit) {
 TEST(TermReasonTest, TimeLimit) {
   MilpOptions o;
   o.num_threads = 1;
-  o.time_limit_s = 0.05;  // far below what the hard tree needs
+  o.budget = Budget::of_seconds(0.05);  // far below what the hard tree needs
   const Solution s = solve_milp(hard_knapsack_fixture(45, 7), o);
   EXPECT_EQ(s.status, SolveStatus::TimeLimit);
   EXPECT_EQ(s.term_reason, TermReason::TimeLimit);
@@ -199,7 +199,7 @@ TEST(TelemetryTest, ParallelTraceRecordsStealsFromMultipleWorkers) {
   // The ~350k-node tree emits far more than the default ring capacity; give
   // each worker room for the full solve so event counts are exact.
   o.trace_capacity = std::size_t{1} << 19;
-  o.time_limit_s = 300;
+  o.budget = Budget::of_seconds(300);
   const Solution s = solve_milp(hard_knapsack_fixture(50, 42), o);
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(s.threads_used, 4);

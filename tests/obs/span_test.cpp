@@ -294,7 +294,7 @@ TEST(PerfReportTest, EpnEncodeAttributionIsNearComplete) {
   // Solving end to end fills in rows / presolve / simplex-share columns and
   // the report renders with the documented header.
   milp::MilpOptions opts;
-  opts.time_limit_s = 60.0;
+  opts.budget = milp::Budget::of_seconds(60.0);
   opts.num_threads = 1;
   ExplorationResult res = problem->solve(opts);
   ASSERT_TRUE(res.feasible());

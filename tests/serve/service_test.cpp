@@ -151,7 +151,7 @@ TEST(ServeRequestTest, MinimalRequestGetsDocumentedDefaults) {
   EXPECT_EQ(r->id, "r1");
   EXPECT_EQ(r->threads, 1);
   EXPECT_EQ(r->retries, -1);
-  EXPECT_EQ(r->deadline_ms, 0.0);
+  EXPECT_EQ(r->budget_ms, 0.0);
   EXPECT_FALSE(r->droppable);
   EXPECT_FALSE(r->lint);
   EXPECT_TRUE(r->preemptible);
@@ -175,8 +175,19 @@ TEST(ServeRequestTest, RejectsSchemaViolations) {
       parse_request("{\"id\":\"a\",\"lp\":\"x\",\"threads\":0}", &err)
           .has_value());
   EXPECT_FALSE(
-      parse_request("{\"id\":\"a\",\"lp\":\"x\",\"deadline_ms\":-5}", &err)
+      parse_request("{\"id\":\"a\",\"lp\":\"x\",\"budget_ms\":-5}", &err)
           .has_value());
+  // The removed time keys fail loudly, naming their replacement, instead of
+  // being ignored (which would run the request unbounded).
+  for (const char* removed : {"deadline_ms", "time_limit_s"}) {
+    err.clear();
+    EXPECT_FALSE(parse_request(std::string("{\"id\":\"a\",\"lp\":\"x\",\"") + removed +
+                                   "\":500}",
+                               &err)
+                     .has_value())
+        << removed;
+    EXPECT_NE(err.find("budget_ms"), std::string::npos) << err;
+  }
 }
 
 TEST(ServeRequestTest, CompiledOpSchema) {
@@ -295,7 +306,7 @@ TEST(ServeServiceTest, DeadlineReturnsAnytimeDegradedWithSoundGap) {
 
   ExplorationService svc(with_workers(1));
   Request req = lp_request("deadline", lp);
-  req.deadline_ms = 80;  // full solve needs ~6x that: expires mid-tree
+  req.budget_ms = 80;  // full solve needs ~6x that: expires mid-tree
   const Response r = svc.run(req);
   ASSERT_EQ(r.status, ResponseStatus::Degraded) << r.reason;
   EXPECT_TRUE(r.ok);
@@ -318,7 +329,7 @@ TEST(ServeServiceTest, QueueWaitSpendsTheDeadline) {
   ExplorationService svc(with_workers(1));
   auto blocker = svc.submit(lp_request("blocker", knapsack_lp(52, 7)));
   Request starved = lp_request("starved", knapsack_lp(20, 7));
-  starved.deadline_ms = 1;  // gone long before the blocker finishes
+  starved.budget_ms = 1;  // gone long before the blocker finishes
   auto fut = svc.submit(std::move(starved));
   const Response r = fut.get();
   EXPECT_EQ(r.status, ResponseStatus::Timeout);
@@ -528,7 +539,7 @@ TEST(ServeServiceTest, PrometheusExposesServeMetrics) {
   ExplorationService svc(with_workers(1));
   svc.submit(lp_request("m1", knapsack_lp(20, 7))).get();
   Request deg = lp_request("m2", knapsack_lp(52, 7));
-  deg.deadline_ms = 60;
+  deg.budget_ms = 60;
   svc.run(deg);
   const std::string text = svc.prometheus();
   for (const char* needle :
