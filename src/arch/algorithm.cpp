@@ -128,6 +128,14 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
   const Clock::time_point end = milp_options.budget.deadline_from(Clock::now());
   milp::MilpOptions opts = milp_options;
   opts.budget = milp::Budget::until(end);
+  // The best bound proven so far. Learning only restricts the feasible set
+  // (the LearnFn contract), so an earlier iteration's bound stays valid for
+  // every later model; "best" is the tighter one in the model's sense.
+  const bool maximize = p.model().objective_sense() == milp::ObjectiveSense::Maximize;
+  auto tighter = [maximize](double a, double b) {
+    return maximize ? std::min(a, b) : std::max(a, b);
+  };
+  double earlier_bound = maximize ? milp::kInf : -milp::kInf;
 
   for (int iter = 1; iter <= max_iterations; ++iter) {
     const auto t0 = Clock::now();
@@ -168,6 +176,8 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
         er.architecture = last.architecture;
         er.solution.has_incumbent = true;
         er.solution.objective = last.cost;
+        // The stopped solve's own bound may be weaker (or its default 0).
+        er.solution.best_bound = tighter(er.solution.best_bound, earlier_bound);
       }
       result.final_result = std::move(er);
       result.steps.push_back(std::move(step));
@@ -175,6 +185,7 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
     }
     step.cost = er.architecture.cost;
     step.architecture = er.architecture;
+    earlier_bound = tighter(earlier_bound, er.solution.best_bound);
 
     const AnalysisVerdict verdict = analyze(p, er.architecture);
     step.metrics = verdict.metrics;

@@ -96,6 +96,13 @@ using AnalysisFn = std::function<AnalysisVerdict(Problem&, const Architecture&)>
 /// Domain-specific conflict-driven learning routine: adds constraints to the
 /// problem based on the rejected candidate. Returns false when nothing more
 /// can be learned (the scheme then stops without convergence).
+///
+/// Contract: learning only restricts the feasible set. It may add rows and
+/// tighten bounds; a column it adds must appear only in new rows and carry
+/// no cost that could improve the objective (the flow commodities of
+/// `solve_lazy` and `solve_lazy_epn` are zero-cost). An earlier iteration's
+/// best bound then stays valid for every later model, which is what lets a
+/// budget-stopped re-solve report it.
 using LearnFn = std::function<bool(Problem&, const Architecture&)>;
 
 /// Iteration snapshot of the generic scheme.

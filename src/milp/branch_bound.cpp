@@ -98,7 +98,9 @@ struct RecoverHooks {
 /// (1) tightened-tolerance refactorization + warm reoptimize, (2) cold
 /// primal restart. Returns the first non-NumericalError status; callers
 /// escalate further (quarantine/re-enqueue, then abandon) when both fail.
-SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h) {
+/// `cutoff` reaches the warm rung (SimplexSolver::recover_resolve).
+SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h,
+                                double cutoff = kInf) {
   h.reg->counter("milp.recover.tighten").add();
   if (h.trace != nullptr) {
     h.trace->emit(obs::EventType::Recover, h.node_id, 0.0,
@@ -106,7 +108,7 @@ SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h) {
   }
   SolveStatus st = SolveStatus::NumericalError;
   try {
-    st = lp.recover_resolve();
+    st = lp.recover_resolve(cutoff);
   } catch (const std::bad_alloc&) {
     st = SolveStatus::NumericalError;
   }
@@ -153,6 +155,7 @@ struct SearchCtx {
   std::vector<obs::TraceBuffer>* buffers = nullptr;  ///< per worker; empty = off
   std::int64_t pool_refactors = 0;  ///< refactorizations folded from workers
   std::int64_t pool_transplants = 0;  ///< eta-replay basis loads from workers
+  std::int64_t pool_lp_cutoffs = 0;  ///< node LPs stopped at the cutoff, from workers
   // Recovery-ladder accounting. `degraded_bound` is the min (minimize sense)
   // parent bound over every abandoned subtree: folding it into the final
   // best bound keeps the reported gap sound — an abandoned subtree can hide
@@ -752,9 +755,15 @@ class Worker {
 
     const std::int64_t refactors0 = lp_->reopt_stats().refactors;
     rebase(node);
+    // The node LP may stop as soon as its dual bound proves it prunable. The
+    // tree is unchanged: the incumbent only improves, so the check below
+    // would prune this node at its optimum too, and a stopped node has no
+    // children, so the next pop reinstalls its own parent's basis (a resumed
+    // node that ships none starts from the stopped one, which stays valid).
+    const double cutoff = pool_.cutoff();
     SolveStatus st = SolveStatus::NumericalError;
     try {
-      st = opts_.warm_start ? lp_->reoptimize_dual() : lp_->solve_primal();
+      st = opts_.warm_start ? lp_->reoptimize_dual(cutoff) : lp_->solve_primal();
       if (st == SolveStatus::Optimal && opts_.fault != nullptr &&
           opts_.fault->fire(FaultSite::BadAlloc)) {
         throw std::bad_alloc{};
@@ -763,7 +772,7 @@ class Worker {
       st = SolveStatus::NumericalError;  // enter the ladder below
     }
     if (st == SolveStatus::NumericalError) {
-      st = run_recovery_ladder(*lp_, {reg_, trace_, nid});
+      st = run_recovery_ladder(*lp_, {reg_, trace_, nid}, cutoff);
     }
     if (st == SolveStatus::NumericalError) {
       // Both in-place rungs failed. Quarantine: re-enqueue the node for a
@@ -796,7 +805,7 @@ class Worker {
       close(nid, obs::NodeOutcome::Infeasible, kNan);
       return;
     }
-    if (st != SolveStatus::Optimal) {
+    if (st != SolveStatus::Optimal && st != SolveStatus::Cutoff) {
       // Time/iteration limits surface here; Unbounded cannot, because bounds
       // only ever tighten below the (bounded) root relaxation. The node was
       // not branched, so (like the pre-LP deadline/budget exits above) it
@@ -808,8 +817,9 @@ class Worker {
       return;
     }
 
+    // After a cutoff stop `obj` is the LP's dual bound, not its optimum.
     const double obj = lp_->objective_value();
-    if (obj >= pool_.cutoff()) {  // bound pruning
+    if (st == SolveStatus::Cutoff || obj >= pool_.cutoff()) {  // bound pruning
       close(nid, obs::NodeOutcome::Cutoff, flip * obj);
       return;
     }
@@ -1019,6 +1029,7 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
     sol.cold_nodes += w.reopt_stats().cold;
     ctx.pool_refactors += w.reopt_stats().refactors;
     ctx.pool_transplants += w.reopt_stats().transplants;
+    ctx.pool_lp_cutoffs += w.reopt_stats().cutoffs;
   }
   return hit_incumbent;
 }
@@ -1415,6 +1426,8 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       .add(ctx.pool_refactors + ctx.lp.reopt_stats().refactors);
   reg->counter("milp.basis_transplants")
       .add(ctx.pool_transplants + ctx.lp.reopt_stats().transplants);
+  reg->counter("milp.lp_cutoff")
+      .add(ctx.pool_lp_cutoffs + ctx.lp.reopt_stats().cutoffs);
   if (sol.threads_used == 1) {
     sol.nodes_per_worker.assign(1, ctx.nodes);
     sol.cpu_seconds = sol.solve_seconds;

@@ -25,6 +25,7 @@ const char* to_string(SolveStatus s) {
     case SolveStatus::NodeLimit: return "node-limit";
     case SolveStatus::TimeLimit: return "time-limit";
     case SolveStatus::NumericalError: return "numerical-error";
+    case SolveStatus::Cutoff: return "cutoff";
   }
   return "?";
 }
@@ -53,6 +54,9 @@ TermReason term_reason_from(SolveStatus s) {
     case SolveStatus::NodeLimit: return TermReason::NodeLimit;
     case SolveStatus::TimeLimit: return TermReason::TimeLimit;
     case SolveStatus::NumericalError: return TermReason::Numerical;
+    // An LP-level outcome of the node reoptimizations; unreachable as a
+    // MILP Solution::status.
+    case SolveStatus::Cutoff: return TermReason::Numerical;
   }
   return TermReason::Numerical;
 }

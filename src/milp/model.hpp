@@ -128,6 +128,10 @@ enum class SolveStatus : std::uint8_t {
   NodeLimit,
   TimeLimit,
   NumericalError,
+  /// LP engine only: a dual reoptimization stopped once its dual bound
+  /// passed the caller's objective cutoff (SimplexSolver::reoptimize_dual).
+  /// Never the status of a MILP `Solution`.
+  Cutoff,
 };
 
 [[nodiscard]] const char* to_string(SolveStatus s);

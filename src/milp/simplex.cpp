@@ -13,6 +13,10 @@ namespace archex::milp {
 namespace {
 constexpr double kRatioTol = 1e-9;   // rows with |w| below this do not block
 constexpr double kDegenTol = 1e-10;  // step sizes below this count as degenerate
+// A dual bound must pass the objective cutoff by this much, relative to
+// max(1, |cutoff|), before a node LP stops: the margin absorbs the drift of
+// the incremental objective and reduced costs off by up to opt_tol.
+constexpr double kCutoffMargin = 1e-6;
 }  // namespace
 
 SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
@@ -639,7 +643,7 @@ bool SimplexSolver::dual_feasible() {
   return true;
 }
 
-SolveStatus SimplexSolver::reoptimize_dual() {
+SolveStatus SimplexSolver::reoptimize_dual(double cutoff) {
   if (!basis_valid_ || m_ == 0) return solve_primal();
 
   // Bound *tightenings* preserve dual feasibility of the last basis; bound
@@ -650,7 +654,7 @@ SolveStatus SimplexSolver::reoptimize_dual() {
   SolveStatus st;
   if (dual_feasible()) {
     ++reopt_stats_.dual_fast;
-    st = dual_loop();
+    st = dual_loop(cutoff);
   } else {
     ++reopt_stats_.repaired;
     if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::DualRepair);
@@ -674,11 +678,12 @@ SolveStatus SimplexSolver::reoptimize_dual() {
     if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::ColdRestart);
     return solve_primal();
   }
-  basis_valid_ = (st == SolveStatus::Optimal);
+  // A cutoff stop leaves a dual-feasible basis: still a valid warm start.
+  basis_valid_ = (st == SolveStatus::Optimal || st == SolveStatus::Cutoff);
   return st;
 }
 
-SolveStatus SimplexSolver::recover_resolve() {
+SolveStatus SimplexSolver::recover_resolve(double cutoff) {
   if (m_ == 0) return solve_primal();
   // Tightening pivot_tol makes the loops refuse the marginal pivots (and
   // refactorize instead) that plausibly corrupted the factorization the
@@ -689,16 +694,15 @@ SolveStatus SimplexSolver::recover_resolve() {
   if (refactorize()) {
     compute_basic_values();
     basis_valid_ = true;
-    st = reoptimize_dual();
+    st = reoptimize_dual(cutoff);
   }
   opts_.pivot_tol = saved_pivot_tol;
-  basis_valid_ = (st == SolveStatus::Optimal);
+  basis_valid_ = (st == SolveStatus::Optimal || st == SolveStatus::Cutoff);
   return st;
 }
 
-SolveStatus SimplexSolver::dual_loop() {
+SolveStatus SimplexSolver::dual_loop(double cutoff) {
   if (m_ == 0) return solve_primal();
-  compute_basic_values();
 
   std::vector<double>& d = scratch_d_;
   std::vector<double>& w = scratch_w_;
@@ -718,10 +722,25 @@ SolveStatus SimplexSolver::dual_loop() {
       infeasible[i >> 6] &= ~bit;
     }
   };
-  auto fill_violations = [&] {
+  // Objective cutoff. In a dual-feasible basis, c·x with the nonbasics at
+  // their bounds is the dual objective: a lower bound on the LP optimum that
+  // no dual pivot decreases. Once it passes the cutoff the caller would
+  // prune the node anyway, so the loop stops. `z` follows each pivot
+  // (z += d_q·Δx_q), is recomputed exactly with the basic values, and an
+  // exact recomputation confirms every stop. Perturbed costs make the basis
+  // dual feasible only for the jittered objective, so there is no stop.
+  const bool watch_cutoff = cutoff < kInf && !opts_.perturb;
+  const double stop_above =
+      cutoff + kCutoffMargin * std::max(1.0, std::abs(cutoff));
+  double z = 0.0;
+  auto exact_objective = [&] { return current_objective(cost_) + obj_constant_; };
+  // Basic values from scratch, with everything that tracks them.
+  auto refresh = [&] {
+    compute_basic_values();
     for (std::size_t i = 0; i < m_; ++i) mark_violation(i);
+    if (watch_cutoff) z = exact_objective();
   };
-  fill_violations();
+  refresh();
   int degen_streak = 0;
 
   // Reduced costs are maintained incrementally across pivots (same pivot-row
@@ -745,8 +764,7 @@ SolveStatus SimplexSolver::dual_loop() {
     }
     if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
       if (!refactorize()) return SolveStatus::NumericalError;
-      compute_basic_values();
-      fill_violations();
+      refresh();
       price(pert_cost_, d);
       prices_stale = 0;
     }
@@ -767,8 +785,16 @@ SolveStatus SimplexSolver::dual_loop() {
       }
     }
     if (leave_row < 0) {
-      obj_value_ = current_objective(cost_) + obj_constant_;
+      obj_value_ = exact_objective();
       return SolveStatus::Optimal;
+    }
+    if (watch_cutoff && z > stop_above) {
+      z = exact_objective();
+      if (z > stop_above) {
+        obj_value_ = z;
+        ++reopt_stats_.cutoffs;
+        return SolveStatus::Cutoff;
+      }
     }
 
     const std::size_t r = static_cast<std::size_t>(leave_row);
@@ -820,8 +846,7 @@ SolveStatus SimplexSolver::dual_loop() {
     }
     if (std::abs(w[r]) < opts_.pivot_tol) {
       if (!refactorize()) return SolveStatus::NumericalError;
-      compute_basic_values();
-      fill_violations();
+      refresh();
       continue;
     }
     if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::NanPivot)) {
@@ -847,6 +872,7 @@ SolveStatus SimplexSolver::dual_loop() {
 
     // Incremental reduced-cost update from the cached pivot row.
     const double dq = d[static_cast<std::size_t>(q)];
+    if (watch_cutoff) z += dq * delta;
     if (dq != 0.0) {
       const double ratio = dq / alpha_q;
       for (const std::int32_t j32 : alpha_nz) {

@@ -121,7 +121,15 @@ class SimplexSolver {
   /// Reoptimizes with the dual simplex after bound changes. Requires a prior
   /// successful solve (which left a dual-feasible basis). Falls back to a
   /// cold primal solve if the basis has decayed numerically.
-  SolveStatus reoptimize_dual();
+  ///
+  /// `cutoff` (minimize sense) lets a branch & bound node stop early: from a
+  /// dual-feasible basis the dual simplex's objective is a lower bound on the
+  /// LP optimum that never decreases, so once it passes `cutoff` the loop
+  /// returns SolveStatus::Cutoff with objective_value() set to that bound
+  /// (cutoff < bound <= optimum). The basis stays valid for later
+  /// reoptimizations. Dual repair, cold fallbacks and perturbed solvers
+  /// never stop early; the default (+inf) reproduces the uncut solve.
+  SolveStatus reoptimize_dual(double cutoff = kInf);
 
   /// First rung of the branch & bound's numerical-recovery ladder: rebuild
   /// the basis factorization from scratch and reoptimize under a temporarily
@@ -129,7 +137,8 @@ class SimplexSolver {
   /// poisoned the factorization are refused on the retry. Returns
   /// NumericalError when the rebuilt basis is still singular or the
   /// reoptimization fails again; callers then escalate to a cold restart.
-  SolveStatus recover_resolve();
+  /// `cutoff` is passed through to reoptimize_dual.
+  SolveStatus recover_resolve(double cutoff = kInf);
 
   /// Changes the bounds of structural column `col` (0-based model index).
   /// Getters return the *true* (unperturbed) bounds.
@@ -188,6 +197,7 @@ class SimplexSolver {
     std::int64_t total_pivots = 0;
     std::int64_t refactors = 0;   ///< basis refactorizations (all causes)
     std::int64_t transplants = 0; ///< basis loads served by eta replay
+    std::int64_t cutoffs = 0;     ///< dual solves stopped at the objective cutoff
   };
   [[nodiscard]] const ReoptStats& reopt_stats() const { return reopt_stats_; }
 
@@ -243,8 +253,10 @@ class SimplexSolver {
   SolveStatus primal_loop(const std::vector<double>& cost, bool phase_one);
   /// Dual simplex iterations. Expects `scratch_d_` to hold the reduced costs
   /// of `pert_cost_` for the current basis — the dual_feasible() pass that
-  /// reoptimize_dual runs first leaves exactly that.
-  SolveStatus dual_loop();
+  /// reoptimize_dual runs first leaves exactly that. Returns Cutoff once the
+  /// basis objective passes `cutoff`, which is only sound from a
+  /// dual-feasible start (dual repair passes +inf).
+  SolveStatus dual_loop(double cutoff = kInf);
   /// True if the current basis satisfies the reduced-cost sign conditions.
   bool dual_feasible();
   void price(const std::vector<double>& cost, std::vector<double>& d) const;

@@ -137,6 +137,9 @@ ResponseStatus scenario_status(const milp::Solution& sol) {
     case milp::SolveStatus::Infeasible: return ResponseStatus::Infeasible;
     case milp::SolveStatus::Unbounded: return ResponseStatus::Unbounded;
     case milp::SolveStatus::NumericalError: return ResponseStatus::Error;
+    // An LP-level outcome of the node reoptimizations; unreachable as a
+    // MILP Solution::status.
+    case milp::SolveStatus::Cutoff: return ResponseStatus::Error;
   }
   return ResponseStatus::Error;
 }
@@ -448,6 +451,11 @@ Response ExplorationService::execute(const Request& req,
                      ? "numerical error after " + std::to_string(attempt + 1) +
                            " attempt(s)"
                      : solve_error;
+      break;
+    case milp::SolveStatus::Cutoff:
+      // An LP-level outcome of the node reoptimizations; unreachable as a
+      // MILP Solution::status.
+      r.status = ResponseStatus::Error;
       break;
   }
   r.ok = r.status == ResponseStatus::Optimal ||

@@ -167,6 +167,9 @@ TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
   EXPECT_TRUE(res.final_result.degraded());
   EXPECT_EQ(res.final_result.solution.objective, res.steps.front().cost);
   EXPECT_EQ(res.final_result.architecture.cost, res.steps.front().architecture.cost);
+  // Learning only restricts the feasible set, so iteration 1's optimum is
+  // still a valid bound; the stopped re-solve proved none of its own.
+  EXPECT_GE(res.final_result.bound(), res.steps.front().cost);
 }
 
 TEST(IterativeSchemeTest, CallerDeadlineWinsOverRelativeLimit) {

@@ -193,6 +193,148 @@ TEST(SimplexTest, NoConstraintsRestsAtCostOptimalBounds) {
 }
 
 // ---------------------------------------------------------------------------
+// Objective cutoff of the dual reoptimization (a branch & bound node stops
+// once its dual bound proves it prunable).
+// ---------------------------------------------------------------------------
+
+/// min c·x over [0,1]^n subject to random covering rows A x >= b: a 0/1
+/// relaxation whose reoptimization after a branching takes several dual
+/// pivots.
+Model covering_lp(int n, int rows, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> a(0, 3);
+  std::uniform_int_distribution<int> c(1, 20);
+  Model m;
+  std::vector<VarId> x;
+  LinExpr obj;
+  for (int j = 0; j < n; ++j) {
+    x.push_back(m.add_continuous(0, 1));
+    obj += static_cast<double>(c(rng)) * x.back();
+  }
+  for (int i = 0; i < rows; ++i) {
+    LinExpr e;
+    double total = 0.0;
+    for (int j = 0; j < n; ++j) {
+      const int v = a(rng);
+      if (v == 0) continue;
+      e += static_cast<double>(v) * x[static_cast<std::size_t>(j)];
+      total += v;
+    }
+    m.add_constraint(std::move(e), Sense::GE, 0.5 * total);
+  }
+  m.set_objective(obj);
+  return m;
+}
+
+struct Branching {
+  double root;         ///< objective of the cold solve
+  std::int32_t col;    ///< column branched down to 0
+};
+
+/// Solves `lp` cold, then branches down on the basic column whose value is
+/// closest to 1/2 (every node reoptimization starts like this).
+Branching solve_and_branch(SimplexSolver& lp) {
+  EXPECT_EQ(lp.solve_primal(), SolveStatus::Optimal);
+  const std::vector<double> x = lp.primal_solution();
+  std::int32_t col = -1;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const auto jc = static_cast<std::int32_t>(j);
+    if (lp.column_status(jc) != SimplexSolver::BoundStatus::Basic) continue;
+    if (col < 0 || std::abs(x[j] - 0.5) < std::abs(x[static_cast<std::size_t>(col)] - 0.5)) {
+      col = jc;
+    }
+  }
+  EXPECT_GE(col, 0);
+  const double root = lp.objective_value();
+  lp.set_bounds(col, 0.0, 0.0);
+  return {root, col};
+}
+
+TEST(SimplexCutoffTest, CutoffBelowOptimumStopsEarlyWithItsBound) {
+  const Model m = covering_lp(30, 20, 1);
+  SimplexSolver uncut(m);
+  const double root = solve_and_branch(uncut).root;
+  const std::int64_t it0 = uncut.iterations();
+  ASSERT_EQ(uncut.reoptimize_dual(), SolveStatus::Optimal);
+  const double optimum = uncut.objective_value();
+  const std::int64_t uncut_iters = uncut.iterations() - it0;
+  ASSERT_GT(optimum, root + 1.0);  // the branching moved the bound
+  ASSERT_GE(uncut_iters, 3);
+
+  SimplexSolver cut(m);
+  solve_and_branch(cut);
+  const std::int64_t it1 = cut.iterations();
+  const double cutoff = root + 0.25 * (optimum - root);
+  ASSERT_EQ(cut.reoptimize_dual(cutoff), SolveStatus::Cutoff);
+  EXPECT_GT(cut.objective_value(), cutoff);
+  EXPECT_LE(cut.objective_value(), optimum + 1e-9);
+  EXPECT_LT(cut.iterations() - it1, uncut_iters);
+  EXPECT_EQ(cut.reopt_stats().cutoffs, 1);
+  EXPECT_EQ(uncut.reopt_stats().cutoffs, 0);
+}
+
+TEST(SimplexCutoffTest, CutoffAtOrAboveOptimumIsBitIdentical) {
+  const Model m = covering_lp(30, 20, 1);
+  SimplexSolver uncut(m);
+  solve_and_branch(uncut);
+  ASSERT_EQ(uncut.reoptimize_dual(), SolveStatus::Optimal);
+  const double optimum = uncut.objective_value();
+
+  for (const double cutoff : {optimum, optimum + 1.0}) {
+    SimplexSolver cut(m);
+    solve_and_branch(cut);
+    ASSERT_EQ(cut.reoptimize_dual(cutoff), SolveStatus::Optimal) << cutoff;
+    EXPECT_EQ(cut.objective_value(), optimum);
+    EXPECT_EQ(cut.primal_solution(), uncut.primal_solution());
+    EXPECT_EQ(cut.iterations(), uncut.iterations());
+    EXPECT_EQ(cut.reopt_stats().cutoffs, 0);
+  }
+}
+
+TEST(SimplexCutoffTest, BasisStaysValidAfterACutoffStop) {
+  const Model m = covering_lp(30, 20, 1);
+  SimplexSolver fresh(m);
+  const double root = solve_and_branch(fresh).root;
+  ASSERT_EQ(fresh.reoptimize_dual(), SolveStatus::Optimal);
+
+  SimplexSolver lp(m);
+  solve_and_branch(lp);
+  const double cutoff = root + 0.25 * (fresh.objective_value() - root);
+  ASSERT_EQ(lp.reoptimize_dual(cutoff), SolveStatus::Cutoff);
+  // The stopped basis is still dual feasible: a plain reoptimization
+  // continues the dual simplex from it, without repair or a cold start.
+  const SimplexSolver::ReoptStats before = lp.reopt_stats();
+  ASSERT_EQ(lp.reoptimize_dual(), SolveStatus::Optimal);
+  EXPECT_NEAR(lp.objective_value(), fresh.objective_value(), 1e-9);
+  EXPECT_EQ(lp.reopt_stats().dual_fast, before.dual_fast + 1);
+  EXPECT_EQ(lp.reopt_stats().repaired, before.repaired);
+  EXPECT_EQ(lp.reopt_stats().cold, before.cold);
+}
+
+TEST(SimplexCutoffTest, DualRepairNeverStopsAtTheCutoff) {
+  // Solve with every fourth column fixed at 0 and branch, then relax the
+  // fixed columns: those the covering rows now want carry wrong-sign reduced
+  // costs at their lower bound, so the reoptimization runs the dual repair
+  // (the branched column makes it pivot), where c·x is no bound and a
+  // cutoff stop would be unsound.
+  const Model m = covering_lp(30, 20, 1);
+  SimplexSolver lp(m);
+  for (std::int32_t j = 0; j < 30; j += 4) lp.set_bounds(j, 0.0, 0.0);
+  const std::int32_t col = solve_and_branch(lp).col;
+  ASSERT_NE(col % 4, 0);
+  for (std::int32_t j = 0; j < 30; j += 4) lp.set_bounds(j, 0.0, 1.0);
+
+  SimplexSolver fresh(m);
+  fresh.set_bounds(col, 0.0, 0.0);
+  ASSERT_EQ(fresh.solve_primal(), SolveStatus::Optimal);
+
+  ASSERT_EQ(lp.reoptimize_dual(-1e18), SolveStatus::Optimal);
+  EXPECT_EQ(lp.reopt_stats().repaired, 1);
+  EXPECT_EQ(lp.reopt_stats().cutoffs, 0);
+  EXPECT_NEAR(lp.objective_value(), fresh.objective_value(), 1e-7);
+}
+
+// ---------------------------------------------------------------------------
 // Property sweep: random transportation-style LPs have a known optimum
 // computable greedily when costs are chosen to make the greedy optimal
 // (single supply). We instead cross-check primal solutions for feasibility

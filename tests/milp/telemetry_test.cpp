@@ -232,6 +232,45 @@ TEST(TelemetryTest, TracingDoesNotPerturbTheSearch) {
   EXPECT_EQ(a.x, b.x);
 }
 
+TEST(TelemetryTest, LpCutoffStopsKeepTheTree) {
+  // Node LPs stop once their dual bound passes the incumbent cutoff. The
+  // tree must not change: the node counts below were measured before the
+  // stop existed, when these solves also took the listed iterations. Only
+  // the stopped nodes' iterations may disappear.
+  struct Case {
+    int n;
+    unsigned seed;
+    std::int64_t nodes;
+    std::int64_t uncut_iterations;
+  };
+  for (const Case c : {Case{20, 1, 2903, 3324}, Case{20, 7, 1254, 1588},
+                       Case{30, 7, 13512, 18298}}) {
+    MilpOptions o;
+    o.num_threads = 1;
+    o.trace = true;
+    o.trace_capacity = std::size_t{1} << 16;
+    const Solution s = solve_milp(hard_knapsack_fixture(c.n, c.seed), o);
+    ASSERT_TRUE(s.optimal());
+    EXPECT_EQ(s.nodes_explored, c.nodes) << c.n << "/" << c.seed;
+    EXPECT_LT(s.simplex_iterations, c.uncut_iterations);
+    EXPECT_GT(s.metrics.at("milp.lp_cutoff"), 0.0);
+    // A cutoff close carries the node's bound — for a stopped LP, its dual
+    // bound at the stop — and that bound misses the final incumbent.
+    ASSERT_EQ(s.trace.dropped, 0);
+    std::size_t cutoffs = 0;
+    for (const obs::TraceEvent& e : s.trace.events) {
+      if (e.type != obs::EventType::NodeClose ||
+          e.detail != static_cast<std::uint8_t>(obs::NodeOutcome::Cutoff)) {
+        continue;
+      }
+      ++cutoffs;
+      ASSERT_TRUE(std::isfinite(e.value));
+      EXPECT_LE(e.value, s.objective + 1.0);  // maximize: bound below optimum + step
+    }
+    EXPECT_GE(cutoffs, static_cast<std::size_t>(s.metrics.at("milp.lp_cutoff")));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Phase timings + metrics snapshot
 // ---------------------------------------------------------------------------

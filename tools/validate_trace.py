@@ -10,6 +10,8 @@ Default (JSONL) mode checks, in order:
     new EventType cannot ship without a schema/doc update;
   * every type-specific required key is present with the right JSON type
     (numeric payloads may be null, the encoding of non-finite doubles);
+  * a `pruned` or `cutoff` node_close carries a bound (the one that pruned
+    it: the parent bound, or the node LP's dual bound) — never null;
   * timestamps are non-decreasing (the merge sorts) and non-negative;
   * exactly one solve_start and at most one solve_end;
   * node, incumbent events are present, and with --min-workers=2 (the CI
@@ -51,6 +53,9 @@ SCHEMA = {
 PHASES = {"presolve", "root_lp", "heuristic", "tree", "extract"}
 OUTCOMES = {"branched", "integer", "infeasible", "pruned", "cutoff", "limit",
             "requeued", "abandoned"}
+# Outcomes decided by comparing a bound with the cutoff: the bound is the
+# evidence and must be present.
+BOUNDED_OUTCOMES = {"pruned", "cutoff"}
 RUNGS = {"tighten", "cold", "requeue", "abandon"}
 
 
@@ -93,6 +98,9 @@ def validate(path, min_workers):
                 return fail(lineno, f"unknown phase '{e['phase']}'")
             if etype == "node_close" and e["outcome"] not in OUTCOMES:
                 return fail(lineno, f"unknown outcome '{e['outcome']}'")
+            if (etype == "node_close" and e["outcome"] in BOUNDED_OUTCOMES
+                    and e["bound"] is None):
+                return fail(lineno, f"'{e['outcome']}' node_close without a bound")
             if etype == "recover" and e["rung"] not in RUNGS:
                 return fail(lineno, f"unknown recover rung '{e['rung']}'")
             if e["t"] < 0:
