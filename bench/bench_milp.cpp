@@ -4,6 +4,7 @@
 /// behind the branch & bound design), and presolve throughput.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <random>
 
 #include "milp/branch_bound.hpp"
@@ -177,17 +178,19 @@ void BM_MilpThreads(benchmark::State& state) {
   // Thread-count sweep of solve_milp on a fixed >10k-node instance. The
   // speedup ratio between threads=1 and threads=N is the headline number;
   // nodes/steals expose the tree inflation and work-redistribution rate.
-  // The second arg toggles the structured event trace: the traced/untraced
-  // pair at equal thread counts measures the telemetry overhead, which must
-  // stay within run-to-run noise (the rings are single-writer, no locks).
+  // The second arg attaches a recorder (spans + search events, one per
+  // solve): the traced/untraced pair at equal thread counts measures the
+  // telemetry overhead, which must stay within run-to-run noise (the buffers
+  // are single-writer, no locks).
   const Model m = hard_knapsack(50, 42);
   const bool traced = state.range(1) != 0;
   MilpOptions opts;
   opts.num_threads = static_cast<int>(state.range(0));
-  opts.trace = traced;
   std::int64_t nodes = 0, steals = 0, events = 0;
   double cpu = 0.0, refactors = 0.0;
   for (auto _ : state) {
+    std::optional<archex::obs::SpanProfiler> recorder;
+    if (traced) opts.profiler = &recorder.emplace();
     Solution s = solve_milp(m, opts);
     nodes = s.nodes_explored;
     steals = s.steals;
@@ -234,7 +237,7 @@ void BM_ObsOverhead(benchmark::State& state) {
   }
   if (profiled) {
     const auto rep = prof.collect();
-    spans = static_cast<std::int64_t>(rep.spans.size()) + rep.dropped;
+    spans = static_cast<std::int64_t>(rep.records.size()) + rep.dropped;
   }
   state.counters["spans"] = static_cast<double>(spans);
   state.SetLabel(profiled ? "profiled" : "disabled");

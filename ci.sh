@@ -97,17 +97,18 @@ build/examples/milp_solve build/epn_ci_model.lp --threads=4 --certify \
 python3 tools/validate_trace.py build/epn_ci_trace.jsonl --min-workers=2
 
 echo "=== observability: span profile + per-pattern cost attribution ==="
-# The same model solved with the span profiler attached: the Chrome trace
-# must be structurally valid (per-lane nesting, documented keys) and cover
-# the solver phases plus the sampled simplex kernels. Then the EPN explorer
-# end to end: its profile additionally carries the encode span, and the
-# --perf-report table must attribute >= 90% of encode wall time to named
-# patterns (build_perf_report charges every encode path, so a drop below
-# the bound means an uninstrumented path appeared).
+# The same model solved with the recorder attached: the Chrome trace must be
+# structurally valid (per-lane nesting, documented keys, every instant a
+# documented search event with its keys) and cover the solver phases, the
+# sampled simplex kernels and the search events on one timeline. Then the
+# EPN explorer end to end: its profile additionally carries the encode span,
+# and the --perf-report table must attribute >= 90% of encode wall time to
+# named patterns (build_perf_report charges every encode path, so a drop
+# below the bound means an uninstrumented path appeared).
 build/examples/milp_solve build/epn_ci_model.lp --threads=2 --no-certify \
   --profile-json=build/epn_ci_profile.json > /dev/null
 python3 tools/validate_trace.py --chrome build/epn_ci_profile.json \
-  --require=presolve,root_lp,heuristic,tree,ftran,refactor
+  --require=presolve,root_lp,heuristic,tree,ftran,refactor,node_open,node_close,incumbent
 build/examples/epn_explorer --profile-json=build/epn_arch_profile.json \
   --perf-report > build/epn_perf_report.txt
 python3 tools/validate_trace.py --chrome build/epn_arch_profile.json \

@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
       }
       prof->write_chrome_trace(out);
       const auto rep = prof->collect();
-      std::cerr << "profile: " << rep.spans.size() << " spans (" << rep.dropped
+      std::cerr << "profile: " << rep.records.size() << " records (" << rep.dropped
                 << " dropped) -> " << args.profile_json << "\n";
     }
     if (args.perf_report) {

@@ -159,23 +159,22 @@ int main(int argc, char** argv) {
                 st.num_vars, st.num_binary, st.num_integer, st.num_constraints,
                 st.num_nonzeros);
 
-    // Span profiler for --profile-json: lives on the stack here, read only
-    // after solve_milp's workers have joined.
+    // The recorder behind both --trace-json and --profile-json: lives on the
+    // stack here, read only after solve_milp's workers have joined.
     archex::obs::SpanProfiler profiler;
-    const bool profiling = !profile_path.empty();
+    const bool recording = !trace_path.empty() || !profile_path.empty();
 
     Solution sol;
     if (relaxation) {
       SimplexOptions lp_opts;
-      if (profiling) lp_opts.spans = profiler.main();
+      if (recording) lp_opts.spans = profiler.main();
       sol = solve_lp_relaxation(model, lp_opts);
     } else {
       MilpOptions opts;
-      if (profiling) opts.profiler = &profiler;
+      if (recording) opts.profiler = &profiler;
       opts.budget = Budget::of_seconds(budget_s);
       if (max_nodes >= 0) opts.max_nodes = max_nodes;
       opts.num_threads = threads;
-      opts.trace = !trace_path.empty();
       opts.certify = certify;
       if (fault_armed) opts.fault = &fault;
       opts.checkpoint_file = checkpoint_file;
@@ -250,7 +249,7 @@ int main(int argc, char** argv) {
                    sol.trace.events.size(),
                    static_cast<long long>(sol.trace.dropped), trace_path.c_str());
     }
-    if (profiling) {
+    if (!profile_path.empty()) {
       std::ofstream out(profile_path);
       if (!out) {
         std::fprintf(stderr, "error: cannot write profile to %s\n",
@@ -259,8 +258,8 @@ int main(int argc, char** argv) {
       }
       profiler.write_chrome_trace(out);
       const auto rep = profiler.collect();
-      std::fprintf(stderr, "profile: %zu spans (%lld dropped) -> %s\n",
-                   rep.spans.size(), static_cast<long long>(rep.dropped),
+      std::fprintf(stderr, "profile: %zu records (%lld dropped) -> %s\n",
+                   rep.records.size(), static_cast<long long>(rep.dropped),
                    profile_path.c_str());
     }
     if (cert.checked && !cert.ok()) return 9;

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace archex {
 
@@ -84,58 +85,39 @@ std::string Architecture::to_dot() const {
   return os.str();
 }
 
-namespace {
-
-/// Minimal JSON string escaping (names are identifiers, but stay safe).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string Architecture::to_json() const {
+  using obs::json_number;
+  using obs::json_quote;
   std::ostringstream os;
-  os << "{\n  \"cost\": " << cost << ",\n  \"nodes\": [\n";
+  os << "{\n  \"cost\": " << json_number(cost) << ",\n  \"nodes\": [\n";
   bool first = true;
   for (const Node& n : nodes) {
     if (!n.used) continue;
     if (!first) os << ",\n";
     first = false;
-    os << "    {\"name\": \"" << json_escape(n.name) << "\", \"type\": \""
-       << json_escape(n.type) << "\"";
-    if (!n.subtype.empty()) os << ", \"subtype\": \"" << json_escape(n.subtype) << "\"";
-    os << ", \"impl\": \"" << json_escape(n.impl_name) << "\"}";
+    os << "    {\"name\": " << json_quote(n.name) << ", \"type\": " << json_quote(n.type);
+    if (!n.subtype.empty()) os << ", \"subtype\": " << json_quote(n.subtype);
+    os << ", \"impl\": " << json_quote(n.impl_name) << "}";
   }
   os << "\n  ],\n  \"edges\": [\n";
   first = true;
   for (const auto& [from, to] : edges) {
     if (!first) os << ",\n";
     first = false;
-    os << "    [\"" << json_escape(nodes[static_cast<std::size_t>(from)].name) << "\", \""
-       << json_escape(nodes[static_cast<std::size_t>(to)].name) << "\"]";
+    os << "    [" << json_quote(nodes[static_cast<std::size_t>(from)].name) << ", "
+       << json_quote(nodes[static_cast<std::size_t>(to)].name) << "]";
   }
   os << "\n  ],\n  \"flows\": {\n";
   first = true;
   for (const auto& [name, fl] : flows) {
     if (!first) os << ",\n";
     first = false;
-    os << "    \"" << json_escape(name) << "\": [";
+    os << "    " << json_quote(name) << ": [";
     for (std::size_t i = 0; i < fl.size(); ++i) {
       if (i) os << ", ";
-      os << "[\"" << json_escape(nodes[static_cast<std::size_t>(fl[i].from)].name)
-         << "\", \"" << json_escape(nodes[static_cast<std::size_t>(fl[i].to)].name) << "\", "
-         << fl[i].rate << "]";
+      os << "[" << json_quote(nodes[static_cast<std::size_t>(fl[i].from)].name) << ", "
+         << json_quote(nodes[static_cast<std::size_t>(fl[i].to)].name) << ", "
+         << json_number(fl[i].rate) << "]";
     }
     os << "]";
   }
@@ -191,27 +173,15 @@ void ExplorationResult::print_degradation(std::ostream& os) const {
 }
 
 std::string ExplorationResult::degradation_json() const {
-  // Mirrors serve::Json rendering (serve/json.cpp): sorted keys, %.17g,
-  // non-finite -> null. Kept hand-rolled here because arch/ sits below
-  // serve/ in the layering — the *schema* is shared, not the code.
-  auto num = [](double v) -> std::string {
-    if (!std::isfinite(v)) return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-  };
-  std::string out = "{";
-  if (has_objective()) out += "\"bound\":" + num(bound()) + ",";
-  out += std::string("\"degraded\":") + (degraded() ? "true" : "false");
-  if (degraded_nodes() > 0) {
-    out += ",\"degraded_nodes\":" + std::to_string(degraded_nodes());
-  }
+  obs::Json j;
+  j["degraded"] = degraded();
+  if (degraded_nodes() > 0) j["degraded_nodes"] = degraded_nodes();
   if (has_objective()) {
-    out += ",\"gap\":" + num(gap());
-    out += ",\"objective\":" + num(objective());
+    j["bound"] = bound();
+    j["gap"] = gap();
+    j["objective"] = objective();
   }
-  out += "}";
-  return out;
+  return j.dump();
 }
 
 void ExplorationResult::print_timing(std::ostream& os) const {

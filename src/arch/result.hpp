@@ -57,7 +57,9 @@ struct Architecture {
 
   /// Graphviz DOT rendering (types as shapes, subtypes as colors).
   [[nodiscard]] std::string to_dot() const;
-  /// Machine-readable JSON rendering (nodes, mapping, edges, flows, cost).
+  /// Machine-readable JSON rendering (nodes, mapping, edges, flows, cost),
+  /// written through obs/json.hpp: names escaped, numbers exact (%.17g),
+  /// a non-finite cost as null.
   [[nodiscard]] std::string to_json() const;
   /// Layered ASCII summary (used by the examples and benches).
   void print(std::ostream& os) const;
@@ -98,11 +100,11 @@ struct ExplorationResult {
   }
 
   /// One JSON object with the serve response's degradation fields —
-  /// `objective`, `bound`, `gap`, `degraded`, `degraded_nodes` — rendered
-  /// exactly like serve::Json does (sorted keys, %.17g, non-finite as null,
-  /// objective/bound/gap omitted without an incumbent, degraded_nodes
-  /// omitted at 0). `archex_batch` lines and this string agree
-  /// byte-for-byte on the overlapping fields.
+  /// `objective`, `bound`, `gap`, `degraded`, `degraded_nodes` — dumped by
+  /// the serve wire format's own writer, obs::Json (sorted keys, %.17g,
+  /// non-finite as null, objective/bound/gap omitted without an incumbent,
+  /// degraded_nodes omitted at 0). `archex_batch` lines and this string
+  /// agree byte-for-byte on the overlapping fields.
   [[nodiscard]] std::string degradation_json() const;
 
   /// True when the architecture is feasible but optimality was not proven:

@@ -2,39 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace archex::check {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string q(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+using obs::json_quote;
 
 /// Stable kebab-case rule ids; the enum names are CamelCase.
 std::string kebab(const char* camel) {
@@ -157,7 +135,7 @@ void emit_analysis(std::ostream& os, const JsonReportInput& in) {
   os << "    \"passes\": [";
   for (std::size_t k = 0; k < a.passes_run.size(); ++k) {
     if (k != 0) os << ", ";
-    os << q(a.passes_run[k]);
+    os << json_quote(a.passes_run[k]);
   }
   os << "],\n";
   bool first_section = true;
@@ -199,7 +177,7 @@ void emit_analysis(std::ostream& os, const JsonReportInput& in) {
     os << ",\n      \"recommendations\": [";
     for (std::size_t k = 0; k < a.symmetry.recommendations.size(); ++k) {
       if (k != 0) os << ", ";
-      os << q(a.symmetry.recommendations[k]);
+      os << json_quote(a.symmetry.recommendations[k]);
     }
     os << "]}";
   }
@@ -207,7 +185,7 @@ void emit_analysis(std::ostream& os, const JsonReportInput& in) {
     sep();
     os << "    \"iis\": {\"infeasible\": " << (a.iis.infeasible ? "true" : "false")
        << ", \"irreducible\": " << (a.iis.irreducible ? "true" : "false")
-       << ", \"oracle\": " << q(a.iis.oracle)
+       << ", \"oracle\": " << json_quote(a.iis.oracle)
        << ", \"oracle_calls\": " << a.iis.oracle_calls << ", \"rows\": [";
     for (std::size_t k = 0; k < a.iis.rows.size(); ++k) {
       if (k != 0) os << ", ";
@@ -221,13 +199,12 @@ void emit_analysis(std::ostream& os, const JsonReportInput& in) {
         if (k != 0) os << ", ";
         const std::string origin = origin_of(in, a.iis.rows[k]);
         if (!origin.empty() && origin != "unattributed") ++attributed;
-        os << q(origin.empty() ? "unattributed" : origin);
+        os << json_quote(origin.empty() ? "unattributed" : origin);
       }
       os << "], \"attribution\": "
-         << (a.iis.rows.empty()
-                 ? 1.0
-                 : static_cast<double>(attributed) /
-                       static_cast<double>(a.iis.rows.size()));
+         << obs::json_number(a.iis.rows.empty() ? 1.0
+                                                : static_cast<double>(attributed) /
+                                                      static_cast<double>(a.iis.rows.size()));
     }
     os << "}";
   }
@@ -253,8 +230,8 @@ std::string to_json(const JsonReportInput& in) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"archex-check-report/1\",\n";
-  os << "  \"tool\": " << q(in.tool) << ",\n";
-  os << "  \"model\": {\"file\": " << q(in.model.file)
+  os << "  \"tool\": " << json_quote(in.tool) << ",\n";
+  os << "  \"model\": {\"file\": " << json_quote(in.model.file)
      << ", \"rows\": " << in.model.rows << ", \"cols\": " << in.model.cols
      << "},\n";
   os << "  \"summary\": {\"errors\": " << errors << ", \"warnings\": " << warnings
@@ -264,10 +241,10 @@ std::string to_json(const JsonReportInput& in) {
   for (std::size_t k = 0; k < findings.size(); ++k) {
     const Finding& f = findings[k];
     if (k != 0) os << ",";
-    os << "\n    {\"pass\": " << q(f.pass) << ", \"rule\": " << q(f.rule)
-       << ", \"severity\": " << q(f.severity) << ", \"row\": " << f.row
-       << ", \"col\": " << f.col << ", \"message\": " << q(f.message);
-    if (!f.origin.empty()) os << ", \"origin\": " << q(f.origin);
+    os << "\n    {\"pass\": " << json_quote(f.pass) << ", \"rule\": " << json_quote(f.rule)
+       << ", \"severity\": " << json_quote(f.severity) << ", \"row\": " << f.row
+       << ", \"col\": " << f.col << ", \"message\": " << json_quote(f.message);
+    if (!f.origin.empty()) os << ", \"origin\": " << json_quote(f.origin);
     os << "}";
   }
   if (!findings.empty()) os << "\n  ";

@@ -20,7 +20,7 @@
 #include "milp/presolve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/node_log.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace archex::milp {
 
@@ -86,10 +86,17 @@ double objective_granularity(const Model& m) {
   return g;
 }
 
+/// Worker `t`'s recorder buffer, or null when no recorder is attached (or
+/// its buffers are disabled): every emit site then costs one pointer test.
+obs::SpanBuffer* recorder_buffer(const MilpOptions& o, int t) {
+  obs::SpanBuffer* b = o.profiler != nullptr ? o.profiler->buffer(t) : nullptr;
+  return b != nullptr && b->enabled() ? b : nullptr;
+}
+
 /// Telemetry context for one run of the numerical-recovery ladder.
 struct RecoverHooks {
   obs::MetricsRegistry* reg;  ///< never null inside solve_milp
-  obs::TraceBuffer* trace;    ///< nullable
+  obs::SpanBuffer* rec;       ///< the worker's recorder buffer; nullable
   std::int64_t node_id;
 };
 
@@ -102,9 +109,9 @@ struct RecoverHooks {
 SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h,
                                 double cutoff = kInf) {
   h.reg->counter("milp.recover.tighten").add();
-  if (h.trace != nullptr) {
-    h.trace->emit(obs::EventType::Recover, h.node_id, 0.0,
-                  static_cast<std::uint8_t>(obs::RecoverRung::Tighten));
+  if (h.rec != nullptr) {
+    h.rec->emit(obs::EventType::Recover, h.node_id, 0.0,
+                static_cast<std::uint8_t>(obs::RecoverRung::Tighten));
   }
   SolveStatus st = SolveStatus::NumericalError;
   try {
@@ -115,9 +122,9 @@ SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h,
   if (st != SolveStatus::NumericalError) return st;
 
   h.reg->counter("milp.recover.cold").add();
-  if (h.trace != nullptr) {
-    h.trace->emit(obs::EventType::Recover, h.node_id, 0.0,
-                  static_cast<std::uint8_t>(obs::RecoverRung::Cold));
+  if (h.rec != nullptr) {
+    h.rec->emit(obs::EventType::Recover, h.node_id, 0.0,
+                static_cast<std::uint8_t>(obs::RecoverRung::Cold));
   }
   try {
     st = lp.solve_primal();
@@ -152,7 +159,6 @@ struct SearchCtx {
   double sense_flip = 1.0;
   obs::NodeLogger* logger = nullptr;  ///< null when the node log is off
   obs::MetricsRegistry* reg = nullptr;  ///< always set by solve_milp
-  std::vector<obs::TraceBuffer>* buffers = nullptr;  ///< per worker; empty = off
   std::int64_t pool_refactors = 0;  ///< refactorizations folded from workers
   std::int64_t pool_transplants = 0;  ///< eta-replay basis loads from workers
   std::int64_t pool_lp_cutoffs = 0;  ///< node LPs stopped at the cutoff, from workers
@@ -446,7 +452,7 @@ class NodePool {
   /// Writes a checkpoint when one is due. Called by workers between nodes;
   /// an atomic exchange elects a single writer, and the snapshot is taken
   /// under the pool lock but written outside it.
-  void maybe_checkpoint(obs::TraceBuffer* trace) {
+  void maybe_checkpoint(obs::SpanBuffer* rec) {
     if (ck_file_.empty()) return;
     const std::int64_t now_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -455,7 +461,7 @@ class NodePool {
     if (now_ns < ck_next_ns_.load(std::memory_order_relaxed)) return;
     if (ck_writing_.exchange(true, std::memory_order_acquire)) return;
     if (now_ns >= ck_next_ns_.load(std::memory_order_relaxed)) {
-      write_checkpoint(trace);
+      write_checkpoint(rec);
       ck_next_ns_.store(now_ns + ck_interval_ns_, std::memory_order_relaxed);
     }
     ck_writing_.store(false, std::memory_order_release);
@@ -464,18 +470,18 @@ class NodePool {
   /// Unconditional checkpoint after the workers joined, so interrupted
   /// (node/time-limited) solves resume from their final frontier and
   /// completed solves leave an empty frontier that resumes trivially.
-  void write_final_checkpoint(obs::TraceBuffer* trace) {
+  void write_final_checkpoint(obs::SpanBuffer* rec) {
     if (ck_file_.empty()) return;
-    write_checkpoint(trace);
+    write_checkpoint(rec);
   }
 
   /// Emits one node-log line from the pool's current state, and a Bound
-  /// trace event when the global best-bound estimate improved. The estimate
+  /// event when the global best-bound estimate improved. The estimate
   /// is min over open-node parent bounds and in-flight node bounds — an
   /// estimate, because a worker's in-flight LP may already have lifted its
   /// node's bound. Called by whichever worker finds the logger due; the
   /// pool lock makes the snapshot consistent.
-  void log_line(obs::NodeLogger* logger, obs::TraceBuffer* trace) {
+  void log_line(obs::NodeLogger* logger, obs::SpanBuffer* rec) {
     obs::NodeLogger::Line line;
     double est = kInf;
     {
@@ -489,8 +495,7 @@ class NodePool {
       for (double b : inflight_bound_) est = std::min(est, b);
       if (est < kInf && est > best_known_bound_ + 1e-9) {
         best_known_bound_ = est;
-        if (trace != nullptr)
-          trace->emit(obs::EventType::Bound, -1, sense_flip_ * est);
+        if (rec != nullptr) rec->emit(obs::EventType::Bound, -1, sense_flip_ * est);
       }
       if (est >= kInf) est = best_known_bound_;
     }
@@ -534,7 +539,7 @@ class NodePool {
     return d;
   }
 
-  void write_checkpoint(obs::TraceBuffer* trace) {
+  void write_checkpoint(obs::SpanBuffer* rec) {
     const CheckpointData d = snapshot();
     const bool ok = save_checkpoint(ck_file_, d);
     if (ck_reg_ != nullptr) {
@@ -543,9 +548,8 @@ class NodePool {
       ck_reg_->gauge("milp.checkpoint.frontier")
           .set(static_cast<double>(d.frontier.size()));
     }
-    if (trace != nullptr) {
-      trace->emit(obs::EventType::Checkpoint, -1,
-                  static_cast<double>(d.frontier.size()));
+    if (rec != nullptr) {
+      rec->emit(obs::EventType::Checkpoint, -1, static_cast<double>(d.frontier.size()));
     }
   }
 
@@ -601,12 +605,9 @@ class NodePool {
 class Worker {
  public:
   /// Each worker's SimplexSolver gets a private copy of the LP options with
-  /// its *own* trace and span buffers, keeping every buffer single-writer.
-  static SimplexOptions worker_lp_options(SimplexOptions lp,
-                                          obs::TraceBuffer* trace,
-                                          obs::SpanBuffer* spans) {
-    lp.trace = (trace != nullptr && trace->enabled()) ? trace : nullptr;
-    lp.spans = (spans != nullptr && spans->enabled()) ? spans : nullptr;
+  /// its *own* recorder buffer, keeping every buffer single-writer.
+  static SimplexOptions worker_lp_options(SimplexOptions lp, obs::SpanBuffer* rec) {
+    lp.spans = rec;
     return lp;
   }
 
@@ -618,16 +619,15 @@ class Worker {
          const std::vector<std::int32_t>& int_vars,
          const std::vector<double>& obj_coef,
          const std::vector<BoundChange>& root_fixes, Clock::time_point deadline,
-         obs::TraceBuffer* trace, obs::SpanBuffer* spans, obs::NodeLogger* logger,
-         obs::MetricsRegistry* reg)
+         obs::SpanBuffer* rec, obs::NodeLogger* logger, obs::MetricsRegistry* reg)
       : id_(id), opts_(opts), pool_(pool), int_vars_(int_vars),
         obj_coef_(obj_coef), deadline_(deadline),
-        trace_((trace != nullptr && trace->enabled()) ? trace : nullptr),
+        rec_(rec),
         logger_((logger != nullptr && logger->enabled()) ? logger : nullptr),
         reg_(reg) {
     if (root_lp == nullptr) {
       own_lp_ = std::make_unique<SimplexSolver>(
-          model, worker_lp_options(opts.lp, trace, spans));
+          model, worker_lp_options(opts.lp, rec));
       for (const BoundChange& f : root_fixes) own_lp_->set_bounds(f.col, f.lb, f.ub);
       root_lp = own_lp_.get();
     }
@@ -657,15 +657,15 @@ class Worker {
     while (std::shared_ptr<BBNode> node = pool_.pop(id_, stole_from)) {
       if (stole_from >= 0) {
         ++steals_;
-        if (trace_ != nullptr) {
-          trace_->emit(obs::EventType::Steal, static_cast<std::int64_t>(node->id),
-                       static_cast<double>(stole_from));
+        if (rec_ != nullptr) {
+          rec_->emit(obs::EventType::Steal, static_cast<std::int64_t>(node->id),
+                     static_cast<double>(stole_from));
         }
       }
       process(*node);
       pool_.done(id_);
-      pool_.maybe_checkpoint(trace_);
-      if (logger_ != nullptr && logger_->due()) pool_.log_line(logger_, trace_);
+      pool_.maybe_checkpoint(rec_);
+      if (logger_ != nullptr && logger_->due()) pool_.log_line(logger_, rec_);
     }
     rewind();  // a borrowed root solver goes back to the fixed-root frame
     busy_seconds_ = thread_cpu_seconds() - cpu0;
@@ -711,9 +711,9 @@ class Worker {
   }
 
   void close(std::int64_t node_id, obs::NodeOutcome outcome, double bound) {
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventType::NodeClose, node_id, bound,
-                   static_cast<std::uint8_t>(outcome));
+    if (rec_ != nullptr) {
+      rec_->emit(obs::EventType::NodeClose, node_id, bound,
+                 static_cast<std::uint8_t>(outcome));
     }
   }
 
@@ -746,8 +746,7 @@ class Worker {
       return;
     }
     ++nodes_;
-    if (trace_ != nullptr)
-      trace_->emit(obs::EventType::NodeOpen, nid, flip * node.bound);
+    if (rec_ != nullptr) rec_->emit(obs::EventType::NodeOpen, nid, flip * node.bound);
     if (node.bound >= pool_.cutoff()) {  // pruned by a newer incumbent, no LP
       close(nid, obs::NodeOutcome::Pruned, flip * node.bound);
       return;
@@ -772,7 +771,7 @@ class Worker {
       st = SolveStatus::NumericalError;  // enter the ladder below
     }
     if (st == SolveStatus::NumericalError) {
-      st = run_recovery_ladder(*lp_, {reg_, trace_, nid}, cutoff);
+      st = run_recovery_ladder(*lp_, {reg_, rec_, nid}, cutoff);
     }
     if (st == SolveStatus::NumericalError) {
       // Both in-place rungs failed. Quarantine: re-enqueue the node for a
@@ -784,9 +783,9 @@ class Worker {
         retry->basis.reset();  // force a cold start on the next attempt
         retry->retries = node.retries + 1;
         if (reg_ != nullptr) reg_->counter("milp.recover.requeue").add();
-        if (trace_ != nullptr) {
-          trace_->emit(obs::EventType::Recover, nid, 0.0,
-                       static_cast<std::uint8_t>(obs::RecoverRung::Requeue));
+        if (rec_ != nullptr) {
+          rec_->emit(obs::EventType::Recover, nid, 0.0,
+                     static_cast<std::uint8_t>(obs::RecoverRung::Requeue));
         }
         close(nid, obs::NodeOutcome::Requeued, flip * node.bound);
         pool_.push(id_, std::move(retry));
@@ -794,9 +793,9 @@ class Worker {
       }
       pool_.mark_abandoned(node.bound);
       if (reg_ != nullptr) reg_->counter("milp.recover.abandoned").add();
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventType::Recover, nid, 0.0,
-                     static_cast<std::uint8_t>(obs::RecoverRung::Abandon));
+      if (rec_ != nullptr) {
+        rec_->emit(obs::EventType::Recover, nid, 0.0,
+                   static_cast<std::uint8_t>(obs::RecoverRung::Abandon));
       }
       close(nid, obs::NodeOutcome::Abandoned, flip * node.bound);
       return;
@@ -828,7 +827,7 @@ class Worker {
     const std::int32_t bv = select_branch_var(x, int_vars_, obj_coef_, opts_.int_tol);
     if (bv < 0) {
       if (pool_.try_incumbent(x, obj)) {
-        if (trace_ != nullptr) trace_->emit(obs::EventType::Incumbent, nid, flip * obj);
+        if (rec_ != nullptr) rec_->emit(obs::EventType::Incumbent, nid, flip * obj);
         // The probe's job is done; Optimal marks the stop as no limit.
         if (pool_.probe()) pool_.request_stop(SolveStatus::Optimal);
       }
@@ -888,7 +887,7 @@ class Worker {
   const std::vector<std::int32_t>& int_vars_;
   const std::vector<double>& obj_coef_;
   const Clock::time_point deadline_;
-  obs::TraceBuffer* trace_;
+  obs::SpanBuffer* rec_;  ///< this worker's recorder buffer; null = off
   obs::NodeLogger* logger_;
   obs::MetricsRegistry* reg_;
   std::unique_ptr<SimplexSolver> own_lp_;  ///< null for the root solver's worker
@@ -968,17 +967,12 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
-    obs::TraceBuffer* buf = ctx.buffers->empty()
-                                ? nullptr
-                                : &(*ctx.buffers)[static_cast<std::size_t>(t)];
-    // Each worker writes its own span buffer (worker 0 is the calling
-    // thread, which is also the profiler's buffer-0 owner — same thread,
+    // Each worker writes its own recorder buffer (worker 0 is the calling
+    // thread, which is also the recorder's buffer-0 owner — same thread,
     // single-writer holds).
-    obs::SpanBuffer* spans =
-        opts.profiler != nullptr ? opts.profiler->buffer(t) : nullptr;
     workers.push_back(std::make_unique<Worker>(
-        t, t == 0 ? &ctx.lp : nullptr, work, opts, pool, ctx.int_vars,
-        ctx.obj_coef, root_fixes, ctx.deadline, buf, spans, ctx.logger, ctx.reg));
+        t, t == 0 ? &ctx.lp : nullptr, work, opts, pool, ctx.int_vars, ctx.obj_coef,
+        root_fixes, ctx.deadline, recorder_buffer(opts, t), ctx.logger, ctx.reg));
   }
   std::vector<std::thread> pool_threads;
   pool_threads.reserve(workers.size() - 1);
@@ -991,7 +985,7 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
   // Final snapshot after all workers drained: an interrupted run's last
   // checkpoint then carries the exact surviving frontier, and a finished
   // run's carries an empty one (resume returns the incumbent immediately).
-  pool.write_final_checkpoint(ctx.buffers->empty() ? nullptr : &(*ctx.buffers)[0]);
+  pool.write_final_checkpoint(recorder_buffer(opts, 0));
 
   // Fold results back into the context. Node counts come from the workers
   // (the pool's atomic budget counter can overshoot by one racing increment
@@ -1045,30 +1039,21 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   obs::MetricsRegistry local_registry;
   obs::MetricsRegistry* reg = options.metrics != nullptr ? options.metrics
                                                          : &local_registry;
-  std::vector<obs::TraceBuffer> buffers;
-  if (options.trace) {
-    buffers.resize(static_cast<std::size_t>(std::max(threads_req, 1)));
-    for (std::size_t t = 0; t < buffers.size(); ++t) {
-      buffers[t].init(static_cast<std::int32_t>(t), options.trace_capacity, t0);
-    }
-    buffers[0].emit(obs::EventType::SolveStart, -1,
-                    static_cast<double>(threads_req));
-  }
-  obs::TraceBuffer* root_trace = buffers.empty() ? nullptr : &buffers[0];
-  // Span profiling: buffer 0 is the calling thread's (phases + the
-  // root solver's kernel spans); workers get their own buffers,
-  // armed here, before any thread spawns.
+  // The recorder: buffer 0 is the calling thread's (phase spans, root
+  // events, the root solver's kernel spans); workers get their own buffers,
+  // armed here, before any thread spawns. The mark bounds this solve's
+  // share of a recording that may span several solves.
   obs::SpanProfiler* const profiler = options.profiler;
-  if (profiler != nullptr) profiler->arm_workers(std::max(threads_req, 1));
-  obs::SpanBuffer* const root_spans =
-      profiler != nullptr ? profiler->buffer(0) : nullptr;
+  obs::SpanProfiler::Mark solve_mark;
+  if (profiler != nullptr) {
+    profiler->arm_workers(std::max(threads_req, 1));
+    solve_mark = profiler->mark();
+  }
+  obs::SpanBuffer* const root_rec = recorder_buffer(options, 0);
+  if (root_rec != nullptr) {
+    root_rec->emit(obs::EventType::SolveStart, -1, static_cast<double>(threads_req));
+  }
   obs::NodeLogger logger(options.log_interval, options.log_sink, t0);
-  auto phase_mark = [&](obs::Phase p) {
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::Phase, -1, 0.0,
-                       static_cast<std::uint8_t>(p));
-    }
-  };
   // Final bookkeeping, shared by every return path. Expects `solve_seconds`
   // (and the threads==1 cpu_seconds mirror) to be set already — finish()
   // must not move the clock, callers pin cpu_seconds == solve_seconds.
@@ -1089,14 +1074,13 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       reg->gauge("milp.objective").set(s.objective);
       reg->gauge("milp.gap_abs").set(std::abs(s.objective - s.best_bound));
     }
-    if (!buffers.empty()) {
-      buffers[0].emit(obs::EventType::SolveEnd, -1,
-                      s.has_incumbent ? s.objective : kNan);
-      s.trace = obs::merge_buffers(buffers);
-      reg->counter("milp.trace_dropped").add(s.trace.dropped);
+    if (root_rec != nullptr) {
+      root_rec->emit(obs::EventType::SolveEnd, -1, s.has_incumbent ? s.objective : kNan);
     }
     if (profiler != nullptr) {
-      reg->counter("milp.spans_dropped").add(profiler->take_dropped());
+      s.trace = profiler->trace_since(solve_mark);
+      s.trace.dropped = profiler->take_dropped();
+      reg->counter("milp.records_dropped").add(s.trace.dropped);
     }
     s.metrics = reg->snapshot();
   };
@@ -1120,8 +1104,7 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   PresolveResult pre;
   const Model* work = &model;
   if (options.use_presolve) {
-    phase_mark(obs::Phase::Presolve);
-    obs::ScopedSpan presolve_span(root_spans,
+    obs::ScopedSpan presolve_span(root_rec,
                                   obs::span_id(obs::SpanName::Presolve));
     obs::ScopedTimer presolve_timer(&reg->timer("milp.phase.presolve"),
                                     &sol.phases.presolve);
@@ -1194,15 +1177,13 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   MilpOptions node_options = options;
   node_options.lp.deadline = deadline;  // simplex loops honor the wall clock
   if (node_options.lp.cancel == nullptr) node_options.lp.cancel = options.cancel;
-  node_options.lp.trace = root_trace;   // root solver's buffer
-  if (node_options.lp.spans == nullptr) node_options.lp.spans = root_spans;
+  if (node_options.lp.spans == nullptr) node_options.lp.spans = root_rec;
   if (node_options.lp.fault == nullptr) node_options.lp.fault = options.fault;
   SearchCtx ctx(*work, node_options);
   ctx.granularity = objective_granularity(*work);
   ctx.deadline = deadline;
   ctx.logger = logger.enabled() ? &logger : nullptr;
   ctx.reg = reg;
-  ctx.buffers = &buffers;
   ctx.ck_fingerprint = ck_fp;
   if (resume_ok) {
     // Carry the checkpointed degradation record: subtrees the interrupted
@@ -1254,12 +1235,10 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   }
 
   // --- root solve ---
-  phase_mark(obs::Phase::RootLp);
-  obs::ScopedSpan root_span(root_spans, obs::span_id(obs::SpanName::RootLp));
+  obs::ScopedSpan root_span(root_rec, obs::span_id(obs::SpanName::RootLp));
   obs::ScopedTimer root_timer(&reg->timer("milp.phase.root_lp"),
                               &sol.phases.root_lp);
-  if (root_trace != nullptr)
-    root_trace->emit(obs::EventType::NodeOpen, 1, kNan);
+  if (root_rec != nullptr) root_rec->emit(obs::EventType::NodeOpen, 1, kNan);
   // A hinted basis warm-starts the root with the dual simplex (bound/RHS
   // deltas preserve dual feasibility; objective deltas are repaired or fall
   // cold inside reoptimize_dual). A basis that no longer fits the model is
@@ -1286,14 +1265,14 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     // The initial root solve gets the same first two ladder rungs as every
     // node LP; there is no parent bound to abandon into, so if both rungs
     // fail the error surfaces as the solve status below.
-    st = run_recovery_ladder(ctx.lp, {reg, root_trace, 1});
+    st = run_recovery_ladder(ctx.lp, {reg, root_rec, 1});
   }
   root_timer.stop();
   root_span.stop();
   if (st == SolveStatus::Optimal) {
     ctx.root_bound = ctx.lp.objective_value();
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::Bound, 1, ctx.sense_flip * ctx.root_bound);
+    if (root_rec != nullptr) {
+      root_rec->emit(obs::EventType::Bound, 1, ctx.sense_flip * ctx.root_bound);
     }
     reg->gauge("milp.root_bound").set(ctx.sense_flip * ctx.root_bound);
     if (options.export_basis || options.warm_start) {
@@ -1339,25 +1318,21 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
 
     if (ctx.pick_branch_var(x) < 0) {
       const bool improved = ctx.try_incumbent(x, ctx.lp.objective_value());
-      if (root_trace != nullptr) {
+      if (root_rec != nullptr) {
         if (improved) {
-          root_trace->emit(obs::EventType::Incumbent, 1,
-                           ctx.sense_flip * ctx.incumbent_obj);
+          root_rec->emit(obs::EventType::Incumbent, 1, ctx.sense_flip * ctx.incumbent_obj);
         }
-        root_trace->emit(obs::EventType::NodeClose, 1,
-                         ctx.sense_flip * ctx.root_bound,
-                         static_cast<std::uint8_t>(obs::NodeOutcome::Integer));
+        root_rec->emit(obs::EventType::NodeClose, 1, ctx.sense_flip * ctx.root_bound,
+                       static_cast<std::uint8_t>(obs::NodeOutcome::Integer));
       }
     } else {
-      if (root_trace != nullptr) {
-        root_trace->emit(obs::EventType::NodeClose, 1,
-                         ctx.sense_flip * ctx.root_bound,
-                         static_cast<std::uint8_t>(obs::NodeOutcome::Branched));
+      if (root_rec != nullptr) {
+        root_rec->emit(obs::EventType::NodeClose, 1, ctx.sense_flip * ctx.root_bound,
+                       static_cast<std::uint8_t>(obs::NodeOutcome::Branched));
       }
       bool search_left = true;
       {
-        phase_mark(obs::Phase::Heuristic);
-        obs::ScopedSpan heur_span(root_spans,
+        obs::ScopedSpan heur_span(root_rec,
                                   obs::span_id(obs::SpanName::Heuristic));
         obs::ScopedTimer heur_timer(&reg->timer("milp.phase.heuristic"),
                                     &sol.phases.heuristic);
@@ -1373,9 +1348,8 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
           }
           const bool improved =
               ctx.try_incumbent(std::move(xr), ctx.sense_flip * obj);  // minimize sense
-          if (improved && root_trace != nullptr) {
-            root_trace->emit(obs::EventType::Incumbent, -1,
-                             ctx.sense_flip * ctx.incumbent_obj);
+          if (improved && root_rec != nullptr) {
+            root_rec->emit(obs::EventType::Incumbent, -1, ctx.sense_flip * ctx.incumbent_obj);
           }
         }
         // Probe: a pool run that stops at its first incumbent, so reduced-
@@ -1383,8 +1357,7 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
         // without one has exhausted the tree or hit a limit.
         if (!ctx.has_incumbent) search_left = run_pool(ctx, sol, 1, /*probe=*/true);
       }
-      phase_mark(obs::Phase::Tree);
-      obs::ScopedSpan tree_span(root_spans, obs::span_id(obs::SpanName::Tree));
+      obs::ScopedSpan tree_span(root_rec, obs::span_id(obs::SpanName::Tree));
       obs::ScopedTimer tree_timer(&reg->timer("milp.phase.tree"),
                                   &sol.phases.tree);
       if (search_left) {
@@ -1396,21 +1369,21 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     }
   } else if (st == SolveStatus::Infeasible) {
     sol.status = SolveStatus::Infeasible;
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::NodeClose, 1, kNan,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Infeasible));
+    if (root_rec != nullptr) {
+      root_rec->emit(obs::EventType::NodeClose, 1, kNan,
+                     static_cast<std::uint8_t>(obs::NodeOutcome::Infeasible));
     }
   } else if (st == SolveStatus::Unbounded) {
     sol.status = SolveStatus::Unbounded;
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::NodeClose, 1, kNan,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
+    if (root_rec != nullptr) {
+      root_rec->emit(obs::EventType::NodeClose, 1, kNan,
+                     static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
     }
   } else {
     sol.status = st;
-    if (root_trace != nullptr) {
-      root_trace->emit(obs::EventType::NodeClose, 1, kNan,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
+    if (root_rec != nullptr) {
+      root_rec->emit(obs::EventType::NodeClose, 1, kNan,
+                     static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
     }
   }
 
@@ -1434,8 +1407,7 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   }
 
   if (st == SolveStatus::Optimal) {
-    phase_mark(obs::Phase::Extract);
-    obs::ScopedSpan extract_span(root_spans,
+    obs::ScopedSpan extract_span(root_rec,
                                  obs::span_id(obs::SpanName::MilpExtract));
     obs::ScopedTimer extract_timer(&reg->timer("milp.phase.extract"),
                                    &sol.phases.extract);

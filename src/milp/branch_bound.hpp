@@ -81,14 +81,6 @@ struct MilpOptions {
   /// With num_threads != 1 it may fire from worker threads; calls are
   /// serialized under the incumbent lock.
   std::function<void(double)> on_incumbent{};
-  /// Record a structured event trace (node open/close, bounds, incumbents,
-  /// steals, basis events) into per-worker ring buffers, merged into
-  /// `Solution::trace` at solve end. Off by default: the tracing-off solve
-  /// path is untouched (every hook is a null-guarded pointer).
-  bool trace = false;
-  /// Ring capacity per worker; oldest events are overwritten when full and
-  /// counted in `Trace::dropped`.
-  std::size_t trace_capacity = 1 << 16;
   /// CPLEX-style live node log: a progress line roughly every
   /// `log_interval` seconds to `log_sink`. Both must be set (interval > 0,
   /// sink non-null) to enable; off by default.
@@ -130,14 +122,19 @@ struct MilpOptions {
   /// matches; otherwise (missing/corrupt/mismatched) the solve starts fresh
   /// and sets the `milp.checkpoint.rejected` metric.
   bool resume = false;
-  /// Optional hierarchical span profiler (obs/span.hpp): phase spans
-  /// (presolve / root LP / heuristic / tree / extract) on the caller's
-  /// buffer 0 and sampled simplex kernel spans on each worker's own buffer
-  /// (copied into `lp.spans` per worker unless one is already set there).
-  /// The profiler outlives the solve and may span several (lazy-constraint)
-  /// solves; spans dropped to buffer overflow surface per solve as the
-  /// `milp.spans_dropped` counter. Null — the default — keeps every span
-  /// site at a single pointer test. Export via
+  /// Optional recorder (obs/span.hpp), the one switch for spans and search
+  /// events. Attached, it records the phase spans (presolve / root LP /
+  /// heuristic / tree / extract) and the root events on the caller's buffer
+  /// 0, and each worker's node / incumbent / steal / recover events and
+  /// sampled simplex kernel spans on that worker's own buffer (copied into
+  /// `lp.spans` per worker unless one is already set there); the solve's
+  /// share of the recording comes back as `Solution::trace`. The recorder
+  /// outlives the solve and may span several (lazy-constraint) solves; its
+  /// constructor capacity bounds each buffer, and records dropped to a full
+  /// buffer surface per solve as `Trace::dropped` and the
+  /// `milp.records_dropped` counter. Null — the default — keeps every span
+  /// and event site at a single pointer test. Exports:
+  /// `Trace::write_jsonl` (`milp_solve --trace-json`) and
   /// SpanProfiler::write_chrome_trace (`milp_solve --profile-json`).
   obs::SpanProfiler* profiler = nullptr;
 };

@@ -215,7 +215,8 @@ struct Solution {
   /// the same path as MilpOptions::on_incumbent, so it is populated even
   /// when no callback is installed.
   std::vector<IncumbentPoint> incumbent_trajectory;
-  /// Merged structured event trace; empty unless MilpOptions::trace was set.
+  /// This solve's search events, time-sorted; empty unless a recorder was
+  /// attached (MilpOptions::profiler).
   obs::Trace trace;
   /// Snapshot of the solve's metrics registry (name -> value; timers expand
   /// to `.seconds` / `.count` / `.max`). Empty for plain LP solves.

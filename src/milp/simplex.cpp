@@ -262,10 +262,10 @@ void SimplexSolver::price_row(const std::vector<double>& rho,
 
 bool SimplexSolver::refactorize() {
   // Refactorizations are rare (every ~refactor_interval pivots) and dominate
-  // worst-case node latency, so they are spanned unconditionally.
+  // worst-case node latency, so they are spanned unconditionally; the span
+  // is also the trace's `refactor` event.
   obs::ScopedSpan span(opts_.spans, obs::span_id(obs::SpanName::Refactor));
   ++reopt_stats_.refactors;
-  if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::Refactor);
   if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::SingularFactor)) {
     return false;  // injected singular factorization
   }
@@ -657,7 +657,7 @@ SolveStatus SimplexSolver::reoptimize_dual(double cutoff) {
     st = dual_loop(cutoff);
   } else {
     ++reopt_stats_.repaired;
-    if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::DualRepair);
+    if (opts_.spans != nullptr) opts_.spans->emit(obs::EventType::DualRepair);
     // Dual-infeasible warm basis (we backtracked past the point where this
     // basis was optimal). The dual loop is still a valid *primal repair*
     // procedure — its pivots are algebraically sound, only its optimality
@@ -669,13 +669,13 @@ SolveStatus SimplexSolver::reoptimize_dual(double cutoff) {
       st = primal_loop(pert_cost_, /*phase_one=*/false);
     } else if (st == SolveStatus::Infeasible) {
       ++reopt_stats_.cold;
-      if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::ColdRestart);
+      if (opts_.spans != nullptr) opts_.spans->emit(obs::EventType::ColdRestart);
       st = solve_primal();
     }
   }
   if (st == SolveStatus::NumericalError) {
     // Decayed basis: fall back to a cold start.
-    if (opts_.trace != nullptr) opts_.trace->emit(obs::EventType::ColdRestart);
+    if (opts_.spans != nullptr) opts_.spans->emit(obs::EventType::ColdRestart);
     return solve_primal();
   }
   // A cutoff stop leaves a dual-feasible basis: still a valid warm start.

@@ -33,7 +33,6 @@
 #include "milp/pricing.hpp"
 #include "milp/warm_start.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace archex::milp {
 
@@ -79,20 +78,15 @@ struct SimplexOptions {
   /// (B&B, or `serve::ExplorationService` on drain) decides what the stop
   /// means. Null (the default) costs one pointer test per poll.
   const std::atomic<bool>* cancel = nullptr;
-  /// Optional structured-trace sink (refactorizations, dual-repair and
-  /// cold-restart falls). Must be written by this solver's thread only —
-  /// the branch & bound hands each worker's solver its own buffer. Null or
-  /// disabled buffers cost one pointer test per event site.
-  obs::TraceBuffer* trace = nullptr;
-  /// Optional hierarchical span sink (obs/span.hpp) for the kernel hot paths:
-  /// ftran / btran_row / price_row per pivot, full pricing passes, and
-  /// refactorizations. Single-writer like `trace`. Pivot-level spans are
-  /// *sampled* — one pivot in `span_sample` records them — so profiling a
-  /// million-pivot solve stays cheap; refactorizations and full pricing
-  /// passes are rare and always recorded. Null (the default) keeps the hot
-  /// loops at one pointer test per sample site.
+  /// Optional recorder buffer (obs/span.hpp): kernel spans — ftran /
+  /// btran_row / price_row per pivot, full pricing passes, refactorizations
+  /// — and the dual-repair / cold-restart events. Must be written by this
+  /// solver's thread only: the branch & bound hands each worker's solver its
+  /// own buffer. Pivot-level spans are *sampled* — one pivot in
+  /// kKernelSpanSample records them — so recording a million-pivot solve
+  /// stays cheap; refactorizations and full pricing passes are rare and
+  /// always recorded. Null (the default) costs one pointer test per site.
   obs::SpanBuffer* spans = nullptr;
-  int span_sample = 64;  ///< record kernel spans every Nth pivot
   /// Deterministic fault injection (tests, `milp_solve --inject`). Null —
   /// the default — disables every site at the cost of one pointer test.
   /// Shared across solvers of one solve; see milp/fault.hpp.
@@ -218,7 +212,7 @@ class SimplexSolver {
   /// `alpha_nz` and must be zeroed through it after use.
   void price_row(const std::vector<double>& rho, std::vector<double>& alpha,
                  std::vector<std::int32_t>& alpha_nz) const;
-  /// Rebuilds the basis factorization (stats, trace and fault site), then
+  /// Rebuilds the basis factorization (stats, span and fault site), then
   /// delegates to the kernel. Returns false on a (numerically) singular
   /// basis or an injected singular factorization.
   bool refactorize();
@@ -265,13 +259,15 @@ class SimplexSolver {
   [[nodiscard]] bool is_fixed(std::int32_t j) const { return true_lb_[j] == true_ub_[j]; }
   [[nodiscard]] double bound_violation(std::int32_t j) const;
 
+  /// One pivot in this many records the pivot-level kernel spans.
+  static constexpr std::int64_t kKernelSpanSample = 64;
+
   /// The span sink for the current pivot, or null when spans are off or this
-  /// pivot falls outside the 1-in-span_sample sample. One pointer test plus
-  /// (when armed) a modulo on the spans path; null `opts_.spans` — the
+  /// pivot falls outside the 1-in-kKernelSpanSample sample. One pointer test
+  /// plus (when armed) a modulo on the spans path; null `opts_.spans` — the
   /// default — short-circuits before the modulo.
   [[nodiscard]] obs::SpanBuffer* sampled_spans() const {
-    return (opts_.spans != nullptr && opts_.span_sample > 0 &&
-            total_iterations_ % opts_.span_sample == 0)
+    return (opts_.spans != nullptr && total_iterations_ % kKernelSpanSample == 0)
                ? opts_.spans
                : nullptr;
   }

@@ -1,10 +1,10 @@
-#include "serve/json.hpp"
+#include "obs/json.hpp"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace archex::serve {
+namespace archex::obs {
 
 const Json* Json::find(const std::string& key) const {
   if (type_ != Type::Object) return nullptr;
@@ -28,9 +28,9 @@ bool Json::get_bool(const std::string& key, bool dflt) const {
   return v != nullptr && v->is_bool() ? v->bool_ : dflt;
 }
 
-namespace {
-
-void dump_string(const std::string& s, std::string& out) {
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -50,30 +50,24 @@ void dump_string(const std::string& s, std::string& out) {
     }
   }
   out += '"';
+  return out;
 }
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+namespace {
 
 void dump_value(const Json& v, std::string& out) {
   switch (v.type()) {
     case Json::Type::Null: out += "null"; break;
     case Json::Type::Bool: out += v.as_bool() ? "true" : "false"; break;
-    case Json::Type::Number: {
-      const double d = v.as_number();
-      if (!std::isfinite(d)) {
-        out += "null";
-        break;
-      }
-      char buf[40];
-      // Integral values (ids, counts) print without an exponent; everything
-      // else gets the exact shortest-or-17-digit double representation.
-      if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", d);
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-      }
-      out += buf;
-      break;
-    }
-    case Json::Type::String: dump_string(v.as_string(), out); break;
+    case Json::Type::Number: out += json_number(v.as_number()); break;
+    case Json::Type::String: out += json_quote(v.as_string()); break;
     case Json::Type::Array: {
       out += '[';
       bool first = true;
@@ -91,7 +85,7 @@ void dump_value(const Json& v, std::string& out) {
       for (const auto& [k, e] : v.as_object()) {
         if (!first) out += ',';
         first = false;
-        dump_string(k, out);
+        out += json_quote(k);
         out += ':';
         dump_value(e, out);
       }
@@ -329,4 +323,4 @@ std::optional<Json> Json::parse(const std::string& text, std::string* err) {
   return Parser(text, err).run();
 }
 
-}  // namespace archex::serve
+}  // namespace archex::obs

@@ -1,24 +1,33 @@
 /// \file json.hpp
-/// Minimal JSON value type for the exploration service wire protocol.
+/// The one JSON writer of the stack: a minimal value type (the exploration
+/// service's wire protocol, `ExplorationResult::degradation_json`) and the
+/// two primitives every streaming writer uses — `json_quote` for strings and
+/// `json_number` for numbers (trace exports, metrics, lint reports,
+/// `Architecture::to_json`).
 ///
-/// The service speaks newline-delimited JSON (one request or response per
-/// line), so all it needs is a small, dependency-free value type with a
-/// strict parser and a deterministic serializer. Determinism matters more
-/// than speed here: objects keep sorted keys and numbers print with %.17g
-/// (exact double round-trip), so a response serialized twice — or by two
-/// runs of the same solve — is byte-identical, which the serve drill's
-/// bit-exactness checks rely on. Not a general-purpose JSON library: no
-/// comments, no NaN/Inf literals (they serialize as null), UTF-8 passthrough
-/// with \uXXXX decoding.
+/// Determinism matters more than speed here: objects keep sorted keys and
+/// numbers print with %.17g (exact double round-trip), so a response
+/// serialized twice — or by two runs of the same solve — is byte-identical,
+/// which the serve drill's bit-exactness checks rely on. Not a
+/// general-purpose JSON library: no comments, no NaN/Inf literals (they
+/// serialize as null), UTF-8 passthrough with \uXXXX decoding.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-namespace archex::serve {
+namespace archex::obs {
+
+/// `s` as a quoted JSON string: quotes, backslashes and every control byte
+/// escaped, other bytes (UTF-8) passed through.
+[[nodiscard]] std::string json_quote(std::string_view s);
+/// `v` as a JSON number: %.17g (an exact double round trip; integers below
+/// 2^53 print without exponent or fraction), or null when `v` is not finite.
+[[nodiscard]] std::string json_number(double v);
 
 class Json {
  public:
@@ -93,4 +102,4 @@ class Json {
   Object obj_;
 };
 
-}  // namespace archex::serve
+}  // namespace archex::obs

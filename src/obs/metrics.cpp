@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace archex::obs {
 
 Counter& MetricsRegistry::counter(const std::string& name) {
@@ -109,14 +111,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, value] : snap) {
     if (!first) os << ',';
     first = false;
-    os << '"' << name << "\":";
-    if (std::isfinite(value)) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", value);
-      os << buf;
-    } else {
-      os << "null";
-    }
+    os << json_quote(name) << ':' << json_number(value);
   }
   os << '}';
 }

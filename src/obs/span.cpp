@@ -1,41 +1,11 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace archex::obs {
-namespace {
-
-// Chrome trace-event strings never contain characters needing escape here
-// (interned names are pattern describe() strings and the fixed table below),
-// but keep the writer honest for quotes/backslashes/control bytes anyway.
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-void write_num(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  os << buf;
-}
-
-}  // namespace
 
 const char* to_string(SpanName n) {
   switch (n) {
@@ -63,17 +33,20 @@ void SpanBuffer::init(std::int32_t worker, std::size_t capacity,
   worker_ = worker;
   capacity_ = capacity;
   epoch_ = epoch;
-  spans_.clear();
-  spans_.reserve(capacity);
+  records_.clear();
+  records_.reserve(capacity);
   dropped_ = 0;
   depth_ = 0;
 }
 
 SpanProfiler::SpanProfiler(std::size_t capacity_per_worker)
     : capacity_(capacity_per_worker), epoch_(std::chrono::steady_clock::now()) {
-  names_.reserve(static_cast<std::size_t>(SpanName::kCount) + 8);
+  names_.reserve(static_cast<std::size_t>(span_id(SpanName::kCount) + kEventTypes) + 8);
   for (std::int32_t i = 0; i < span_id(SpanName::kCount); ++i) {
     names_.emplace_back(to_string(static_cast<SpanName>(i)));
+  }
+  for (std::int32_t i = 0; i < kEventTypes; ++i) {
+    names_.emplace_back(to_string(static_cast<EventType>(i)));
   }
   arm_workers(1);  // buffer 0: the calling thread
 }
@@ -81,7 +54,8 @@ SpanProfiler::SpanProfiler(std::size_t capacity_per_worker)
 std::int32_t SpanProfiler::intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<std::int32_t>(i);
+    const auto id = static_cast<std::int32_t>(i);
+    if (names_[i] == name && !is_event_id(id)) return id;
   }
   names_.emplace_back(name);
   return static_cast<std::int32_t>(names_.size() - 1);
@@ -132,15 +106,57 @@ std::int64_t SpanProfiler::take_dropped() {
   return delta;
 }
 
+SpanProfiler::Mark SpanProfiler::mark() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Mark m;
+  m.t = std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
+  for (const auto& b : buffers_) m.sizes.push_back(b->spans().size());
+  return m;
+}
+
+Trace SpanProfiler::trace_since(const Mark& m) const {
+  Trace trace;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t b = 0; b < buffers_.size(); ++b) {
+      const std::vector<Record>& recs = buffers_[b]->spans();
+      for (std::size_t k = b < m.sizes.size() ? m.sizes[b] : 0; k < recs.size(); ++k) {
+        const Record& r = recs[k];
+        TraceEvent e;
+        e.t = r.t0 - m.t;
+        e.worker = r.worker;
+        if (r.is_event()) {
+          e.type = event_type(r.name);
+          e.value = r.value;
+          e.id = r.id;
+          e.detail = r.detail;
+        } else if (r.name == span_id(SpanName::Refactor)) {
+          e.type = EventType::Refactor;
+        } else if (r.name >= span_id(SpanName::Presolve) &&
+                   r.name <= span_id(SpanName::MilpExtract)) {
+          e.type = EventType::Phase;  // the phase spans run in Phase order
+          e.detail = static_cast<std::uint8_t>(r.name - span_id(SpanName::Presolve));
+        } else {
+          continue;
+        }
+        trace.events.push_back(e);
+      }
+    }
+  }
+  std::stable_sort(trace.events.begin(), trace.events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.t < b.t; });
+  return trace;
+}
+
 SpanProfiler::Report SpanProfiler::collect() const {
   Report r;
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t total = 0;
     for (const auto& b : buffers_) total += b->spans().size();
-    r.spans.reserve(total);
+    r.records.reserve(total);
     for (const auto& b : buffers_) {
-      r.spans.insert(r.spans.end(), b->spans().begin(), b->spans().end());
+      r.records.insert(r.records.end(), b->spans().begin(), b->spans().end());
       r.dropped += b->dropped();
     }
   }
@@ -148,12 +164,11 @@ SpanProfiler::Report SpanProfiler::collect() const {
   // exit-ordered; (t0, depth, worker) restores tree order — a parent strictly
   // precedes its children (same t0 ties break toward the shallower span) and
   // spans from concurrent workers interleave by start time.
-  std::stable_sort(r.spans.begin(), r.spans.end(),
-                   [](const SpanRecord& a, const SpanRecord& b) {
-                     if (a.t0 != b.t0) return a.t0 < b.t0;
-                     if (a.depth != b.depth) return a.depth < b.depth;
-                     return a.worker < b.worker;
-                   });
+  std::stable_sort(r.records.begin(), r.records.end(), [](const Record& a, const Record& b) {
+    if (a.t0 != b.t0) return a.t0 < b.t0;
+    if (a.depth != b.depth) return a.depth < b.depth;
+    return a.worker < b.worker;
+  });
   return r;
 }
 
@@ -167,16 +182,23 @@ void SpanProfiler::write_chrome_trace(std::ostream& os) const {
     os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << w
        << ",\"args\":{\"name\":\"worker " << w << "\"}}";
   }
-  for (const SpanRecord& s : r.spans) {
-    os << ",\n";
-    os << "{\"name\":\"";
-    write_escaped(os, name_of(s.name));
-    os << "\",\"cat\":\"archex\",\"ph\":\"X\",\"ts\":";
-    write_num(os, s.t0 * 1e6);  // trace-event timestamps are microseconds
-    os << ",\"dur\":";
-    write_num(os, (s.t1 - s.t0) * 1e6);
-    os << ",\"pid\":1,\"tid\":" << s.worker << ",\"args\":{\"depth\":" << s.depth
-       << "}}";
+  std::string fields;
+  for (const Record& rec : r.records) {
+    // Trace-event timestamps are microseconds.
+    os << ",\n{\"name\":" << json_quote(name_of(rec.name)) << ",\"cat\":\"archex\",";
+    if (rec.is_event()) {
+      fields.clear();
+      append_event_fields(fields, event_type(rec.name),
+                          rec.id, rec.value, rec.detail);
+      os << "\"ph\":\"i\",\"s\":\"t\",\"ts\":" << json_number(rec.t0 * 1e6)
+         << ",\"pid\":1,\"tid\":" << rec.worker << ",\"args\":{"
+         << (fields.empty() ? "" : fields.c_str() + 1) << "}}";
+    } else {
+      os << "\"ph\":\"X\",\"ts\":" << json_number(rec.t0 * 1e6)
+         << ",\"dur\":" << json_number((rec.t1 - rec.t0) * 1e6)
+         << ",\"pid\":1,\"tid\":" << rec.worker << ",\"args\":{\"depth\":" << rec.depth
+         << "}}";
+    }
   }
   os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans_dropped\":"
      << r.dropped << "}}\n";

@@ -1,27 +1,26 @@
 /// \file span.hpp
-/// Hierarchical span profiler: scoped RAII timing regions over per-worker
-/// single-writer buffers (the same discipline as TraceBuffer — one thread
-/// writes each buffer, merge happens after the workers join, so the hot path
-/// is a few stores and two clock reads, no locks and no atomics).
+/// The recorder: per-worker single-writer buffers holding one record type
+/// for both hierarchical spans (scoped RAII timing regions) and instant
+/// search events (node open/close, incumbents, steals, ...). One thread
+/// writes each buffer and exports read it after the workers joined, so the
+/// hot path is a few stores and a clock read — no locks, no atomics.
 ///
-/// Zero-cost when disabled: a ScopedSpan built over a null buffer reduces to
-/// one pointer test in its constructor and one in its destructor — no clock
-/// read, no allocation. Overflowing buffers drop the *newest* spans and count
-/// them (`SpanBuffer::dropped`, surfaced as the `milp.spans_dropped` metric);
-/// profiling is a diagnostic, never a reason to stall or grow memory
-/// mid-solve.
+/// Zero-cost when disabled: a ScopedSpan over a null buffer is one pointer
+/// test in its constructor and one in its destructor, and an event site is
+/// one pointer test. One drop policy: a buffer reserves its capacity up
+/// front, touches only what it records, appends until full, then counts and
+/// drops the newest record (surfaced per solve as `milp.records_dropped`).
 ///
-/// Span names are interned to integer ids: the fixed pipeline / kernel names
-/// (`SpanName`) are pre-interned by every profiler in enum order, so hot
-/// paths use the enum value directly without holding a profiler pointer;
-/// dynamic names (per-pattern encode spans) intern once, at encode time,
-/// under a mutex that the hot path never touches.
+/// Names are interned to ids: the span names (`SpanName`), then the event
+/// types (`event_id`), are pre-interned in enum order, so hot paths use the
+/// enum values without a profiler pointer and one `name_of` table names
+/// both kinds; dynamic names (per-pattern encode spans) intern once, at
+/// encode time, under a mutex the hot path never touches.
 ///
-/// Export formats (schema in docs/observability.md):
-///   * Chrome trace-event JSON (`write_chrome_trace`), loadable in Perfetto /
-///     chrome://tracing; worker id maps to `tid`;
-///   * the raw `collect()` report, which the per-pattern cost-attribution
-///     report (arch/perf_report.hpp) and tests consume.
+/// Exports (schemas in docs/observability.md): Chrome trace-event JSON with
+/// spans and events on one timeline (`write_chrome_trace`), one solve's
+/// time-sorted events (`trace_since`, JSONL via Trace::write_jsonl), and the
+/// raw `collect()` report.
 #pragma once
 
 #include <chrono>
@@ -33,10 +32,14 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace archex::obs {
 
 /// Fixed span names, pre-interned by every SpanProfiler in this order so the
 /// enum value *is* the name id. Keep in sync with to_string(SpanName).
+/// The branch & bound phase spans, Presolve..MilpExtract in obs::Phase
+/// order, double as the trace's `phase` events.
 enum class SpanName : std::int32_t {
   // Architecture pipeline (arch::Problem).
   Encode = 0,   ///< structural constraints (Problem constructor)
@@ -49,7 +52,7 @@ enum class SpanName : std::int32_t {
   Heuristic,
   Tree,
   MilpExtract,  ///< postsolve + incumbent extraction
-  // Simplex / LU kernel hot paths (sampled every Nth pivot).
+  // Simplex / LU kernel hot paths (sampled, 1 pivot in 64).
   Ftran,
   BtranRow,
   PriceRow,
@@ -62,17 +65,34 @@ enum class SpanName : std::int32_t {
 [[nodiscard]] constexpr std::int32_t span_id(SpanName n) {
   return static_cast<std::int32_t>(n);
 }
+/// Event types are pre-interned right after the span names.
+[[nodiscard]] constexpr std::int32_t event_id(EventType t) {
+  return span_id(SpanName::kCount) + static_cast<std::int32_t>(t);
+}
+[[nodiscard]] constexpr bool is_event_id(std::int32_t name) {
+  return name >= span_id(SpanName::kCount) && name < span_id(SpanName::kCount) + kEventTypes;
+}
+/// The event type of an event id (is_event_id(name) must hold).
+[[nodiscard]] constexpr EventType event_type(std::int32_t name) {
+  return static_cast<EventType>(name - span_id(SpanName::kCount));
+}
 
-/// One closed span. 24 bytes, written by value at scope exit.
-struct SpanRecord {
-  double t0 = 0.0;  ///< seconds since the profiler epoch (monotonic clock)
-  double t1 = 0.0;
+/// One record: a closed span, or an instant event (`name` = event_id). 40
+/// bytes, written by value.
+struct Record {
+  double t0 = 0.0;  ///< span start / event time: seconds since the profiler epoch
+  double t1 = 0.0;  ///< span end; equals t0 for an event
+  double value = 0.0;       ///< event payload (see EventType); 0 for a span
+  std::int64_t id = -1;     ///< event node id where meaningful, else -1
   std::int32_t name = 0;    ///< interned name id
   std::int32_t worker = 0;
-  std::int32_t depth = 0;   ///< nesting depth at open time (0 = top level)
+  std::int32_t depth = 0;   ///< nesting depth at open / emit time (0 = top level)
+  std::uint8_t detail = 0;  ///< event discriminant (NodeOutcome / RecoverRung)
+
+  [[nodiscard]] bool is_event() const { return is_event_id(name); }
 };
 
-/// Single-writer span sink for one worker thread. The owning thread is the
+/// Single-writer record sink for one worker thread. The owning thread is the
 /// only writer; reads (snapshot / dropped) happen after the workers joined,
 /// so no member needs atomicity. Spans are recorded at scope *exit*, so a
 /// parent appears after its children in buffer order — collect() re-sorts.
@@ -85,7 +105,8 @@ class SpanBuffer {
   [[nodiscard]] bool enabled() const { return capacity_ != 0; }
   [[nodiscard]] std::int32_t worker() const { return worker_; }
   [[nodiscard]] std::int64_t dropped() const { return dropped_; }
-  [[nodiscard]] const std::vector<SpanRecord>& spans() const { return spans_; }
+  /// Every record (spans and events) in append order.
+  [[nodiscard]] const std::vector<Record>& spans() const { return records_; }
 
   /// Seconds since the profiler epoch.
   [[nodiscard]] double now() const {
@@ -96,18 +117,30 @@ class SpanBuffer {
   /// Called by ScopedSpan only (owning thread). Opens a nesting level.
   std::int32_t enter() { return depth_++; }
   /// Closes the level opened by the matching enter() and records the span;
-  /// when full, the newest span is dropped and counted instead.
+  /// when full, the newest record is dropped and counted instead.
   void exit_record(std::int32_t name, double t0, std::int32_t depth) {
     --depth_;
-    if (spans_.size() < capacity_) {
-      spans_.push_back({t0, now(), name, worker_, depth});
+    if (records_.size() < capacity_) {
+      records_.push_back({t0, now(), 0.0, -1, name, worker_, depth, 0});
     } else {
       ++dropped_;
     }
   }
 
+  /// Records an instant event (owning thread); same drop policy. A no-op on
+  /// a disabled buffer.
+  void emit(EventType type, std::int64_t id = -1, double value = 0.0,
+            std::uint8_t detail = 0) {
+    if (records_.size() < capacity_) {
+      const double t = now();
+      records_.push_back({t, t, value, id, event_id(type), worker_, depth_, detail});
+    } else if (enabled()) {
+      ++dropped_;
+    }
+  }
+
  private:
-  std::vector<SpanRecord> spans_;
+  std::vector<Record> records_;
   std::size_t capacity_ = 0;
   std::int64_t dropped_ = 0;
   std::int32_t depth_ = 0;
@@ -149,7 +182,8 @@ class ScopedSpan {
   std::int32_t depth_ = 0;
 };
 
-/// Owns the per-worker span buffers and the interned name table. Buffer 0
+/// The recorder: owns the per-worker buffers and the interned name table.
+/// Buffer 0
 /// belongs to the calling (main) thread — in this codebase the encoder, the
 /// root phase and pool worker 0 all run on it, so the single-writer rule
 /// holds. arm_workers() must be called before worker threads spawn (the
@@ -158,8 +192,9 @@ class SpanProfiler {
  public:
   explicit SpanProfiler(std::size_t capacity_per_worker = 1 << 16);
 
-  /// Interns a dynamic name (per-pattern spans). Mutex-guarded; call at
-  /// setup/encode time, never from a pivot loop. Idempotent per name.
+  /// Interns a dynamic span name (per-pattern spans). Mutex-guarded; call at
+  /// setup/encode time, never from a pivot loop. Idempotent per name, and
+  /// never returns an event id.
   std::int32_t intern(std::string_view name);
   /// Name of an interned id ("?" for an unknown id). Call after the workers
   /// joined (export time).
@@ -175,27 +210,41 @@ class SpanProfiler {
   [[nodiscard]] SpanBuffer* main() { return buffer(0); }
   [[nodiscard]] int num_workers() const;
 
-  /// Total spans dropped to buffer overflow across all workers.
+  /// Total records dropped to buffer overflow across all workers.
   [[nodiscard]] std::int64_t dropped() const;
   /// Drop count accumulated since the previous take_dropped() call. The
-  /// branch & bound feeds this delta into the per-solve `milp.spans_dropped`
-  /// counter, so a profiler reused across solves (the lazy algorithm) does
-  /// not double-report. Call after workers joined.
+  /// branch & bound feeds this delta into the per-solve
+  /// `milp.records_dropped` counter, so a profiler reused across solves (the
+  /// lazy algorithm) does not double-report. Call after workers joined.
   std::int64_t take_dropped();
+
+  /// A point in the recording: the time and every armed buffer's length.
+  struct Mark {
+    double t = 0.0;
+    std::vector<std::size_t> sizes;
+  };
+  /// Call when no worker is writing (before spawn / after join).
+  [[nodiscard]] Mark mark() const;
+  /// The events recorded since `m` as one time-sorted Trace, timed in
+  /// seconds since `m.t`: every instant, plus each phase span as a `phase`
+  /// event and each refactor span as a `refactor` event, both at the span's
+  /// start. `dropped` is left 0 for the caller to fill. Call after join.
+  [[nodiscard]] Trace trace_since(const Mark& m) const;
 
   /// Snapshot of every buffer, merged and sorted by (t0, depth, worker):
   /// a parent precedes its children, and concurrent workers interleave in
   /// start-time order. Does not reset the buffers.
   struct Report {
-    std::vector<SpanRecord> spans;
+    std::vector<Record> records;
     std::int64_t dropped = 0;
   };
   [[nodiscard]] Report collect() const;
 
   /// Writes the Chrome trace-event JSON (`{"traceEvents": [...]}`) for the
-  /// current contents: one `ph:"X"` complete event per span (ts/dur in
-  /// microseconds, pid 1, tid = worker) plus `ph:"M"` thread-name metadata.
-  /// Loadable in Perfetto / chrome://tracing.
+  /// current contents: one `ph:"X"` complete event per span and one
+  /// thread-scoped `ph:"i"` instant per event (ts/dur in microseconds, pid
+  /// 1, tid = worker; an instant's args are its JSONL keys) plus `ph:"M"`
+  /// thread-name metadata. Loadable in Perfetto / chrome://tracing.
   void write_chrome_trace(std::ostream& os) const;
 
  private:

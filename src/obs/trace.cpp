@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace archex::obs {
 
@@ -61,31 +61,6 @@ const char* to_string(Phase p) {
   return "unknown";
 }
 
-void TraceBuffer::init(std::int32_t worker, std::size_t capacity,
-                       std::chrono::steady_clock::time_point epoch) {
-  ring_.assign(capacity, TraceEvent{});
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-  worker_ = worker;
-  epoch_ = epoch;
-}
-
-std::vector<TraceEvent> TraceBuffer::drain() {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  if (size_ == ring_.size()) {
-    // Full ring: oldest event is at head_ (the next overwrite target).
-    for (std::size_t i = 0; i < size_; ++i)
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
-  } else {
-    for (std::size_t i = 0; i < size_; ++i) out.push_back(ring_[i]);
-  }
-  head_ = 0;
-  size_ = 0;
-  return out;
-}
-
 std::size_t Trace::count(EventType t) const {
   return static_cast<std::size_t>(
       std::count_if(events.begin(), events.end(),
@@ -98,82 +73,57 @@ int Trace::num_workers() const {
   return max_worker + 1;
 }
 
-namespace {
-
-void write_num(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-  } else {
-    os << "null";
+void append_event_fields(std::string& out, EventType type, std::int64_t id, double value,
+                         std::uint8_t detail) {
+  const auto node = [id] { return ",\"node\":" + std::to_string(id); };
+  switch (type) {
+    case EventType::SolveStart:
+      out += ",\"workers\":" + std::to_string(static_cast<int>(value));
+      break;
+    case EventType::Phase:
+      out += ",\"phase\":\"" + std::string(to_string(static_cast<Phase>(detail))) + '"';
+      break;
+    case EventType::NodeOpen:
+      out += node() + ",\"parent_bound\":" + json_number(value);
+      break;
+    case EventType::NodeClose:
+      out += node() + ",\"outcome\":\"" + to_string(static_cast<NodeOutcome>(detail)) +
+             "\",\"bound\":" + json_number(value);
+      break;
+    case EventType::Bound:
+      out += ",\"bound\":" + json_number(value);
+      break;
+    case EventType::Incumbent:
+      out += node() + ",\"objective\":" + json_number(value);
+      break;
+    case EventType::Steal:
+      out += node() + ",\"victim\":" + std::to_string(static_cast<int>(value));
+      break;
+    case EventType::Refactor:
+    case EventType::DualRepair:
+    case EventType::ColdRestart:
+      break;
+    case EventType::Recover:
+      out += node() + ",\"rung\":\"" + to_string(static_cast<RecoverRung>(detail)) + '"';
+      break;
+    case EventType::Checkpoint:
+      out += ",\"open\":" + std::to_string(static_cast<long long>(value));
+      break;
+    case EventType::SolveEnd:
+      out += ",\"objective\":" + json_number(value);
+      break;
   }
 }
-
-}  // namespace
 
 void Trace::write_jsonl(std::ostream& os) const {
+  std::string line;
   for (const TraceEvent& e : events) {
-    os << "{\"t\":";
-    write_num(os, e.t);
-    os << ",\"type\":\"" << to_string(e.type) << "\",\"worker\":" << e.worker;
-    switch (e.type) {
-      case EventType::SolveStart:
-        os << ",\"workers\":" << static_cast<int>(e.value);
-        break;
-      case EventType::Phase:
-        os << ",\"phase\":\"" << to_string(static_cast<Phase>(e.detail)) << '"';
-        break;
-      case EventType::NodeOpen:
-        os << ",\"node\":" << e.id << ",\"parent_bound\":";
-        write_num(os, e.value);
-        break;
-      case EventType::NodeClose:
-        os << ",\"node\":" << e.id << ",\"outcome\":\""
-           << to_string(static_cast<NodeOutcome>(e.detail)) << "\",\"bound\":";
-        write_num(os, e.value);
-        break;
-      case EventType::Bound:
-        os << ",\"bound\":";
-        write_num(os, e.value);
-        break;
-      case EventType::Incumbent:
-        os << ",\"node\":" << e.id << ",\"objective\":";
-        write_num(os, e.value);
-        break;
-      case EventType::Steal:
-        os << ",\"node\":" << e.id << ",\"victim\":" << static_cast<int>(e.value);
-        break;
-      case EventType::Refactor:
-      case EventType::DualRepair:
-      case EventType::ColdRestart:
-        break;
-      case EventType::Recover:
-        os << ",\"node\":" << e.id << ",\"rung\":\""
-           << to_string(static_cast<RecoverRung>(e.detail)) << '"';
-        break;
-      case EventType::Checkpoint:
-        os << ",\"open\":" << static_cast<long long>(e.value);
-        break;
-      case EventType::SolveEnd:
-        os << ",\"objective\":";
-        write_num(os, e.value);
-        break;
-    }
-    os << "}\n";
+    line = "{\"t\":" + json_number(e.t) + ",\"type\":\"" + to_string(e.type) +
+           "\",\"worker\":" + std::to_string(e.worker);
+    append_event_fields(line, e.type, e.id, e.value, e.detail);
+    line += "}\n";
+    os << line;
   }
-}
-
-Trace merge_buffers(std::vector<TraceBuffer>& buffers) {
-  Trace trace;
-  for (TraceBuffer& b : buffers) {
-    trace.dropped += b.dropped();
-    auto events = b.drain();
-    trace.events.insert(trace.events.end(), events.begin(), events.end());
-  }
-  std::stable_sort(trace.events.begin(), trace.events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.t < b.t; });
-  return trace;
 }
 
 }  // namespace archex::obs

@@ -1,16 +1,18 @@
 /// \file trace.hpp
-/// Structured event trace for the solver: fixed-size per-worker ring buffers
-/// written by exactly one thread each (no locks, no contention on the hot
-/// path), merged into one time-sorted Trace when the solve ends.
+/// The solver's search-event vocabulary and the per-solve event view. Events
+/// are recorded as instants in the recorder's per-worker buffers
+/// (obs/span.hpp); SpanProfiler::trace_since turns one solve's share of the
+/// recording into a time-sorted Trace, exported as JSONL here and as Chrome
+/// instant events by SpanProfiler::write_chrome_trace.
 ///
-/// Event semantics and the JSONL export schema are documented in
+/// Event semantics and the export schemas are documented in
 /// docs/observability.md; tools/validate_trace.py checks emitted files
-/// against that schema in CI.
+/// against them in CI.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 namespace archex::obs {
@@ -18,19 +20,20 @@ namespace archex::obs {
 /// What happened. Values are part of the JSONL schema (exported by name).
 enum class EventType : std::uint8_t {
   SolveStart,   ///< solve entry; value = number of workers
-  Phase,        ///< phase transition; detail = Phase, value = unused
+  Phase,        ///< phase start (from its span); detail = Phase
   NodeOpen,     ///< node dequeued for processing; value = parent bound
   NodeClose,    ///< node finished; detail = NodeOutcome, value = node bound
   Bound,        ///< global best-bound improvement; value = new bound
   Incumbent,    ///< incumbent improvement; value = new objective
   Steal,        ///< node stolen; id = node id, value = victim worker id
-  Refactor,     ///< simplex basis refactorization
+  Refactor,     ///< simplex basis refactorization (from its span)
   DualRepair,   ///< dual reoptimization fell back to primal repair
   ColdRestart,  ///< dual reoptimization fell back to a cold solve
   Recover,      ///< numerical-recovery ladder step; detail = RecoverRung
   Checkpoint,   ///< search state checkpointed; value = open-node count
-  SolveEnd,     ///< solve exit; value = final objective (or NaN)
+  SolveEnd,     ///< solve exit; value = final objective (or NaN); keep last
 };
+inline constexpr std::int32_t kEventTypes = static_cast<std::int32_t>(EventType::SolveEnd) + 1;
 
 /// NodeClose detail: how the node was disposed of.
 enum class NodeOutcome : std::uint8_t {
@@ -52,7 +55,8 @@ enum class RecoverRung : std::uint8_t {
   Abandon = 3,  ///< retries exhausted; bound conservatively inherited
 };
 
-/// Phase detail for EventType::Phase.
+/// Phase detail for EventType::Phase, in the order of the phase spans
+/// (SpanName::Presolve..MilpExtract) it is derived from.
 enum class Phase : std::uint8_t {
   Presolve = 0,
   RootLp = 1,
@@ -66,66 +70,20 @@ enum class Phase : std::uint8_t {
 [[nodiscard]] const char* to_string(RecoverRung r);
 [[nodiscard]] const char* to_string(Phase p);
 
-/// One trace record. 32 bytes; written by value into the ring.
+/// One event of a solve's Trace.
 struct TraceEvent {
   double t = 0.0;        ///< seconds since solve start (monotonic clock)
   double value = 0.0;    ///< event-specific payload (see EventType)
   std::int64_t id = -1;  ///< node id where meaningful, else -1
   std::int32_t worker = 0;
   EventType type = EventType::SolveStart;
-  std::uint8_t detail = 0;  ///< NodeOutcome / Phase discriminant
+  std::uint8_t detail = 0;  ///< NodeOutcome / Phase / RecoverRung discriminant
 };
 
-/// Single-writer ring buffer. One per worker thread; the owning thread is the
-/// only writer, merge happens after the workers have joined, so no member
-/// needs atomicity. When full, the oldest events are overwritten and counted
-/// in `dropped` — a trace is a diagnostic, never a reason to stall a solve.
-class TraceBuffer {
- public:
-  /// Arms the buffer. capacity == 0 leaves it disabled (emit() is a no-op).
-  void init(std::int32_t worker, std::size_t capacity,
-            std::chrono::steady_clock::time_point epoch);
-
-  [[nodiscard]] bool enabled() const { return !ring_.empty(); }
-  [[nodiscard]] std::int32_t worker() const { return worker_; }
-  [[nodiscard]] std::int64_t dropped() const { return dropped_; }
-
-  /// Seconds since the solve epoch (callers reuse it for node-log lines).
-  [[nodiscard]] double now() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
-  }
-
-  void emit(EventType type, std::int64_t id = -1, double value = 0.0,
-            std::uint8_t detail = 0) {
-    if (ring_.empty()) return;
-    TraceEvent& e = ring_[head_];
-    e.t = now();
-    e.value = value;
-    e.id = id;
-    e.worker = worker_;
-    e.type = type;
-    e.detail = detail;
-    head_ = (head_ + 1) % ring_.size();
-    if (size_ < ring_.size()) ++size_;
-    else ++dropped_;
-  }
-
-  /// Copies the buffered events (oldest first) and resets the buffer.
-  [[nodiscard]] std::vector<TraceEvent> drain();
-
- private:
-  std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::int64_t dropped_ = 0;
-  std::int32_t worker_ = 0;
-  std::chrono::steady_clock::time_point epoch_{};
-};
-
-/// Merged, time-sorted event log of one solve.
+/// One solve's events, time-sorted (SpanProfiler::trace_since).
 struct Trace {
   std::vector<TraceEvent> events;
-  std::int64_t dropped = 0;  ///< events lost to ring overwrites, all workers
+  std::int64_t dropped = 0;  ///< records lost to full buffers during the solve
 
   [[nodiscard]] bool empty() const { return events.empty(); }
   [[nodiscard]] std::size_t count(EventType t) const;
@@ -135,7 +93,10 @@ struct Trace {
   void write_jsonl(std::ostream& os) const;
 };
 
-/// Drains every buffer and merges into one trace sorted by timestamp.
-[[nodiscard]] Trace merge_buffers(std::vector<TraceBuffer>& buffers);
+/// Appends the type-specific keys of one event (`,"node":7,...`, each with
+/// a leading comma; nothing for key-less types): the body shared by the
+/// JSONL lines and the Chrome instants' args.
+void append_event_fields(std::string& out, EventType type, std::int64_t id, double value,
+                         std::uint8_t detail);
 
 }  // namespace archex::obs

@@ -5,6 +5,8 @@
 
 namespace archex::serve {
 
+using obs::Json;
+
 std::optional<ScenarioSpec> ScenarioSpec::from_json(const Json& j,
                                                     std::string* err) {
   auto fail = [&](const std::string& why) -> std::optional<ScenarioSpec> {

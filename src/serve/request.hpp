@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/json.hpp"
+#include "obs/json.hpp"
 
 namespace archex::serve {
 
@@ -29,8 +29,8 @@ struct ScenarioSpec {
 
   /// Parses a scenario object ({"name", "cost_scale", "edge_cost_scale",
   /// "unavailable", "rhs"}). Returns nullopt and a reason on bad types.
-  static std::optional<ScenarioSpec> from_json(const Json& j, std::string* err);
-  [[nodiscard]] Json to_json() const;
+  static std::optional<ScenarioSpec> from_json(const obs::Json& j, std::string* err);
+  [[nodiscard]] obs::Json to_json() const;
 };
 
 /// One exploration request. The model source is exactly one of `lp_file`
@@ -85,8 +85,8 @@ struct Request {
 
   /// Parses a request object. Returns nullopt and a reason on schema errors
   /// (missing id, no/ambiguous model source, bad types).
-  static std::optional<Request> from_json(const Json& j, std::string* err);
-  [[nodiscard]] Json to_json() const;
+  static std::optional<Request> from_json(const obs::Json& j, std::string* err);
+  [[nodiscard]] obs::Json to_json() const;
 };
 
 /// Terminal states of a request. `Degraded` is the anytime result: a best
@@ -128,7 +128,7 @@ struct ScenarioResult {
   bool warm = false;  ///< root LP warm-started from the previous basis
   double solve_seconds = 0.0;
 
-  [[nodiscard]] Json to_json() const;
+  [[nodiscard]] obs::Json to_json() const;
 };
 
 struct Response {
@@ -164,7 +164,7 @@ struct Response {
   double total_ms = 0.0;
   std::vector<LifecycleEvent> lifecycle;
 
-  [[nodiscard]] Json to_json() const;
+  [[nodiscard]] obs::Json to_json() const;
 };
 
 }  // namespace archex::serve

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace archex {
 namespace {
@@ -82,6 +85,30 @@ TEST(ArchitectureTest, JsonOutput) {
   EXPECT_EQ(js.find("B2"), std::string::npos);  // unused node omitted
   EXPECT_NE(js.find("[\"G1\", \"B1\"]"), std::string::npos);
   EXPECT_NE(js.find("\"power\": [[\"G1\", \"B1\", 3.5]"), std::string::npos);
+}
+
+TEST(ArchitectureTest, JsonRoundTripsNamesAndNumbers) {
+  Architecture a = sample();
+  a.nodes[0].name = "G\r1";
+  a.nodes[1].impl_name = std::string("Bus\x01LV");
+  a.cost = 40512.25;
+  a.flows["power"][0].rate = 1234567.5;
+  std::string err;
+  const std::optional<obs::Json> doc = obs::Json::parse(a.to_json(), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  EXPECT_EQ(doc->find("cost")->as_number(), 40512.25);
+  const obs::Json::Array& nodes = doc->find("nodes")->as_array();
+  ASSERT_EQ(nodes.size(), 3u);
+  EXPECT_EQ(nodes[0].get_string("name"), "G\r1");
+  EXPECT_EQ(nodes[1].get_string("impl"), std::string("Bus\x01LV"));
+  EXPECT_EQ(doc->find("edges")->as_array()[0].as_array()[0].as_string(), "G\r1");
+  const obs::Json& flow = doc->find("flows")->find("power")->as_array()[0];
+  EXPECT_EQ(flow.as_array()[2].as_number(), 1234567.5);
+
+  a.cost = std::numeric_limits<double>::infinity();
+  const std::optional<obs::Json> inf = obs::Json::parse(a.to_json(), &err);
+  ASSERT_TRUE(inf.has_value()) << err;
+  EXPECT_TRUE(inf->find("cost")->is_null());
 }
 
 TEST(ArchitectureTest, PrintSummary) {

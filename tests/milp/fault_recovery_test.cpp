@@ -16,6 +16,7 @@
 #include "milp/branch_bound.hpp"
 #include "milp/fault.hpp"
 #include "milp/simplex.hpp"
+#include "obs/span.hpp"
 
 namespace archex::milp {
 namespace {
@@ -356,7 +357,8 @@ TEST(RecoveryLadderTest, ExhaustedLadderDegradesWithSoundBound) {
            /*repeat=*/std::numeric_limits<std::int64_t>::max() / 2);
   MilpOptions opts = base;
   opts.fault = &plan;
-  opts.trace = true;
+  obs::SpanProfiler recorder;
+  opts.profiler = &recorder;
   const Solution s = solve_milp(m, opts);
   EXPECT_TRUE(plan.any_fired());
   EXPECT_TRUE(s.degraded);

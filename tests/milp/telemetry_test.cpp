@@ -14,7 +14,7 @@
 #include "milp/branch_bound.hpp"
 #include "milp/simplex.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace archex::milp {
 namespace {
@@ -164,7 +164,8 @@ TEST(TelemetryTest, TraceOffByDefault) {
 TEST(TelemetryTest, SequentialTraceAccountsForEveryNode) {
   MilpOptions o;
   o.num_threads = 1;
-  o.trace = true;
+  obs::SpanProfiler recorder;
+  o.profiler = &recorder;
   const Solution s = solve_milp(knapsack_fixture(18, 5), o);
   ASSERT_TRUE(s.optimal());
   ASSERT_FALSE(s.trace.empty());
@@ -195,10 +196,10 @@ TEST(TelemetryTest, SequentialTraceAccountsForEveryNode) {
 TEST(TelemetryTest, ParallelTraceRecordsStealsFromMultipleWorkers) {
   MilpOptions o;
   o.num_threads = 4;
-  o.trace = true;
-  // The ~350k-node tree emits far more than the default ring capacity; give
-  // each worker room for the full solve so event counts are exact.
-  o.trace_capacity = std::size_t{1} << 19;
+  // The ~350k-node tree emits far more than the default buffer capacity;
+  // give each worker room for the full solve so event counts are exact.
+  obs::SpanProfiler recorder(std::size_t{1} << 19);
+  o.profiler = &recorder;
   o.budget = Budget::of_seconds(300);
   const Solution s = solve_milp(hard_knapsack_fixture(50, 42), o);
   ASSERT_TRUE(s.optimal());
@@ -208,8 +209,8 @@ TEST(TelemetryTest, ParallelTraceRecordsStealsFromMultipleWorkers) {
   EXPECT_GE(s.trace.count(obs::EventType::Steal), 1u);
   EXPECT_GE(s.trace.count(obs::EventType::Incumbent), 1u);
   EXPECT_GT(s.trace.count(obs::EventType::NodeOpen), 0u);
-  // The ring may overwrite under this workload, but never silently: the
-  // merged trace reports exactly what was lost.
+  // A buffer may fill under this workload, but never silently: the trace
+  // reports exactly what was dropped.
   if (s.trace.dropped == 0) {
     EXPECT_EQ(s.trace.count(obs::EventType::Steal),
               static_cast<std::size_t>(s.steals));
@@ -220,8 +221,9 @@ TEST(TelemetryTest, TracingDoesNotPerturbTheSearch) {
   const Model m = knapsack_fixture(22, 99);
   MilpOptions off;
   off.num_threads = 1;
+  obs::SpanProfiler recorder;
   MilpOptions on = off;
-  on.trace = true;
+  on.profiler = &recorder;
   const Solution a = solve_milp(m, off);
   const Solution b = solve_milp(m, on);
   ASSERT_TRUE(a.optimal());
@@ -247,8 +249,8 @@ TEST(TelemetryTest, LpCutoffStopsKeepTheTree) {
                        Case{30, 7, 13512, 18298}}) {
     MilpOptions o;
     o.num_threads = 1;
-    o.trace = true;
-    o.trace_capacity = std::size_t{1} << 16;
+    obs::SpanProfiler recorder(std::size_t{1} << 16);
+    o.profiler = &recorder;
     const Solution s = solve_milp(hard_knapsack_fixture(c.n, c.seed), o);
     ASSERT_TRUE(s.optimal());
     EXPECT_EQ(s.nodes_explored, c.nodes) << c.n << "/" << c.seed;

@@ -1,7 +1,7 @@
 /// Unit tests for the observability layer: the metrics registry (concurrent
-/// counters, timer scopes, snapshot flattening), the single-writer trace ring
-/// buffers (overflow, merge ordering, JSONL schema) and the node logger's
-/// interval gating.
+/// counters, timer scopes, snapshot flattening), search events in the
+/// recorder's single-writer buffers (overflow, merge ordering, JSONL schema)
+/// and the node logger's interval gating.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,7 +13,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/node_log.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace archex::obs {
 namespace {
@@ -197,49 +197,50 @@ TEST(MetricsTest, SnapshotAndPrometheusRenderHistograms) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace buffers
+// Search events in the recorder
 // ---------------------------------------------------------------------------
 
 TEST(TraceTest, DefaultBufferIsDisabled) {
-  TraceBuffer buf;
+  SpanBuffer buf;
   EXPECT_FALSE(buf.enabled());
   buf.emit(EventType::NodeOpen, 1, 2.0);  // must be a no-op, not a crash
-  EXPECT_TRUE(buf.drain().empty());
+  EXPECT_TRUE(buf.spans().empty());
   EXPECT_EQ(buf.dropped(), 0);
 }
 
-TEST(TraceTest, RingOverflowKeepsNewestAndCountsDropped) {
-  TraceBuffer buf;
+TEST(TraceTest, OverflowDropsNewestAndCountsDropped) {
+  SpanBuffer buf;
   buf.init(0, 4, std::chrono::steady_clock::now());
   for (std::int64_t i = 0; i < 6; ++i) buf.emit(EventType::NodeOpen, i);
   EXPECT_EQ(buf.dropped(), 2);
-  const std::vector<TraceEvent> events = buf.drain();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].id, static_cast<std::int64_t>(i + 2)) << "slot " << i;
+  ASSERT_EQ(buf.spans().size(), 4u);
+  for (std::size_t i = 0; i < buf.spans().size(); ++i) {
+    EXPECT_EQ(buf.spans()[i].id, static_cast<std::int64_t>(i)) << "slot " << i;
+    EXPECT_TRUE(buf.spans()[i].is_event());
   }
-  // drain() resets the ring: the buffer is immediately reusable.
+  // init() re-arms the buffer: it is immediately reusable.
+  buf.init(0, 4, std::chrono::steady_clock::now());
   buf.emit(EventType::NodeClose, 9);
-  const std::vector<TraceEvent> again = buf.drain();
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again[0].id, 9);
+  ASSERT_EQ(buf.spans().size(), 1u);
+  EXPECT_EQ(buf.spans()[0].id, 9);
+  EXPECT_EQ(buf.dropped(), 0);
 }
 
 TEST(TraceTest, MergeSortsEventsAcrossBuffers) {
-  const auto epoch = std::chrono::steady_clock::now();
-  std::vector<TraceBuffer> buffers(2);
-  buffers[0].init(0, 16, epoch);
-  buffers[1].init(1, 16, epoch);
+  SpanProfiler prof;
+  prof.arm_workers(2);
+  const SpanProfiler::Mark start = prof.mark();
   // Interleave writes so neither buffer alone is globally ordered.
-  buffers[0].emit(EventType::NodeOpen, 1);
-  buffers[1].emit(EventType::NodeOpen, 2);
-  buffers[0].emit(EventType::NodeClose, 1);
-  buffers[1].emit(EventType::NodeClose, 2);
-  const Trace trace = merge_buffers(buffers);
+  prof.buffer(0)->emit(EventType::NodeOpen, 1);
+  prof.buffer(1)->emit(EventType::NodeOpen, 2);
+  prof.buffer(0)->emit(EventType::NodeClose, 1);
+  prof.buffer(1)->emit(EventType::NodeClose, 2);
+  const Trace trace = prof.trace_since(start);
   ASSERT_EQ(trace.events.size(), 4u);
   for (std::size_t i = 1; i < trace.events.size(); ++i) {
     EXPECT_LE(trace.events[i - 1].t, trace.events[i].t);
   }
+  EXPECT_GE(trace.events[0].t, 0.0);
   EXPECT_EQ(trace.count(EventType::NodeOpen), 2u);
   EXPECT_EQ(trace.count(EventType::NodeClose), 2u);
   EXPECT_EQ(trace.num_workers(), 2);
@@ -247,18 +248,20 @@ TEST(TraceTest, MergeSortsEventsAcrossBuffers) {
 }
 
 TEST(TraceTest, JsonlUsesDocumentedKeysAndNullForNonFinite) {
-  TraceBuffer buf;
-  buf.init(3, 32, std::chrono::steady_clock::now());
-  buf.emit(EventType::SolveStart, -1, 4.0);
-  buf.emit(EventType::Phase, -1, 0.0, static_cast<std::uint8_t>(Phase::RootLp));
-  buf.emit(EventType::NodeOpen, 1, std::numeric_limits<double>::quiet_NaN());
-  buf.emit(EventType::NodeClose, 1, 12.5, static_cast<std::uint8_t>(NodeOutcome::Branched));
-  buf.emit(EventType::Incumbent, 1, 42.0);
-  buf.emit(EventType::Steal, 7, 2.0);
-  buf.emit(EventType::SolveEnd, -1, 42.0);
-  std::vector<TraceBuffer> buffers;
-  buffers.push_back(std::move(buf));
-  const Trace trace = merge_buffers(buffers);
+  SpanProfiler prof;
+  prof.arm_workers(4);
+  const SpanProfiler::Mark start = prof.mark();
+  SpanBuffer* buf = prof.buffer(3);
+  buf->emit(EventType::SolveStart, -1, 4.0);
+  {
+    ScopedSpan root(buf, span_id(SpanName::RootLp));  // exported as a phase event
+  }
+  buf->emit(EventType::NodeOpen, 1, std::numeric_limits<double>::quiet_NaN());
+  buf->emit(EventType::NodeClose, 1, 12.5, static_cast<std::uint8_t>(NodeOutcome::Branched));
+  buf->emit(EventType::Incumbent, 1, 42.0);
+  buf->emit(EventType::Steal, 7, 2.0);
+  buf->emit(EventType::SolveEnd, -1, 42.0);
+  const Trace trace = prof.trace_since(start);
   std::ostringstream os;
   trace.write_jsonl(os);
   const std::string out = os.str();

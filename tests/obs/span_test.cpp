@@ -1,8 +1,9 @@
-/// Unit tests for the hierarchical span profiler (obs/span.hpp): RAII
-/// nesting, cross-worker merge ordering, overflow accounting (including the
-/// milp.spans_dropped metric fed by solve_milp), the zero-cost disabled
-/// path, the Chrome trace-event export, the Prometheus exposition, and the
-/// per-pattern cost-attribution report on a real EPN encode.
+/// Unit tests for the recorder (obs/span.hpp): RAII span nesting,
+/// cross-worker merge ordering, overflow accounting (including the
+/// milp.records_dropped metric fed by solve_milp), per-solve event views of
+/// one recording, the zero-cost disabled path, the Chrome trace-event export
+/// (spans and instants), the Prometheus exposition, and the per-pattern
+/// cost-attribution report on a real EPN encode.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -53,18 +54,18 @@ TEST(SpanTest, NestedScopesRecordDepthAndContainment) {
   EXPECT_EQ(buf->spans()[2].name, span_id(SpanName::Encode));
   // ...and collect() re-sorts so the parent comes first.
   const SpanProfiler::Report rep = prof.collect();
-  ASSERT_EQ(rep.spans.size(), 3u);
-  EXPECT_EQ(rep.spans[0].name, span_id(SpanName::Encode));
-  EXPECT_EQ(rep.spans[0].depth, 0);
-  EXPECT_EQ(rep.spans[1].name, span_id(SpanName::Presolve));
-  EXPECT_EQ(rep.spans[1].depth, 1);
-  EXPECT_EQ(rep.spans[2].name, span_id(SpanName::Solve));
-  EXPECT_EQ(rep.spans[2].depth, 1);
+  ASSERT_EQ(rep.records.size(), 3u);
+  EXPECT_EQ(rep.records[0].name, span_id(SpanName::Encode));
+  EXPECT_EQ(rep.records[0].depth, 0);
+  EXPECT_EQ(rep.records[1].name, span_id(SpanName::Presolve));
+  EXPECT_EQ(rep.records[1].depth, 1);
+  EXPECT_EQ(rep.records[2].name, span_id(SpanName::Solve));
+  EXPECT_EQ(rep.records[2].depth, 1);
   // Containment: every child lies inside the parent's [t0, t1].
-  const SpanRecord& parent = rep.spans[0];
-  for (std::size_t i = 1; i < rep.spans.size(); ++i) {
-    EXPECT_GE(rep.spans[i].t0, parent.t0);
-    EXPECT_LE(rep.spans[i].t1, parent.t1);
+  const Record& parent = rep.records[0];
+  for (std::size_t i = 1; i < rep.records.size(); ++i) {
+    EXPECT_GE(rep.records[i].t0, parent.t0);
+    EXPECT_LE(rep.records[i].t1, parent.t1);
   }
 }
 
@@ -90,13 +91,13 @@ TEST(SpanTest, CollectMergesWorkersInStartTimeOrder) {
     }
   }
   const SpanProfiler::Report rep = prof.collect();
-  ASSERT_EQ(rep.spans.size(), 6u);
-  for (std::size_t i = 1; i < rep.spans.size(); ++i) {
-    EXPECT_LE(rep.spans[i - 1].t0, rep.spans[i].t0) << "slot " << i;
+  ASSERT_EQ(rep.records.size(), 6u);
+  for (std::size_t i = 1; i < rep.records.size(); ++i) {
+    EXPECT_LE(rep.records[i - 1].t0, rep.records[i].t0) << "slot " << i;
   }
   // All three workers are represented with their own id.
   std::vector<int> seen(3, 0);
-  for (const SpanRecord& s : rep.spans) {
+  for (const Record& s : rep.records) {
     ASSERT_GE(s.worker, 0);
     ASSERT_LT(s.worker, 3);
     ++seen[static_cast<std::size_t>(s.worker)];
@@ -125,14 +126,22 @@ TEST(SpanTest, OverflowDropsNewestAndCounts) {
 
 TEST(SpanTest, InternIsIdempotentAndPreInternsEnumNames) {
   SpanProfiler prof;
-  // The enum value is the id for every fixed name.
+  // The enum value is the id for every fixed name; event types follow.
   for (std::int32_t i = 0; i < span_id(SpanName::kCount); ++i) {
     EXPECT_EQ(prof.name_of(i), to_string(static_cast<SpanName>(i)));
+  }
+  for (std::int32_t i = 0; i < kEventTypes; ++i) {
+    const auto t = static_cast<EventType>(i);
+    EXPECT_EQ(prof.name_of(event_id(t)), to_string(t));
+    EXPECT_TRUE(is_event_id(event_id(t)));
   }
   const std::int32_t a = prof.intern("cannot_connect(A, B)");
   const std::int32_t b = prof.intern("cannot_connect(A, B)");
   EXPECT_EQ(a, b);
+  EXPECT_FALSE(is_event_id(a));
   EXPECT_GE(a, span_id(SpanName::kCount));
+  // A dynamic name spelled like an event type still interns as a span.
+  EXPECT_FALSE(is_event_id(prof.intern(to_string(EventType::NodeOpen))));
   EXPECT_EQ(prof.name_of(a), "cannot_connect(A, B)");
   EXPECT_EQ(prof.name_of(9999), "?");
 }
@@ -174,10 +183,33 @@ TEST(SpanTest, ChromeTraceExportIsWellFormed) {
   EXPECT_NE(json.find("\"spans_dropped\":0"), std::string::npos);
 }
 
-TEST(SpanTest, SolveMilpRecordsPhasesAndCountsDroppedSpans) {
+TEST(SpanTest, ChromeTraceExportsEventsAsInstants) {
+  SpanProfiler prof;
+  {
+    ScopedSpan tree(prof.main(), span_id(SpanName::Tree));
+    prof.main()->emit(EventType::NodeClose, 5, 12.5,
+                      static_cast<std::uint8_t>(NodeOutcome::Branched));
+    prof.main()->emit(EventType::DualRepair);
+  }
+  std::ostringstream os;
+  prof.write_chrome_trace(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"name\":\"tree\",\"cat\":\"archex\",\"ph\":\"X\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"node_close\",\"cat\":\"archex\",\"ph\":\"i\",\"s\":\"t\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"args\":{\"node\":5,\"outcome\":\"branched\",\"bound\":12.5}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"dual_repair\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{}"), std::string::npos);  // a key-less event
+}
+
+/// Tiny binary model: min sum (1 + j/2) x_j s.t. sum x_j >= 3, six binaries.
+milp::Model tiny_cover() {
   using namespace archex::milp;
-  // Tiny binary model, solved with a deliberately tiny span capacity so the
-  // overflow accounting path is exercised end to end.
   Model m;
   LinExpr obj;
   LinExpr row;
@@ -188,21 +220,75 @@ TEST(SpanTest, SolveMilpRecordsPhasesAndCountsDroppedSpans) {
   }
   m.add_constraint(std::move(row), Sense::GE, 3.0);
   m.set_objective(obj, ObjectiveSense::Minimize);
+  return m;
+}
 
+TEST(SpanTest, SolveMilpRecordsPhasesAndCountsDroppedRecords) {
+  using namespace archex::milp;
+  // A deliberately tiny capacity (four records: fewer than the solve's
+  // events alone) exercises the overflow accounting path end to end.
   SpanProfiler prof(/*capacity_per_worker=*/4);
   MilpOptions opts;
   opts.num_threads = 1;
   opts.profiler = &prof;
-  opts.lp.span_sample = 1;  // record every pivot: guarantees overflow
-  const Solution sol = solve_milp(m, opts);
+  const Solution sol = solve_milp(tiny_cover(), opts);
   EXPECT_EQ(sol.status, SolveStatus::Optimal);
 
   const SpanProfiler::Report rep = prof.collect();
-  EXPECT_GT(rep.spans.size(), 0u);
+  EXPECT_EQ(rep.records.size(), 4u);
   EXPECT_GT(rep.dropped, 0);
-  const auto it = sol.metrics.find("milp.spans_dropped");
+  const auto it = sol.metrics.find("milp.records_dropped");
   ASSERT_NE(it, sol.metrics.end());
   EXPECT_GT(it->second, 0.0);
+  EXPECT_EQ(static_cast<std::int64_t>(it->second), sol.trace.dropped);
+}
+
+TEST(SpanTest, SolveKeepsSolveStartOnOverflow) {
+  using namespace archex::milp;
+  // Drop-newest keeps the first records of a solve, so an overflowing trace
+  // still opens with its one solve_start.
+  SpanProfiler prof(/*capacity_per_worker=*/8);
+  MilpOptions opts;
+  opts.num_threads = 1;
+  opts.profiler = &prof;
+  const Solution sol = solve_milp(tiny_cover(), opts);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_GT(sol.trace.dropped, 0);
+  EXPECT_EQ(sol.trace.count(EventType::SolveStart), 1u);
+  ASSERT_FALSE(sol.trace.empty());
+  EXPECT_EQ(sol.trace.events.front().type, EventType::SolveStart);
+}
+
+TEST(SpanTest, OneRecorderAcrossSolvesGivesEachSolveItsOwnTrace) {
+  using namespace archex::milp;
+  SpanProfiler prof;
+  MilpOptions opts;
+  opts.num_threads = 1;
+  opts.profiler = &prof;
+  const Solution first = solve_milp(tiny_cover(), opts);
+  const Solution second = solve_milp(tiny_cover(), opts);
+  ASSERT_EQ(first.status, SolveStatus::Optimal);
+  ASSERT_EQ(second.status, SolveStatus::Optimal);
+  for (const Solution* s : {&first, &second}) {
+    EXPECT_EQ(s->trace.dropped, 0);
+    EXPECT_EQ(s->trace.count(EventType::SolveStart), 1u);
+    EXPECT_EQ(s->trace.count(EventType::SolveEnd), 1u);
+    EXPECT_EQ(s->trace.count(EventType::NodeOpen),
+              static_cast<std::size_t>(s->nodes_explored));
+    EXPECT_EQ(s->trace.events.front().type, EventType::SolveStart);
+    EXPECT_GE(s->trace.events.front().t, 0.0);  // timed from this solve's start
+  }
+  // Same model, same deterministic search: identical event sequences.
+  ASSERT_EQ(first.trace.events.size(), second.trace.events.size());
+  for (std::size_t i = 0; i < first.trace.events.size(); ++i) {
+    EXPECT_EQ(first.trace.events[i].type, second.trace.events[i].type) << i;
+  }
+  // The recording itself holds both solves.
+  std::size_t starts = 0;
+  for (const Record& r : prof.collect().records) {
+    starts += r.name == event_id(EventType::SolveStart) ? 1 : 0;
+  }
+  EXPECT_EQ(starts, 2u);
 }
 
 TEST(SpanTest, ParallelSolveRecordsSpansFromMultipleWorkers) {
@@ -230,14 +316,15 @@ TEST(SpanTest, ParallelSolveRecordsSpansFromMultipleWorkers) {
   MilpOptions opts;
   opts.num_threads = 2;
   opts.profiler = &prof;
-  opts.lp.span_sample = 1;
   const Solution sol = solve_milp(m, opts);
   EXPECT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_GE(prof.num_workers(), 2);
   const SpanProfiler::Report rep = prof.collect();
-  bool worker1 = false;
-  for (const SpanRecord& s : rep.spans) worker1 |= s.worker == 1;
-  EXPECT_TRUE(worker1) << "no spans from pool worker 1";
+  std::size_t worker1_nodes = 0;
+  for (const Record& r : rep.records) {
+    if (r.worker == 1 && r.name == event_id(EventType::NodeOpen)) ++worker1_nodes;
+  }
+  EXPECT_GT(worker1_nodes, 0u) << "no node events from pool worker 1";
 }
 
 TEST(MetricsTest, SnapshotAndPrometheusExposeTimerMax) {
@@ -283,11 +370,11 @@ TEST(PerfReportTest, EpnEncodeAttributionIsNearComplete) {
   // And the profiler saw the same pattern applications as nested spans
   // under "encode".
   const SpanProfiler::Report rep = prof.collect();
-  ASSERT_FALSE(rep.spans.empty());
-  EXPECT_EQ(rep.spans[0].name, span_id(SpanName::Encode));
+  ASSERT_FALSE(rep.records.empty());
+  EXPECT_EQ(rep.records[0].name, span_id(SpanName::Encode));
   std::size_t pattern_spans = 0;
-  for (const SpanRecord& s : rep.spans) {
-    if (s.name >= span_id(SpanName::kCount)) ++pattern_spans;
+  for (const Record& s : rep.records) {
+    if (s.name >= span_id(SpanName::kCount) && !s.is_event()) ++pattern_spans;
   }
   EXPECT_EQ(pattern_spans, problem->num_patterns_applied());
 

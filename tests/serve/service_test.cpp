@@ -21,12 +21,14 @@
 
 #include "milp/branch_bound.hpp"
 #include "milp/lp_format.hpp"
-#include "serve/json.hpp"
+#include "obs/json.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 
 namespace archex::serve {
 namespace {
+
+using obs::Json;
 
 /// Strongly correlated knapsack (the recipe shared with the fault-recovery
 /// and parallel-BB suites): granularity pruning never fires, so deadlines

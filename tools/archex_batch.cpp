@@ -43,7 +43,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   using archex::serve::ExplorationService;
-  using archex::serve::Json;
+  using archex::obs::Json;
   using archex::serve::Request;
   using archex::serve::Response;
   using archex::serve::ResponseStatus;

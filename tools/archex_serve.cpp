@@ -44,7 +44,7 @@ void on_term(int) { g_term = 1; }
 
 std::mutex g_out_mu;
 
-void emit(const archex::serve::Json& j) {
+void emit(const archex::obs::Json& j) {
   const std::string line = j.dump();
   std::lock_guard<std::mutex> lock(g_out_mu);
   std::fputs(line.c_str(), stdout);
@@ -73,7 +73,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   using archex::serve::ExplorationService;
-  using archex::serve::Json;
+  using archex::obs::Json;
   using archex::serve::Request;
   using archex::serve::Response;
   using archex::serve::ServiceOptions;

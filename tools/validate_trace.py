@@ -17,14 +17,19 @@ Default (JSONL) mode checks, in order:
   * node, incumbent events are present, and with --min-workers=2 (the CI
     setting for a parallel solve) steal events and >= N distinct workers.
 
---chrome mode validates the span profiler's Chrome trace-event export
+--chrome mode validates the recorder's Chrome trace-event export
 (`milp_solve --profile-json`, obs/span.hpp):
   * top-level object with a `traceEvents` array and `otherData.spans_dropped`;
-  * every event is `ph` "M" (metadata) or "X" (complete span) with the
-    documented keys and types; ts/dur are non-negative microseconds;
+  * every event is `ph` "M" (metadata), "X" (complete span) or "i"
+    (thread-scoped instant) with the documented keys and types; ts/dur are
+    non-negative microseconds;
+  * an instant is a search event: its name must be a documented event type
+    (unknown instants FAIL) and its args must carry exactly that type's
+    JSONL keys, checked like a JSONL line;
   * per tid, spans are properly nested — a span never half-overlaps an
     enclosing one (within a 1 us float tolerance);
-  * `--require=encode,solve,...` additionally demands each named span occur.
+  * `--require=encode,node_open,...` additionally demands each named span or
+    instant occur.
 
 Exit code 0 on success, 1 on any violation (first violation is reported with
 its line number), 2 on usage errors.
@@ -64,6 +69,30 @@ def fail(lineno, msg):
     return 1
 
 
+def check_fields(etype, fields):
+    """The type-specific checks of one event; returns an error or None."""
+    if etype not in SCHEMA:
+        return f"unknown event type '{etype}'"
+    for key, kinds in SCHEMA[etype].items():
+        if key not in fields:
+            return f"'{etype}' missing key '{key}'"
+        if not isinstance(fields[key], kinds):
+            return f"'{etype}' key '{key}' has wrong type"
+    extra = set(fields) - set(SCHEMA[etype])
+    if extra:
+        return f"'{etype}' has undocumented keys {sorted(extra)}"
+    if etype == "phase" and fields["phase"] not in PHASES:
+        return f"unknown phase '{fields['phase']}'"
+    if etype == "node_close" and fields["outcome"] not in OUTCOMES:
+        return f"unknown outcome '{fields['outcome']}'"
+    if (etype == "node_close" and fields["outcome"] in BOUNDED_OUTCOMES
+            and fields["bound"] is None):
+        return f"'{fields['outcome']}' node_close without a bound"
+    if etype == "recover" and fields["rung"] not in RUNGS:
+        return f"unknown recover rung '{fields['rung']}'"
+    return None
+
+
 def validate(path, min_workers):
     counts = {}
     workers = set()
@@ -84,25 +113,10 @@ def validate(path, min_workers):
                 if not isinstance(e.get(key), kinds):
                     return fail(lineno, f"missing or mistyped common key '{key}'")
             etype = e["type"]
-            if etype not in SCHEMA:
-                return fail(lineno, f"unknown event type '{etype}'")
-            for key, kinds in SCHEMA[etype].items():
-                if key not in e:
-                    return fail(lineno, f"'{etype}' missing key '{key}'")
-                if not isinstance(e[key], kinds):
-                    return fail(lineno, f"'{etype}' key '{key}' has wrong type")
-            extra = set(e) - {"t", "type", "worker"} - set(SCHEMA[etype])
-            if extra:
-                return fail(lineno, f"'{etype}' has undocumented keys {sorted(extra)}")
-            if etype == "phase" and e["phase"] not in PHASES:
-                return fail(lineno, f"unknown phase '{e['phase']}'")
-            if etype == "node_close" and e["outcome"] not in OUTCOMES:
-                return fail(lineno, f"unknown outcome '{e['outcome']}'")
-            if (etype == "node_close" and e["outcome"] in BOUNDED_OUTCOMES
-                    and e["bound"] is None):
-                return fail(lineno, f"'{e['outcome']}' node_close without a bound")
-            if etype == "recover" and e["rung"] not in RUNGS:
-                return fail(lineno, f"unknown recover rung '{e['rung']}'")
+            err = check_fields(etype, {k: v for k, v in e.items()
+                                       if k not in ("t", "type", "worker")})
+            if err:
+                return fail(lineno, err)
             if e["t"] < 0:
                 return fail(lineno, "negative timestamp")
             if e["t"] < prev_t:
@@ -158,6 +172,7 @@ def validate_chrome(path, require):
         return 1
 
     spans = []  # (ts, dur, tid, name, idx)
+    instants = 0
     names = set()
     tids = set()
     for idx, e in enumerate(data["traceEvents"]):
@@ -170,8 +185,24 @@ def validate_chrome(path, require):
             if not isinstance(e.get("args"), dict) or "name" not in e["args"]:
                 return chrome_fail(idx, "metadata without args.name")
             continue
+        if ph == "i":
+            for key, kinds in (("name", (str,)), ("cat", (str,)), ("ts", NUMBER),
+                               ("pid", (int,)), ("tid", (int,)), ("args", (dict,))):
+                if not isinstance(e.get(key), kinds):
+                    return chrome_fail(idx, f"instant: missing or mistyped key '{key}'")
+            if e.get("s") != "t":
+                return chrome_fail(idx, "instant not thread-scoped (want s = t)")
+            if e["ts"] < 0:
+                return chrome_fail(idx, "negative ts")
+            err = check_fields(e["name"], e["args"])
+            if err:
+                return chrome_fail(idx, f"instant: {err}")
+            instants += 1
+            names.add(e["name"])
+            tids.add(e["tid"])
+            continue
         if ph != "X":
-            return chrome_fail(idx, f"unknown phase '{ph}' (want M or X)")
+            return chrome_fail(idx, f"unknown phase '{ph}' (want M, X or i)")
         for key, kinds in (("name", (str,)), ("cat", (str,)),
                            ("ts", NUMBER), ("dur", NUMBER),
                            ("pid", (int,)), ("tid", (int,))):
@@ -192,7 +223,7 @@ def validate_chrome(path, require):
         return 1
     missing = sorted(set(require) - names)
     if missing:
-        print(f"FAIL: {path}: required spans absent: {', '.join(missing)}",
+        print(f"FAIL: {path}: required names absent: {', '.join(missing)}",
               file=sys.stderr)
         return 1
 
@@ -212,7 +243,7 @@ def validate_chrome(path, require):
                     idx, f"span '{name}' (tid {tid}) half-overlaps its parent")
             stack.append(ts + dur)
 
-    print(f"OK {path}: {len(spans)} spans, {len(tids)} worker lane(s), "
+    print(f"OK {path}: {len(spans)} spans, {instants} instants, {len(tids)} worker lane(s), "
           f"{len(names)} distinct names, {dropped} dropped")
     return 0
 
