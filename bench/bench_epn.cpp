@@ -126,13 +126,17 @@ int main(int argc, char** argv) {
               "    (0.38,0.19)e-9, cost 108,000 vs monolithic 106,000, 56s total) ---\n");
   cfg.reliability_eager = false;
   auto p = make_problem(cfg);
-  EpnLazyResult lazy = solve_lazy_epn(*p, cfg, opts);
+  IterativeResult lazy = solve_lazy_epn(*p, cfg, opts);
   double lazy_total = 0;
-  for (const EpnLazyIteration& it : lazy.iterations) {
+  for (const IterativeStep& it : lazy.iterations) {
     lazy_total += it.solve_seconds;
-    std::printf("iteration %d: cost %8.0f  r = (%.3g, %.3g)  %zu constraints, %zu vars,"
-                "  %.1fs\n",
-                it.index, it.cost, it.worst_hv, it.worst_lv, it.stats.num_constraints,
+    if (it.architecture.nodes.empty()) {  // a failed solve has no metrics
+      std::printf("iteration %d: %s, no architecture", it.index, milp::to_string(it.status));
+    } else {
+      std::printf("iteration %d: cost %8.0f  r = (%.3g, %.3g)", it.index, it.cost,
+                  it.metrics.at("worst_hv"), it.metrics.at("worst_lv"));
+    }
+    std::printf("  %zu constraints, %zu vars,  %.1fs\n", it.stats.num_constraints,
                 it.stats.num_vars, it.solve_seconds);
   }
   std::printf("%s after %zu iterations, %.1fs total\n",

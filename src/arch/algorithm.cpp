@@ -2,26 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 
 #include "arch/patterns/general.hpp"
 #include "graph/digraph.hpp"
 #include "reliability/reliability.hpp"
 
 namespace archex {
-
-namespace {
-
-/// Vertex-disjoint source->sink paths in a concrete architecture, counting
-/// sources as capacity-1 (a shared generator is a shared failure point).
-int measured_disjoint_paths(const Architecture& arch, const std::vector<NodeId>& sources,
-                            NodeId sink) {
-  const graph::Digraph g = arch.to_digraph();
-  std::vector<int> cap(g.num_nodes(), 1);
-  cap[static_cast<std::size_t>(sink)] = 1'000'000;
-  return graph::max_flow_unit_nodes(g, sources, sink, cap);
-}
-
-}  // namespace
 
 std::map<std::string, double> analyze_reliability(const Problem& p, const Architecture& arch,
                                                   const ReliabilityRequirement& req) {
@@ -37,88 +24,81 @@ std::map<std::string, double> analyze_reliability(const Problem& p, const Archit
   return out;
 }
 
-LazyResult solve_lazy(Problem& p, const std::vector<ReliabilityRequirement>& requirements,
-                      const LazyOptions& options) {
+int measured_disjoint_paths(const graph::Digraph& g, const std::vector<NodeId>& sources,
+                            NodeId sink) {
+  std::vector<int> cap(g.num_nodes(), 1);
+  cap[static_cast<std::size_t>(sink)] = 1'000'000;
+  return graph::max_flow_unit_nodes(g, sources, sink, cap);
+}
+
+IterativeResult solve_lazy(Problem& p, const std::vector<ReliabilityRequirement>& requirements,
+                           const LazyOptions& options) {
   // Built on the generic iterative scheme below, like the EPN loop: the
   // analysis closure runs the exact reliability analysis of every
-  // requirement, the learning closure raises the disjoint-path requirement
-  // of every violated sink. The per-sink report of each analyzed candidate
-  // is collected beside the loop and merged into its step afterwards.
+  // requirement and reports each sink in the step's metrics, the learning
+  // closure raises the disjoint-path requirement of every violated sink.
   struct Violation {
     std::size_t req;
     NodeId sink;
   };
-  std::map<std::pair<std::size_t, NodeId>, int> learned;  // (requirement, sink) -> k
+  using Key = std::pair<std::size_t, NodeId>;  // (requirement, sink)
+  std::map<Key, int> learned;  // disjoint-path level in force
+  std::set<Key> exhausted;     // next level would pass the redundancy ceiling
   std::vector<Violation> violated;  // filled by analysis, consumed by learning
-  std::vector<LazyIteration> reports;  // one per analyzed candidate
 
   const AnalysisFn analyze = [&](Problem& prob, const Architecture& arch) {
-    LazyIteration& report = reports.emplace_back();
+    AnalysisVerdict verdict;
     violated.clear();
     for (std::size_t r = 0; r < requirements.size(); ++r) {
       const ReliabilityRequirement& req = requirements[r];
       for (const auto& [sink_name, prob_fail] : analyze_reliability(prob, arch, req)) {
-        double& worst = report.sink_fail_prob[sink_name];
+        double& worst = verdict.metrics["fail_prob[" + sink_name + "]"];
         worst = std::max(worst, prob_fail);
         const NodeId sink = prob.arch_template().find(sink_name);
         if (auto it = learned.find({r, sink}); it != learned.end()) {
-          int& shown = report.required_paths[sink_name];
-          shown = std::max(shown, it->second);
+          double& level = verdict.metrics["required_paths[" + sink_name + "]"];
+          level = std::max(level, static_cast<double>(it->second));
         }
         if (prob_fail > req.threshold) violated.push_back({r, sink});
       }
     }
-    AnalysisVerdict verdict;
     verdict.accepted = violated.empty();
     return verdict;
   };
 
   const LearnFn learn = [&](Problem& prob, const Architecture& arch) {
+    const graph::Digraph g = arch.to_digraph();
     bool strengthened = false;
     for (const Violation& v : violated) {
+      const Key key{v.req, v.sink};
+      if (exhausted.count(key) != 0) continue;
       // Conflict-driven learning: the current configuration provides d
       // disjoint source paths; require d+1 from now on (strictly more than
       // both the measured redundancy and anything learned before).
       const std::vector<NodeId> sources =
           prob.arch_template().select(requirements[v.req].sources);
-      const int measured = measured_disjoint_paths(arch, sources, v.sink);
-      int& k = learned[{v.req, v.sink}];
-      k = std::max({k + 1, measured + 1, 1});
-      if (k > options.max_path_requirement) continue;  // redundancy ceiling
+      const auto it = learned.find(key);
+      const int k = std::max(it == learned.end() ? 1 : it->second + 1,
+                             measured_disjoint_paths(g, sources, v.sink) + 1);
+      if (k > options.max_path_requirement) {  // redundancy ceiling
+        exhausted.insert(key);
+        continue;
+      }
+      learned[key] = k;
       patterns::emit_disjoint_paths(prob, sources, v.sink, k, /*disjoint_sources=*/true,
                                     "lazy" + std::to_string(v.req) + "i" + std::to_string(k));
-      int& shown = reports.back().required_paths[prob.arch_template().node(v.sink).name];
-      shown = std::max(shown, k);
       strengthened = true;
     }
     return strengthened;
   };
 
-  IterativeResult generic =
-      solve_iteratively(p, analyze, learn, options.milp, options.max_iterations);
-
-  LazyResult result;
-  result.converged = generic.converged;
-  result.final_result = std::move(generic.final_result);
-  result.iterations.reserve(generic.steps.size());
-  for (std::size_t i = 0; i < generic.steps.size(); ++i) {
-    IterativeStep& step = generic.steps[i];
-    // Only a solve that failed (always the last step) went unanalyzed.
-    LazyIteration it = i < reports.size() ? std::move(reports[i]) : LazyIteration{};
-    it.index = step.index;
-    it.status = step.status;
-    it.cost = step.cost;
-    it.stats = step.stats;
-    it.architecture = std::move(step.architecture);
-    it.solve_seconds = step.solve_seconds;
-    result.iterations.push_back(std::move(it));
-  }
-  return result;
+  return solve_iteratively(p, analyze, learn, options.milp, options.max_iterations);
 }
 
 IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const LearnFn& learn,
                                   const milp::MilpOptions& milp_options, int max_iterations) {
   using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::duration d) { return std::chrono::duration<double>(d).count(); };
   IterativeResult result;
 
   // One end for the whole scheme, not a fresh allowance per re-solve: the
@@ -156,7 +136,7 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
     step.index = iter;
     step.status = er.solution.status;
     step.stats = er.stats;
-    step.solve_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    step.solve_seconds = seconds(Clock::now() - t0);
 
     if (!er.feasible()) {
       // Either the learned constraints made the problem infeasible or the
@@ -171,8 +151,8 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
           er.solution.status == milp::SolveStatus::TimeLimit ||
           er.solution.status == milp::SolveStatus::NodeLimit ||
           er.solution.status == milp::SolveStatus::IterationLimit;
-      if (budget_stop && !result.steps.empty()) {
-        const IterativeStep& last = result.steps.back();
+      if (budget_stop && !result.iterations.empty()) {
+        const IterativeStep& last = result.iterations.back();
         er.architecture = last.architecture;
         er.solution.has_incumbent = true;
         er.solution.objective = last.cost;
@@ -180,17 +160,21 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
         er.solution.best_bound = tighter(er.solution.best_bound, earlier_bound);
       }
       result.final_result = std::move(er);
-      result.steps.push_back(std::move(step));
+      result.iterations.push_back(std::move(step));
       return result;
     }
     step.cost = er.architecture.cost;
     step.architecture = er.architecture;
     earlier_bound = tighter(earlier_bound, er.solution.best_bound);
 
-    const AnalysisVerdict verdict = analyze(p, er.architecture);
-    step.metrics = verdict.metrics;
+    const auto t_analyze = Clock::now();
+    AnalysisVerdict verdict = analyze(p, er.architecture);
+    const auto t_learn = Clock::now();
+    step.analyze_seconds = seconds(t_learn - t_analyze);
+    step.metrics = std::move(verdict.metrics);
     const bool strengthened = !verdict.accepted && learn(p, er.architecture);
-    result.steps.push_back(std::move(step));
+    if (!verdict.accepted) step.learn_seconds = seconds(Clock::now() - t_learn);
+    result.iterations.push_back(std::move(step));
     // The last candidate is the result, whether the loop converged, cannot
     // learn more, or runs out of iterations after this one.
     result.final_result = std::move(er);

@@ -12,6 +12,11 @@
 ///     constraints, and the solver iterates. Fewer, simpler MILP instances;
 ///     global optimality is no longer guaranteed (the paper's EPN run: cost
 ///     108,000 lazily vs 106,000 monolithically).
+///
+/// Every lazy loop (`solve_lazy` here, `domains::epn::solve_lazy_epn`) is a
+/// pair of hooks over `solve_iteratively` and reports through its one
+/// record, `IterativeStep`: the solve's status, cost, model size and
+/// architecture, the analysis metrics, and the solve/analyze/learn split.
 #pragma once
 
 #include <functional>
@@ -20,6 +25,7 @@
 #include <vector>
 
 #include "arch/problem.hpp"
+#include "graph/digraph.hpp"
 
 namespace archex {
 
@@ -30,50 +36,16 @@ struct ReliabilityRequirement {
   double threshold;  ///< max acceptable link failure probability
 };
 
-/// Snapshot of one lazy iteration (what Fig. 3a-c shows per step).
-struct LazyIteration {
-  int index = 0;
-  /// The iteration's solve status: a budget-killed re-solve reports
-  /// TimeLimit here, with no architecture and cost 0.
-  milp::SolveStatus status = milp::SolveStatus::NumericalError;
-  double cost = 0.0;
-  /// Exact link failure probability per sink node name.
-  std::map<std::string, double> sink_fail_prob;
-  /// Disjoint-path requirement in force per sink name (0 = none yet).
-  std::map<std::string, int> required_paths;
-  milp::ModelStats stats;
-  Architecture architecture;
-  double solve_seconds = 0.0;
-};
-
-struct LazyOptions {
-  int max_iterations = 12;
-  /// Upper bound on the learned disjoint-path requirement; if a sink still
-  /// violates its threshold at this redundancy, the loop reports failure.
-  int max_path_requirement = 8;
-  milp::MilpOptions milp;
-};
-
-struct LazyResult {
-  bool converged = false;
-  ExplorationResult final_result;
-  std::vector<LazyIteration> iterations;
-};
-
-/// Runs the lazy iterative scheme on `p`: `solve_iteratively` with the
-/// exact reliability analysis and disjoint-path learning as its hooks. The
-/// problem must have been constructed with all *non-reliability* patterns
-/// applied; `requirements` are checked by exact analysis between
-/// iterations. The learning step raises the vertex-disjoint-path
-/// requirement of each violated sink to one more than the current
-/// architecture provides.
-LazyResult solve_lazy(Problem& p, const std::vector<ReliabilityRequirement>& requirements,
-                      const LazyOptions& options = {});
-
 /// Exact per-sink failure probabilities of `arch` for one requirement
 /// (exposed for tests and benches; keys are sink node names).
 std::map<std::string, double> analyze_reliability(const Problem& p, const Architecture& arch,
                                                   const ReliabilityRequirement& req);
+
+/// Vertex-disjoint source->sink paths in a concrete architecture's digraph,
+/// counting sources as capacity-1 (a shared generator is a shared failure
+/// point): the redundancy both lazy loops measure before learning more.
+int measured_disjoint_paths(const graph::Digraph& g, const std::vector<NodeId>& sources,
+                            NodeId sink);
 
 // ---------------------------------------------------------------------------
 // Generic iterative scheme (Sec. 3: "we also provide an infrastructure to
@@ -105,21 +77,29 @@ using AnalysisFn = std::function<AnalysisVerdict(Problem&, const Architecture&)>
 /// budget-stopped re-solve report it.
 using LearnFn = std::function<bool(Problem&, const Architecture&)>;
 
-/// Iteration snapshot of the generic scheme.
+/// One iteration of a lazy loop (what Fig. 3a-c shows per step). A step
+/// whose solve failed (a budget-killed re-solve reports TimeLimit; learning
+/// may make the model infeasible) is never analyzed: it has no
+/// architecture, cost 0 and no metrics.
 struct IterativeStep {
   int index = 0;
   milp::SolveStatus status = milp::SolveStatus::NumericalError;  ///< of this step's solve
   double cost = 0.0;
+  /// The analysis verdict's metrics (domain keys: see each loop).
   std::map<std::string, double> metrics;
   milp::ModelStats stats;
   Architecture architecture;
+  /// The step's solve/analyze/learn split. Learning runs only after a
+  /// rejected candidate, so an accepted or unanalyzed step has 0 there.
   double solve_seconds = 0.0;
+  double analyze_seconds = 0.0;
+  double learn_seconds = 0.0;
 };
 
 struct IterativeResult {
   bool converged = false;
   ExplorationResult final_result;
-  std::vector<IterativeStep> steps;
+  std::vector<IterativeStep> iterations;
 };
 
 /// Runs the generic lazy scheme: solve -> analyze -> learn -> repeat.
@@ -133,5 +113,26 @@ struct IterativeResult {
 IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const LearnFn& learn,
                                   const milp::MilpOptions& milp_options = {},
                                   int max_iterations = 12);
+
+struct LazyOptions {
+  int max_iterations = 12;
+  /// Upper bound on the learned disjoint-path requirement; if a sink still
+  /// violates its threshold at this redundancy, the loop reports failure.
+  int max_path_requirement = 8;
+  milp::MilpOptions milp;
+};
+
+/// Runs the lazy iterative scheme on `p`: `solve_iteratively` with the
+/// exact reliability analysis and disjoint-path learning as its hooks. The
+/// problem must have been constructed with all *non-reliability* patterns
+/// applied; `requirements` are checked by exact analysis between
+/// iterations. The learning step raises the vertex-disjoint-path
+/// requirement of each violated sink to one more than the current
+/// architecture provides. An analyzed step's metrics hold, per sink name,
+/// `fail_prob[<sink>]` (the worst exact link failure probability over the
+/// requirements) and, once one was learned, `required_paths[<sink>]` (the
+/// disjoint-path level in force when that candidate was solved).
+IterativeResult solve_lazy(Problem& p, const std::vector<ReliabilityRequirement>& requirements,
+                           const LazyOptions& options = {});
 
 }  // namespace archex

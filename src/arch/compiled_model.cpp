@@ -134,31 +134,11 @@ CompiledModel compile(const Problem& problem) {
     if (!name.empty()) cm.rows_by_name_[name].push_back(row);
   }
 
-  // Re-intern the row provenance (label set is small; linear intern is fine).
-  cm.row_origin_.reserve(cm.base_.num_constraints());
-  std::map<std::string, std::int32_t> interned;
-  for (std::size_t row = 0; row < cm.base_.num_constraints(); ++row) {
-    const std::string& label = problem.origin_of_row(row);
-    auto [it, fresh] = interned.emplace(
-        label, static_cast<std::int32_t>(cm.row_labels_.size()));
-    if (fresh) cm.row_labels_.push_back(label);
-    cm.row_origin_.push_back(it->second);
-  }
-
-  cm.applied_patterns_ = problem.applied_patterns();
-  cm.pattern_costs_ = problem.pattern_costs();
-  cm.encode_seconds_ = 0.0;
-  for (const Problem::PatternCost& pc : cm.pattern_costs_) {
+  for (const Problem::PatternCost& pc : problem.pattern_costs()) {
     cm.encode_seconds_ += pc.seconds;
   }
   cm.fingerprint_ = fingerprint_of(problem, cm.base_);
   return cm;
-}
-
-const std::string& CompiledModel::origin_of_row(std::size_t row) const {
-  static const std::string kUnknown = "unattributed";
-  if (row >= row_origin_.size()) return kUnknown;
-  return row_labels_[static_cast<std::size_t>(row_origin_[row])];
 }
 
 milp::Model CompiledModel::instantiate(const Scenario& sc) const {

@@ -8,7 +8,7 @@
 /// compiled pipeline splits the stages:
 ///
 ///   1. `compile(problem)` runs once. It freezes the encoded matrix, the
-///      row/column provenance, and *named parameter slots* — the places a
+///      decoding tables, and *named parameter slots* — the places a
 ///      scenario is allowed to touch without re-encoding: objective
 ///      coefficients (per-component cost scale, edge-cost scale), variable
 ///      bounds (component availability toggles), and RHS entries (named
@@ -82,9 +82,11 @@ class CompiledModel;
 /// expression `Problem::solve` builds) and frozen into the artifact.
 [[nodiscard]] CompiledModel compile(const Problem& problem);
 
-/// The immutable compiled artifact: encoded matrix + provenance + parameter
-/// slots. Copyable; typically held as `shared_ptr<const CompiledModel>`
-/// through the cache.
+/// The immutable compiled artifact: encoded matrix + decoding tables +
+/// parameter slots. Copyable; typically held as
+/// `shared_ptr<const CompiledModel>` through the cache. Row provenance stays
+/// with the Problem it was compiled from: lint attribution and the perf
+/// report read it there.
 class CompiledModel {
  public:
   /// The frozen encoded matrix, objective included. Instances are stamped
@@ -98,22 +100,10 @@ class CompiledModel {
 
   [[nodiscard]] const Library& library() const { return lib_; }
   [[nodiscard]] const ArchTemplate& arch_template() const { return tmpl_; }
-  [[nodiscard]] const std::vector<std::string>& applied_patterns() const {
-    return applied_patterns_;
-  }
-  /// Per-application encode charges carried over from the Problem (the perf
-  /// report aggregates these; see arch/perf_report.hpp).
-  [[nodiscard]] const std::vector<Problem::PatternCost>& pattern_costs() const {
-    return pattern_costs_;
-  }
-  /// Structural-encode wall seconds of the source Problem's constructor.
+  /// Encode wall seconds of the source Problem: the sum of its
+  /// per-application charges (Problem::pattern_costs).
   [[nodiscard]] double encode_seconds() const { return encode_seconds_; }
   [[nodiscard]] milp::ModelStats stats() const { return base_.stats(); }
-
-  /// Row provenance, same contract as Problem::origin_of_row: the label of
-  /// the pattern (or "structural" / "flow(name)" / "symmetry-breaking") that
-  /// emitted the row. check::lint and the perf report run against this.
-  [[nodiscard]] const std::string& origin_of_row(std::size_t row) const;
 
   /// Stamps `sc` into a copy of the frozen matrix: objective deltas for cost
   /// scales, bound fixes for availability toggles, RHS rewrites for named
@@ -124,8 +114,9 @@ class CompiledModel {
   [[nodiscard]] milp::Model instantiate(const Scenario& sc) const;
 
   /// Extracts the concrete architecture from a solution of an instance of
-  /// this compiled model (same decoding as Problem::extract; `cost` is the
-  /// solved objective, i.e. the scenario-adjusted cost).
+  /// this compiled model: the one decoder from a Solution to an
+  /// Architecture (`Problem::solve` runs through it too). `cost` is the
+  /// solved objective, i.e. the scenario-adjusted cost.
   [[nodiscard]] Architecture extract(const milp::Solution& sol) const;
 
  private:
@@ -153,10 +144,6 @@ class CompiledModel {
   std::map<std::string, std::vector<milp::VarId>> flows_;
   /// Constraint name -> rows carrying it (the RHS parameter slots).
   std::map<std::string, std::vector<std::size_t>> rows_by_name_;
-  std::vector<std::string> row_labels_;    ///< interned origin labels
-  std::vector<std::int32_t> row_origin_;   ///< per row: index into row_labels_
-  std::vector<std::string> applied_patterns_;
-  std::vector<Problem::PatternCost> pattern_costs_;
   double encode_seconds_ = 0.0;
   std::uint64_t fingerprint_ = 0;
 };

@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <ostream>
 
-#include "arch/compiled_model.hpp"
-
 namespace archex {
 
-namespace {
-
-/// Shared attribution core. Both artifact kinds (a live Problem, a frozen
-/// CompiledModel) provide the same three inputs: the model, the per-row
-/// origin lookup, and the encode-time charges.
-PerfReport build_impl(
-    const milp::Model& model,
-    const std::vector<Problem::PatternCost>& pattern_costs,
-    const std::function<const std::string&(std::size_t)>& origin_of_row,
-    const milp::Solution& sol) {
+PerfReport build_perf_report(const Problem& problem, const milp::Solution& sol) {
   PerfReport rep;
   rep.simplex_iterations = sol.simplex_iterations;
   rep.solve_seconds = sol.solve_seconds;
@@ -38,7 +26,7 @@ PerfReport build_impl(
   // Encode charges: every timed application (the constructor's "structural"
   // entry included) carries a named label, so the attributed fraction only
   // dips below 1 if a future encode path forgets to charge itself.
-  for (const Problem::PatternCost& pc : pattern_costs) {
+  for (const Problem::PatternCost& pc : problem.pattern_costs()) {
     PatternCostRow& r = row_for(pc.label);
     r.encode_seconds += pc.seconds;
     ++r.applications;
@@ -52,12 +40,12 @@ PerfReport build_impl(
 
   // Row provenance: count rows per origin, then charge presolve eliminations
   // back through the same labels.
-  rep.model_rows = model.num_constraints();
+  rep.model_rows = problem.model().num_constraints();
   for (std::size_t i = 0; i < rep.model_rows; ++i) {
-    ++row_for(origin_of_row(i)).rows;
+    ++row_for(problem.origin_of_row(i)).rows;
   }
   for (const std::int32_t dead : sol.presolve_removed_rows) {
-    ++row_for(origin_of_row(static_cast<std::size_t>(dead))).presolve_removed;
+    ++row_for(problem.origin_of_row(static_cast<std::size_t>(dead))).presolve_removed;
   }
 
   // Simplex effort proxy: a label's share of the rows that survived presolve
@@ -79,27 +67,6 @@ PerfReport build_impl(
                      return a.encode_seconds > b.encode_seconds;
                    });
   return rep;
-}
-
-}  // namespace
-
-PerfReport build_perf_report(const Problem& problem, const milp::Solution& sol) {
-  return build_impl(
-      problem.model(), problem.pattern_costs(),
-      [&](std::size_t row) -> const std::string& {
-        return problem.origin_of_row(row);
-      },
-      sol);
-}
-
-PerfReport build_perf_report(const CompiledModel& cm,
-                             const milp::Solution& sol) {
-  return build_impl(
-      cm.base_model(), cm.pattern_costs(),
-      [&](std::size_t row) -> const std::string& {
-        return cm.origin_of_row(row);
-      },
-      sol);
 }
 
 void write_perf_report(std::ostream& os, const PerfReport& rep) {

@@ -56,16 +56,6 @@ struct PerfReport {
 [[nodiscard]] PerfReport build_perf_report(const Problem& problem,
                                            const milp::Solution& sol);
 
-class CompiledModel;
-
-/// Same attribution against the compiled artifact: the CompiledModel carries
-/// the pattern costs and row provenance the Problem would have provided, so
-/// the report works identically for scenarios solved through the pipeline.
-/// Scenario extra_constraints rows (beyond the frozen matrix) attribute to
-/// "unattributed".
-[[nodiscard]] PerfReport build_perf_report(const CompiledModel& cm,
-                                           const milp::Solution& sol);
-
 /// Renders the report as the fixed-width table the CLI prints.
 void write_perf_report(std::ostream& os, const PerfReport& report);
 

@@ -316,43 +316,4 @@ ExplorationResult Problem::solve(const milp::MilpOptions& options) {
   return res;
 }
 
-Architecture Problem::extract(const milp::Solution& sol) const {
-  Architecture arch;
-  arch.nodes.resize(tmpl_.num_nodes());
-  for (std::size_t j = 0; j < tmpl_.num_nodes(); ++j) {
-    const NodeSpec& spec = tmpl_.node(static_cast<NodeId>(j));
-    Architecture::Node& n = arch.nodes[j];
-    n.name = spec.name;
-    n.type = spec.type;
-    n.subtype = spec.subtype;
-    n.tags = spec.tags;
-    n.used = sol.value(delta_[j]) > 0.5;
-    if (n.used) {
-      for (const LibraryMapping::Candidate& c : map_.candidates(static_cast<NodeId>(j))) {
-        if (sol.value(c.var) > 0.5) {
-          n.impl = c.lib;
-          n.impl_name = lib_.at(c.lib).name;
-          break;
-        }
-      }
-    }
-  }
-  for (const AdjacencyMatrix::Edge& e : adj_.edges()) {
-    if (sol.value(e.var) > 0.5) arch.edges.emplace_back(e.from, e.to);
-  }
-  arch.cost = cost_expression().evaluate(sol.x);
-  for (const auto& [name, f] : flows_) {
-    std::vector<FlowEdge> active;
-    for (std::size_t i = 0; i < f.edge_vars.size(); ++i) {
-      const double rate = sol.value(f.edge_vars[i]);
-      if (rate > 1e-6) {
-        const AdjacencyMatrix::Edge& e = adj_.edge(static_cast<std::int32_t>(i));
-        active.push_back({e.from, e.to, rate});
-      }
-    }
-    if (!active.empty()) arch.flows.emplace(name, std::move(active));
-  }
-  return arch;
-}
-
 }  // namespace archex

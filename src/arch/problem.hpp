@@ -133,7 +133,8 @@ class Problem {
   /// excluding any distinct design. Returns the number of ordered pairs.
   std::size_t add_symmetry_breaking();
 
-  // --- row provenance (used by check::lint) ---------------------------------
+  // --- row provenance (check::lint, check::analyze, the perf report) --------
+  /// The one owner of row provenance (a CompiledModel keeps none).
   /// Origin label of a model row: "structural" for the constraints the
   /// constructor emits, the pattern description for rows a pattern emitted,
   /// "flow(name)" for commodity coupling rows, "symmetry-breaking" for the
@@ -178,10 +179,6 @@ class Problem {
   /// solver sees (a spent budget returns TimeLimit without running
   /// presolve), and a set cancel flag preempts the solve at the next poll.
   ExplorationResult solve(const milp::MilpOptions& options = {});
-
-  /// Extracts the concrete architecture from a solution of this problem's
-  /// model.
-  [[nodiscard]] Architecture extract(const milp::Solution& sol) const;
 
   /// The assembled cost expression (for inspection and tests).
   [[nodiscard]] milp::LinExpr cost_expression() const;

@@ -1,9 +1,6 @@
 #include "check/arch_lint.hpp"
 
-#include <functional>
 #include <ostream>
-
-#include "arch/compiled_model.hpp"
 
 namespace archex::check {
 
@@ -21,14 +18,8 @@ void ArchLintReport::print(std::ostream& os) const {
      << base.num_infos << " info(s)\n";
 }
 
-namespace {
-
-/// Shared attribution core over (model, per-row origin lookup) — the same
-/// two inputs a Problem and a CompiledModel both expose.
-ArchLintReport lint_impl(
-    const milp::Model& model,
-    const std::function<const std::string&(std::size_t)>& origin_of_row,
-    const LintOptions& options) {
+ArchLintReport lint(const Problem& problem, const LintOptions& options) {
+  const milp::Model& model = problem.model();
   ArchLintReport report;
   report.base = check::lint(model, options);
   report.diagnostics.reserve(report.base.diagnostics.size());
@@ -36,7 +27,7 @@ ArchLintReport lint_impl(
     ArchDiagnostic ad;
     ad.diag = d;
     if (d.row >= 0) {
-      ad.origin = origin_of_row(static_cast<std::size_t>(d.row));
+      ad.origin = problem.origin_of_row(static_cast<std::size_t>(d.row));
       ad.constraint = model.constraint(static_cast<std::size_t>(d.row)).name;
     }
     if (d.col >= 0) {
@@ -45,26 +36,6 @@ ArchLintReport lint_impl(
     report.diagnostics.push_back(std::move(ad));
   }
   return report;
-}
-
-}  // namespace
-
-ArchLintReport lint(const Problem& problem, const LintOptions& options) {
-  return lint_impl(
-      problem.model(),
-      [&](std::size_t row) -> const std::string& {
-        return problem.origin_of_row(row);
-      },
-      options);
-}
-
-ArchLintReport lint(const CompiledModel& cm, const LintOptions& options) {
-  return lint_impl(
-      cm.base_model(),
-      [&](std::size_t row) -> const std::string& {
-        return cm.origin_of_row(row);
-      },
-      options);
 }
 
 }  // namespace archex::check

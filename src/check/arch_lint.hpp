@@ -19,10 +19,6 @@
 #include "arch/problem.hpp"
 #include "check/lint.hpp"
 
-namespace archex {
-class CompiledModel;
-}
-
 namespace archex::check {
 
 /// A model diagnostic plus its exploration-layer attribution.
@@ -48,10 +44,5 @@ struct ArchLintReport {
 
 /// Lints `problem.model()` and attributes each diagnostic.
 [[nodiscard]] ArchLintReport lint(const Problem& problem, const LintOptions& options = {});
-
-/// Same lint + attribution against a compiled artifact (arch/compiled_model.hpp):
-/// the frozen base model is linted and findings attribute through the
-/// provenance the CompiledModel carried over from its source Problem.
-[[nodiscard]] ArchLintReport lint(const CompiledModel& cm, const LintOptions& options = {});
 
 }  // namespace archex::check

@@ -301,8 +301,8 @@ void learn_load_requirement(Problem& p, NodeId load, int k,
 
 }  // namespace
 
-EpnLazyResult solve_lazy_epn(Problem& p, const EpnConfig& cfg,
-                             const milp::MilpOptions& milp_options, int max_iterations) {
+IterativeResult solve_lazy_epn(Problem& p, const EpnConfig& cfg,
+                               const milp::MilpOptions& milp_options, int max_iterations) {
   // Built on the generic iterative-scheme infrastructure (algorithm.hpp):
   // the analysis closure runs the exact factoring reliability analysis; the
   // learning closure adds conditional disjoint-path requirements for every
@@ -343,12 +343,7 @@ EpnLazyResult solve_lazy_epn(Problem& p, const EpnConfig& cfg,
       // Conflict-driven learning: require one more disjoint generator path
       // than the current architecture provides at the load's bus.
       const NodeId bus = g.predecessors(load).empty() ? -1 : g.predecessors(load).front();
-      int measured = 0;
-      if (bus >= 0) {
-        std::vector<int> cap(g.num_nodes(), 1);
-        cap[static_cast<std::size_t>(bus)] = 1'000'000;
-        measured = graph::max_flow_unit_nodes(g, gens, bus, cap);
-      }
+      const int measured = bus >= 0 ? measured_disjoint_paths(g, gens, bus) : 0;
       int& cur = learned[load];
       const int k = std::max(cur + 1, measured + 1);
       if (k > max_k) continue;  // redundancy ceiling for this load
@@ -359,30 +354,7 @@ EpnLazyResult solve_lazy_epn(Problem& p, const EpnConfig& cfg,
     return strengthened;
   };
 
-  IterativeResult generic = solve_iteratively(p, analyze, learn, milp_options, max_iterations);
-
-  // Repackage into the EPN-specific report shape (Fig. 3 rows).
-  EpnLazyResult result;
-  result.converged = generic.converged;
-  result.final_result = std::move(generic.final_result);
-  result.iterations.reserve(generic.steps.size());
-  for (IterativeStep& step : generic.steps) {
-    EpnLazyIteration it;
-    it.index = step.index;
-    it.status = step.status;
-    it.cost = step.cost;
-    it.stats = step.stats;
-    it.solve_seconds = step.solve_seconds;
-    it.architecture = std::move(step.architecture);
-    const auto hv = step.metrics.find("worst_hv");
-    const auto lv = step.metrics.find("worst_lv");
-    const auto kp = step.metrics.find("required_paths_max");
-    if (hv != step.metrics.end()) it.worst_hv = hv->second;
-    if (lv != step.metrics.end()) it.worst_lv = lv->second;
-    if (kp != step.metrics.end()) it.required_paths_max = static_cast<int>(kp->second);
-    result.iterations.push_back(std::move(it));
-  }
-  return result;
+  return solve_iteratively(p, analyze, learn, milp_options, max_iterations);
 }
 
 }  // namespace archex::domains::epn

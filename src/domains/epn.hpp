@@ -4,7 +4,8 @@
 /// Builds the Table 2 library and template, applies the connectivity /
 /// power / reliability requirement set (the paper's 46-pattern spec), and
 /// provides the domain pattern `has_sufficient_power` plus the bus-level
-/// exact reliability analysis used by the lazy algorithm.
+/// exact reliability analysis used by the lazy algorithm, which reports
+/// through the generic scheme's `IterativeStep` (arch/algorithm.hpp).
 ///
 /// Functional-link semantics (see DESIGN.md): loads and contactors are
 /// perfect; a load's link reliability is measured from the generators up to
@@ -90,34 +91,24 @@ void register_epn_patterns();
 [[nodiscard]] std::map<std::string, double> link_fail_probs(const Problem& p,
                                                             const Architecture& arch);
 
-/// One iteration snapshot of the EPN lazy loop (what Fig. 3a-c plots).
-struct EpnLazyIteration {
-  int index = 0;
-  /// The iteration's solve status: a budget-killed re-solve reports
-  /// TimeLimit here, with no architecture and cost 0.
-  milp::SolveStatus status = milp::SolveStatus::NumericalError;
-  double cost = 0.0;
-  double worst_hv = 0.0;  ///< worst link failure prob over HV loads
-  double worst_lv = 0.0;  ///< worst link failure prob over LV loads
-  int required_paths_max = 0;  ///< strongest learned disjoint-path level
-  milp::ModelStats stats;
-  Architecture architecture;
-  double solve_seconds = 0.0;
-};
-
-struct EpnLazyResult {
-  bool converged = false;
-  std::vector<EpnLazyIteration> iterations;
-  ExplorationResult final_result;
-};
+/// The EPN lazy loop reports through the generic scheme's record
+/// (arch/algorithm.hpp). These two names survive only as aliases for the
+/// exploration benchmark (perfbench/src/workloads.cpp), whose sources change
+/// only together with its baseline; new code names `IterativeResult` and
+/// `IterativeStep`.
+using EpnLazyResult = IterativeResult;
+using EpnLazyIteration = IterativeStep;
 
 /// The lazy (MILP modulo reliability) algorithm specialized to the EPN:
 /// solve without reliability constraints, measure exact bus-level link
 /// failure probabilities, and learn stronger disjoint-path requirements for
 /// the buses serving violated loads. `p` must be built with
-/// `reliability_eager = false`.
-[[nodiscard]] EpnLazyResult solve_lazy_epn(Problem& p, const EpnConfig& cfg,
-                                           const milp::MilpOptions& milp_options = {},
-                                           int max_iterations = 10);
+/// `reliability_eager = false`. An analyzed step's metrics hold `worst_hv`
+/// and `worst_lv` (the worst exact link failure probability over the HV and
+/// LV loads) and `required_paths_max` (the strongest disjoint-path level in
+/// force when that candidate was solved).
+[[nodiscard]] IterativeResult solve_lazy_epn(Problem& p, const EpnConfig& cfg,
+                                             const milp::MilpOptions& milp_options = {},
+                                             int max_iterations = 10);
 
 }  // namespace archex::domains::epn

@@ -105,7 +105,15 @@ std::optional<Request> Request::from_json(const Json& j, std::string* err) {
     if (r.domain.empty()) {
       return fail("op '" + r.op + "' requires a 'domain' source");
     }
+    // Explore-only keys fail loudly: the compiled path has no lazy loop,
+    // fault plan, checkpoint or retry ladder, and ignoring them would report
+    // success for a run that never did what was asked.
     if (r.lazy) return fail("op '" + r.op + "' does not support 'lazy'");
+    for (const char* key : {"inject", "checkpoint", "resume", "retries"}) {
+      if (j.find(key) != nullptr) {
+        return fail("op '" + r.op + "' does not support '" + key + "'");
+      }
+    }
     if (const Json* sc = j.find("scenario"); sc != nullptr) {
       std::string serr;
       auto parsed = ScenarioSpec::from_json(*sc, &serr);

@@ -41,7 +41,9 @@ struct Request {
 
   /// Operation. Empty or "explore" is the classic encode+solve request.
   /// The compiled-pipeline ops (docs/pipeline.md) require a `domain` source
-  /// (they need the arch-layer artifact, not a bare LP) and reject `lazy`:
+  /// (they need the arch-layer artifact, not a bare LP) and reject the
+  /// explore-only keys (`lazy`, `inject`, `checkpoint`, `resume`,
+  /// `retries`), which the compiled path has no use for:
   ///   * "compile"        — encode once, cache, return the fingerprint;
   ///   * "solve_compiled" — solve `scenario` against the cached artifact;
   ///   * "sweep"          — solve the `sweep` scenarios sequentially,

@@ -123,15 +123,18 @@ int severity(ResponseStatus s) {
   }
 }
 
-/// Maps one scenario's solver outcome the same way the explore path maps its
-/// top-level solution (minus preemption, which is reported at sweep level).
-ResponseStatus scenario_status(const milp::Solution& sol) {
+/// THE mapping from a solver outcome to a response status, shared by the
+/// explore path and every compiled scenario. Drain preemption is not a
+/// solver outcome: the explore path checks it first, a sweep reports it at
+/// sweep level.
+ResponseStatus response_status(const milp::Solution& sol) {
   switch (sol.status) {
     case milp::SolveStatus::Optimal:
       return sol.degraded ? ResponseStatus::Degraded : ResponseStatus::Optimal;
     case milp::SolveStatus::TimeLimit:
     case milp::SolveStatus::NodeLimit:
     case milp::SolveStatus::IterationLimit:
+      // With an incumbent, the anytime result.
       return sol.has_incumbent ? ResponseStatus::Degraded
                                : ResponseStatus::Timeout;
     case milp::SolveStatus::Infeasible: return ResponseStatus::Infeasible;
@@ -142,6 +145,18 @@ ResponseStatus scenario_status(const milp::Solution& sol) {
     case milp::SolveStatus::Cutoff: return ResponseStatus::Error;
   }
   return ResponseStatus::Error;
+}
+
+/// THE lint gate of both paths: when `model` has an error-severity finding,
+/// rejects `r` with the first one and counts it.
+bool lint_rejects(const milp::Model& model, Response& r,
+                  obs::MetricsRegistry& reg) {
+  const check::LintReport report = check::lint(model);
+  if (report.clean(check::Severity::Error)) return false;
+  r.status = ResponseStatus::Rejected;
+  r.reason = "lint: " + report.at_least(check::Severity::Error).front().message;
+  reg.counter("serve.lint_rejected").add();
+  return true;
 }
 
 }  // namespace
@@ -305,14 +320,7 @@ Response ExplorationService::execute(const Request& req,
   // --- lint gate ---
   if (req.lint) {
     mark("lint");
-    const check::LintReport report = check::lint(built.lint_target());
-    if (!report.clean(check::Severity::Error)) {
-      const auto errors = report.at_least(check::Severity::Error);
-      r.status = ResponseStatus::Rejected;
-      r.reason = "lint: " + errors.front().message;
-      reg_.counter("serve.lint_rejected").add();
-      return finalize();
-    }
+    if (lint_rejects(built.lint_target(), r, reg_)) return finalize();
   }
 
   // --- per-request fault plan (isolation: each request owns its plan) ---
@@ -368,7 +376,7 @@ Response ExplorationService::execute(const Request& req,
     try {
       if (built.problem != nullptr) {
         if (built.epn_lazy) {
-          domains::epn::EpnLazyResult lr = domains::epn::solve_lazy_epn(
+          IterativeResult lr = domains::epn::solve_lazy_epn(
               *built.problem, built.epn_cfg, o, /*max_iterations=*/10);
           sol = std::move(lr.final_result.solution);
         } else {
@@ -421,42 +429,18 @@ Response ExplorationService::execute(const Request& req,
   const bool preempted = cancel_.load(std::memory_order_relaxed) &&
                          sol.status == milp::SolveStatus::TimeLimit &&
                          Clock::now() < deadline;
-  switch (sol.status) {
-    case milp::SolveStatus::Optimal:
-      r.status =
-          sol.degraded ? ResponseStatus::Degraded : ResponseStatus::Optimal;
-      break;
-    case milp::SolveStatus::TimeLimit:
-    case milp::SolveStatus::NodeLimit:
-    case milp::SolveStatus::IterationLimit:
-      if (preempted) {
-        r.status = ResponseStatus::Preempted;
-        r.checkpoint = ck;
-        r.resumable = !ck.empty() && file_exists(ck);
-      } else if (sol.has_incumbent) {
-        r.status = ResponseStatus::Degraded;  // the anytime result
-      } else {
-        r.status = ResponseStatus::Timeout;
-      }
-      break;
-    case milp::SolveStatus::Infeasible:
-      r.status = ResponseStatus::Infeasible;
-      break;
-    case milp::SolveStatus::Unbounded:
-      r.status = ResponseStatus::Unbounded;
-      break;
-    case milp::SolveStatus::NumericalError:
-      r.status = ResponseStatus::Error;
-      r.reason = solve_error.empty()
-                     ? "numerical error after " + std::to_string(attempt + 1) +
-                           " attempt(s)"
-                     : solve_error;
-      break;
-    case milp::SolveStatus::Cutoff:
-      // An LP-level outcome of the node reoptimizations; unreachable as a
-      // MILP Solution::status.
-      r.status = ResponseStatus::Error;
-      break;
+  if (preempted) {
+    r.status = ResponseStatus::Preempted;
+    r.checkpoint = ck;
+    r.resumable = !ck.empty() && file_exists(ck);
+  } else {
+    r.status = response_status(sol);
+  }
+  if (sol.status == milp::SolveStatus::NumericalError) {
+    r.reason = solve_error.empty()
+                   ? "numerical error after " + std::to_string(attempt + 1) +
+                         " attempt(s)"
+                   : solve_error;
   }
   r.ok = r.status == ResponseStatus::Optimal ||
          r.status == ResponseStatus::Degraded;
@@ -544,14 +528,7 @@ Response ExplorationService::execute_compiled(const Request& req,
   // --- lint gate, against the compiled artifact's frozen matrix ---
   if (req.lint) {
     mark("lint");
-    const check::LintReport report = check::lint(cm->base_model());
-    if (!report.clean(check::Severity::Error)) {
-      const auto errors = report.at_least(check::Severity::Error);
-      r.status = ResponseStatus::Rejected;
-      r.reason = "lint: " + errors.front().message;
-      reg_.counter("serve.lint_rejected").add();
-      return finalize();
-    }
+    if (lint_rejects(cm->base_model(), r, reg_)) return finalize();
   }
 
   if (req.op == "compile") {
@@ -594,7 +571,7 @@ Response ExplorationService::execute_compiled(const Request& req,
       reg_.counter("serve.solver.nodes").add(sol.nodes_explored);
       reg_.counter("serve.solver.simplex_iterations")
           .add(sol.simplex_iterations);
-      sr.status = scenario_status(sol);
+      sr.status = response_status(sol);
       sr.ok = sr.status == ResponseStatus::Optimal ||
               sr.status == ResponseStatus::Degraded;
       if (sol.has_incumbent) {

@@ -57,7 +57,7 @@ TEST(SolveLazyTest, NoRequirementsConvergesImmediately) {
   RelNet net;
   Problem p = net.make();
   p.apply(SinksConnectedToSources(NodeFilter::of_type("Src"), NodeFilter::of_type("Snk")));
-  LazyResult res = solve_lazy(p, {});
+  IterativeResult res = solve_lazy(p, {});
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations.size(), 1u);
   EXPECT_TRUE(res.final_result.feasible());
@@ -70,16 +70,16 @@ TEST(SolveLazyTest, LearnsRedundancyUntilThresholdMet) {
   // One chain: failure prob ~ 1 - 0.95^2 ~ 0.0975. Demand <= 0.02: needs two
   // disjoint chains (~0.0095).
   ReliabilityRequirement req{NodeFilter::of_type("Src"), NodeFilter::of_type("Snk"), 0.02};
-  LazyResult res = solve_lazy(p, {req});
+  IterativeResult res = solve_lazy(p, {req});
   ASSERT_TRUE(res.converged);
   EXPECT_GE(res.iterations.size(), 2u);
   // Exact analysis of the final architecture meets the requirement.
   const auto probs = analyze_reliability(p, res.final_result.architecture, req);
   EXPECT_LE(probs.at("T"), req.threshold);
   // Earlier iterations recorded the violation.
-  EXPECT_GT(res.iterations.front().sink_fail_prob.at("T"), req.threshold);
+  EXPECT_GT(res.iterations.front().metrics.at("fail_prob[T]"), req.threshold);
   // Learned requirements were recorded.
-  EXPECT_GE(res.iterations.back().required_paths.at("T"), 2);
+  EXPECT_GE(res.iterations.back().metrics.at("required_paths[T]"), 2);
 }
 
 TEST(SolveLazyTest, ReportsFailureWhenRedundancyCeilingHit) {
@@ -90,7 +90,7 @@ TEST(SolveLazyTest, ReportsFailureWhenRedundancyCeilingHit) {
   ReliabilityRequirement req{NodeFilter::of_type("Src"), NodeFilter::of_type("Snk"), 1e-12};
   LazyOptions opts;
   opts.max_path_requirement = 3;
-  LazyResult res = solve_lazy(p, {req}, opts);
+  IterativeResult res = solve_lazy(p, {req}, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_FALSE(res.iterations.empty());
 }
@@ -100,7 +100,7 @@ TEST(SolveLazyTest, CostNeverDecreasesAcrossIterations) {
   Problem p = net.make();
   p.apply(SinksConnectedToSources(NodeFilter::of_type("Src"), NodeFilter::of_type("Snk")));
   ReliabilityRequirement req{NodeFilter::of_type("Src"), NodeFilter::of_type("Snk"), 0.02};
-  LazyResult res = solve_lazy(p, {req});
+  IterativeResult res = solve_lazy(p, {req});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 1; i < res.iterations.size(); ++i) {
     EXPECT_GE(res.iterations[i].cost, res.iterations[i - 1].cost - 1e-9);

@@ -84,11 +84,11 @@ TEST(IterativeSchemeTest, LatencyLazyLoopConverges) {
 
   IterativeResult res = solve_iteratively(p, analyze, learn);
   ASSERT_TRUE(res.converged);
-  EXPECT_GE(res.steps.size(), 2u);
+  EXPECT_GE(res.iterations.size(), 2u);
   EXPECT_GE(learn_calls, 1);
   EXPECT_LE(measured_latency(p, res.final_result.architecture), bound);
   // The trace recorded the violated metric of the first candidate.
-  EXPECT_GT(res.steps.front().metrics.at("latency"), bound);
+  EXPECT_GT(res.iterations.front().metrics.at("latency"), bound);
 }
 
 TEST(IterativeSchemeTest, StopsWhenLearningExhausted) {
@@ -101,7 +101,7 @@ TEST(IterativeSchemeTest, StopsWhenLearningExhausted) {
   const LearnFn cannot = [](Problem&, const Architecture&) { return false; };
   IterativeResult res = solve_iteratively(p, never, cannot);
   EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.steps.size(), 1u);
+  EXPECT_EQ(res.iterations.size(), 1u);
   EXPECT_TRUE(res.final_result.feasible());  // last candidate still reported
 }
 
@@ -119,12 +119,56 @@ TEST(IterativeSchemeTest, RespectsIterationBudget) {
   };
   IterativeResult res = solve_iteratively(p, never, noop_learn, {}, 4);
   EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.steps.size(), 4u);
+  EXPECT_EQ(res.iterations.size(), 4u);
   // Running out of iterations reports the last iteration's real result,
   // not a default-constructed one.
   ASSERT_TRUE(res.final_result.feasible());
   EXPECT_EQ(res.final_result.solution.status, milp::SolveStatus::Optimal);
-  EXPECT_EQ(res.final_result.solution.objective, res.steps.back().cost);
+  EXPECT_EQ(res.final_result.solution.objective, res.iterations.back().cost);
+}
+
+TEST(IterativeSchemeTest, StepTimesCoverTheLoop) {
+  // Each step reports its own solve/analyze/learn split. The closures sleep
+  // a known time, so each analyzed step's fields must cover the sleeps, and
+  // the split of all steps must fit inside the call's wall time.
+  LatencyNet net;
+  Problem p(net.lib, net.tmpl);
+  p.set_functional_flow({"Src", "Mid", "Snk"});
+  p.apply(SinksConnectedToSources(NodeFilter::of_type("Src"), NodeFilter::of_type("Snk")));
+
+  int analyzed = 0;
+  const AnalysisFn third_time_lucky = [&](Problem&, const Architecture&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    AnalysisVerdict v;
+    v.accepted = ++analyzed == 3;
+    return v;
+  };
+  const LearnFn slow_learn = [](Problem& prob, const Architecture&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    prob.model().add_constraint(milp::LinExpr(prob.instantiated(0)), milp::Sense::LE, 1.0);
+    return true;
+  };
+
+  const auto t0 = std::chrono::steady_clock::now();
+  IterativeResult res = solve_iteratively(p, third_time_lucky, slow_learn);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.iterations.size(), 3u);
+  double split = 0.0;
+  for (const IterativeStep& step : res.iterations) {
+    EXPECT_GT(step.solve_seconds, 0.0);
+    EXPECT_GE(step.analyze_seconds, 0.020) << "step " << step.index;
+    // Learning runs only after a rejected candidate: not on the last step.
+    if (step.index < 3) {
+      EXPECT_GE(step.learn_seconds, 0.030) << "step " << step.index;
+    } else {
+      EXPECT_EQ(step.learn_seconds, 0.0);
+    }
+    split += step.solve_seconds + step.analyze_seconds + step.learn_seconds;
+  }
+  EXPECT_LE(split, wall);
 }
 
 TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
@@ -156,20 +200,20 @@ TEST(IterativeSchemeTest, TimeLimitIsOneBudgetAcrossIterations) {
   EXPECT_FALSE(res.converged);
   // Iteration 1 solves (budget intact), learn overruns the deadline,
   // iteration 2's solve times out immediately — never ten fresh budgets.
-  EXPECT_EQ(res.steps.size(), 2u);
+  EXPECT_EQ(res.iterations.size(), 2u);
   EXPECT_EQ(res.final_result.solution.status, milp::SolveStatus::TimeLimit);
-  EXPECT_EQ(res.steps.back().status, milp::SolveStatus::TimeLimit);
+  EXPECT_EQ(res.iterations.back().status, milp::SolveStatus::TimeLimit);
   EXPECT_LT(secs, 2.0);
   // Anytime fallback: the budget-stopped re-solve had no incumbent of its
   // own, so the loop surfaces iteration 1's architecture (flagged degraded
   // by the TimeLimit status) instead of an empty result.
   ASSERT_TRUE(res.final_result.feasible());
   EXPECT_TRUE(res.final_result.degraded());
-  EXPECT_EQ(res.final_result.solution.objective, res.steps.front().cost);
-  EXPECT_EQ(res.final_result.architecture.cost, res.steps.front().architecture.cost);
+  EXPECT_EQ(res.final_result.solution.objective, res.iterations.front().cost);
+  EXPECT_EQ(res.final_result.architecture.cost, res.iterations.front().architecture.cost);
   // Learning only restricts the feasible set, so iteration 1's optimum is
   // still a valid bound; the stopped re-solve proved none of its own.
-  EXPECT_GE(res.final_result.bound(), res.steps.front().cost);
+  EXPECT_GE(res.final_result.bound(), res.iterations.front().cost);
 }
 
 TEST(IterativeSchemeTest, CallerDeadlineWinsOverRelativeLimit) {
@@ -190,7 +234,7 @@ TEST(IterativeSchemeTest, CallerDeadlineWinsOverRelativeLimit) {
 
   IterativeResult res = solve_iteratively(p, never, noop, opts, 5);
   EXPECT_FALSE(res.converged);
-  ASSERT_EQ(res.steps.size(), 1u);
+  ASSERT_EQ(res.iterations.size(), 1u);
   EXPECT_EQ(res.final_result.solution.status, milp::SolveStatus::TimeLimit);
   EXPECT_FALSE(res.final_result.feasible());
 }

@@ -164,7 +164,7 @@ TEST(EpnLazyTest, ConvergesWithPaperTrajectory) {
   auto p = make_problem(cfg);
   milp::MilpOptions o;
   o.budget = milp::Budget::of_seconds(60);
-  EpnLazyResult res = solve_lazy_epn(*p, cfg, o, 6);
+  IterativeResult res = solve_lazy_epn(*p, cfg, o, 6);
   ASSERT_TRUE(res.converged);
   ASSERT_GE(res.iterations.size(), 2u);
   // The learning steps strictly improve the worst *critical* link between

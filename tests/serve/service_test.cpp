@@ -245,6 +245,34 @@ TEST(ServeRequestTest, CompiledOpSchema) {
 // Retry backoff
 // ---------------------------------------------------------------------------
 
+TEST(ServeRequestTest, CompiledOpsRejectExploreOnlyKeys) {
+  // The compiled path has no fault plan, checkpoint or retry ladder: a sweep
+  // sent with "inject" must fail at the schema, naming the key, instead of
+  // running without the fault and reporting success.
+  const char* values[][2] = {{"inject", "\"nan-pivot:2\""},
+                             {"checkpoint", "\"x.ck\""},
+                             {"resume", "true"},
+                             {"retries", "2"}};
+  for (const char* op : {"compile", "solve_compiled", "sweep"}) {
+    for (const auto& [key, value] : values) {
+      std::string err;
+      const std::string text = std::string("{\"id\":\"a\",\"op\":\"") + op +
+                               "\",\"domain\":\"epn\",\"sweep\":[{}],\"" + key +
+                               "\":" + value + "}";
+      EXPECT_FALSE(parse_request(text, &err).has_value()) << op << " " << key;
+      EXPECT_NE(err.find(std::string("'") + key + "'"), std::string::npos) << err;
+    }
+  }
+  // The same keys stay valid on an explore request.
+  std::string err;
+  EXPECT_TRUE(parse_request("{\"id\":\"a\",\"domain\":\"epn\",\"inject\":"
+                            "\"nan-pivot:2\",\"checkpoint\":\"x.ck\",\"resume\":true,"
+                            "\"retries\":2}",
+                            &err)
+                  .has_value())
+      << err;
+}
+
 TEST(ServeBackoffTest, DeterministicExponentialWithBoundedJitter) {
   const std::uint64_t seed = 0xABCDEF12345ULL;
   for (int attempt = 0; attempt < 5; ++attempt) {
