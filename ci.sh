@@ -193,8 +193,10 @@ echo "=== bench: serve throughput diff against BENCH_serve.json ==="
 # Request throughput / latency through ExplorationService (batches of
 # node-capped EPN requests at 1/4/8 workers), diffed against the committed
 # BENCH_serve.json with the same provenance + CPU-match rules as above.
+# A batch is one iteration per repetition, so the per-name minimum needs
+# several repetitions to settle below the 15% threshold.
 tools/run_bench.sh build/bench/bench_serve build/bench_serve_ci.json \
-  --benchmark_min_time=0.1 --benchmark_repetitions=2
+  --benchmark_min_time=0.1 --benchmark_repetitions=6
 python3 tools/bench_diff.py BENCH_serve.json build/bench_serve_ci.json
 
 echo "=== bench: compiled sweep diff against BENCH_sweep.json ==="

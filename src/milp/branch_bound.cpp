@@ -18,6 +18,7 @@
 #include "milp/checkpoint.hpp"
 #include "milp/fault.hpp"
 #include "milp/presolve.hpp"
+#include "milp/pseudocost.hpp"
 #include "obs/metrics.hpp"
 #include "obs/node_log.hpp"
 #include "obs/span.hpp"
@@ -34,32 +35,6 @@ int resolve_threads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-/// Branch variable: fractional integral variable with the best cost-weighted
-/// fractionality. Weighting by |objective coefficient| resolves the expensive
-/// structural decisions (component selection, edge/contactor choice) before
-/// cheap coupling binaries, which tightens the bound much faster on
-/// architecture-exploration MILPs.
-[[nodiscard]] std::int32_t select_branch_var(const std::vector<double>& x,
-                                             const std::vector<std::int32_t>& int_vars,
-                                             const std::vector<double>& obj_coef,
-                                             double int_tol) {
-  std::int32_t best = -1;
-  double best_score = -1.0;
-  for (std::int32_t j : int_vars) {
-    const double v = x[static_cast<std::size_t>(j)];
-    const double frac = std::abs(v - std::round(v));
-    if (frac <= int_tol) continue;
-    const double balance = 0.5 - std::abs(frac - 0.5);  // in (0, 0.5]
-    const double weight = 1.0 + std::abs(obj_coef[static_cast<std::size_t>(j)]);
-    const double score = balance * weight;
-    if (score > best_score) {
-      best_score = score;
-      best = j;
-    }
-  }
-  return best;
 }
 
 /// Granularity of the objective: the largest g such that every objective
@@ -143,6 +118,9 @@ struct SearchCtx {
   SimplexSolver lp;
   std::vector<std::int32_t> int_vars;  // reduced columns with integrality
   std::vector<double> obj_coef;        ///< |objective coefficient| per column
+  /// Learnt by the probe and the main run alike; one table per solve, so
+  /// items and lazy iterations never share one.
+  PseudoCosts pseudocosts;
   double incumbent_obj = kInf;         // minimize sense
   std::vector<double> incumbent_x;
   bool has_incumbent = false;
@@ -172,7 +150,7 @@ struct SearchCtx {
   const CheckpointData* resume = nullptr;  ///< frontier for the main run
 
   SearchCtx(const Model& m, const MilpOptions& o)
-      : model(m), opts(o), lp(m, o.lp) {
+      : model(m), opts(o), lp(m, o.lp), pseudocosts(m.num_vars()) {
     for (std::size_t j = 0; j < m.num_vars(); ++j) {
       if (m.vars()[j].is_integral()) int_vars.push_back(static_cast<std::int32_t>(j));
     }
@@ -198,7 +176,7 @@ struct SearchCtx {
   }
 
   [[nodiscard]] std::int32_t pick_branch_var(const std::vector<double>& x) const {
-    return select_branch_var(x, int_vars, obj_coef, opts.int_tol);
+    return cost_weighted_branch_var(x, int_vars, obj_coef, opts.int_tol);
   }
 };
 
@@ -215,12 +193,16 @@ using BoundChange = BoundDelta;
 /// the parent's LP objective (a valid lower bound for the whole subtree, used
 /// for pre-solve pruning and best-bound stealing), and the parent's exported
 /// simplex basis for dual warm starts. Both children of a branching share one
-/// basis snapshot.
+/// basis snapshot. A child also records the branching that made it, so its
+/// LP's bound change over `bound` teaches the pseudo-cost table.
 struct BBNode {
   std::uint64_t id = 0;
   std::uint64_t parent_id = 0;
   double bound = -kInf;           ///< parent LP objective, minimize sense
   std::int32_t retries = 0;       ///< recovery-ladder quarantine count
+  std::int32_t branch_col = -1;   ///< branched column; -1 for a root or resumed node
+  PseudoCosts::Dir branch_dir = PseudoCosts::Dir::Down;
+  double branch_dist = 0.0;       ///< how far the branch moved the column: f or 1-f
   std::vector<BoundChange> path;  ///< from the fixed root
   std::shared_ptr<const SimplexSolver::Basis> basis;  ///< parent basis
 };
@@ -237,9 +219,10 @@ class NodePool {
  public:
   NodePool(const Model& model, const MilpOptions& opts, double granularity,
            const std::vector<std::int32_t>& int_vars, double sense_flip,
-           int num_workers, bool probe)
+           int num_workers, bool probe, PseudoCosts& pseudocosts)
       : model_(model), opts_(opts), granularity_(granularity),
         int_vars_(int_vars), sense_flip_(sense_flip), probe_(probe),
+        pseudocosts_(pseudocosts),
         queues_(static_cast<std::size_t>(num_workers)),
         inflight_bound_(static_cast<std::size_t>(num_workers), kInf),
         inflight_node_(static_cast<std::size_t>(num_workers)) {}
@@ -392,6 +375,8 @@ class NodePool {
   [[nodiscard]] double sense_flip() const { return sense_flip_; }
   /// Probe run: dive upward and stop at the first installed incumbent.
   [[nodiscard]] bool probe() const { return probe_; }
+  /// The solve's pseudo-cost table, shared by every run's workers.
+  [[nodiscard]] PseudoCosts& pseudocosts() { return pseudocosts_; }
 
   /// Continues the trace node-id sequence of earlier phases and runs, so
   /// node ids stay unique across the solve.
@@ -559,6 +544,7 @@ class NodePool {
   const std::vector<std::int32_t>& int_vars_;
   const double sense_flip_;
   const bool probe_;
+  PseudoCosts& pseudocosts_;
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -818,13 +804,20 @@ class Worker {
 
     // After a cutoff stop `obj` is the LP's dual bound, not its optimum.
     const double obj = lp_->objective_value();
+    if (st == SolveStatus::Optimal && node.branch_col >= 0) {
+      pool_.pseudocosts().record(node.branch_col, node.branch_dir, node.branch_dist,
+                                 obj - node.bound);
+    }
     if (st == SolveStatus::Cutoff || obj >= pool_.cutoff()) {  // bound pruning
       close(nid, obs::NodeOutcome::Cutoff, flip * obj);
       return;
     }
 
     const std::vector<double> x = lp_->primal_solution();
-    const std::int32_t bv = select_branch_var(x, int_vars_, obj_coef_, opts_.int_tol);
+    // The probe keeps the fixed rule, which its upward dive is tuned for.
+    const std::int32_t bv =
+        pool_.probe() ? cost_weighted_branch_var(x, int_vars_, obj_coef_, opts_.int_tol)
+                      : pool_.pseudocosts().select(x, int_vars_, obj_coef_, opts_.int_tol);
     if (bv < 0) {
       if (pool_.try_incumbent(x, obj)) {
         if (rec_ != nullptr) rec_->emit(obs::EventType::Incumbent, nid, flip * obj);
@@ -845,7 +838,8 @@ class Worker {
     // architecture MILPs are covering-style, and instantiating components
     // reaches feasibility much faster than pruning them.
     const double up_threshold = pool_.probe() ? 0.15 : 0.5;
-    const bool down_first = (v - std::floor(v)) < up_threshold;
+    const double f = v - std::floor(v);
+    const bool down_first = f < up_threshold;
 
     std::shared_ptr<const SimplexSolver::Basis> basis;
     if (opts_.warm_start) {
@@ -859,10 +853,13 @@ class Worker {
       if (lp_->reopt_stats().refactors != refactors0) b.factor = nullptr;
       basis = std::make_shared<const SimplexSolver::Basis>(std::move(b));
     }
-    auto make_child = [&](double clb, double cub) {
+    auto make_child = [&](double clb, double cub, PseudoCosts::Dir dir) {
       auto child = std::make_shared<BBNode>();
       child->parent_id = node.id;
       child->bound = obj;
+      child->branch_col = bv;
+      child->branch_dir = dir;
+      child->branch_dist = dir == PseudoCosts::Dir::Down ? f : 1.0 - f;
       child->path = cur_path_;
       child->path.push_back({bv, clb, cub});
       child->basis = basis;
@@ -873,11 +870,11 @@ class Worker {
     // Push the dive-preferred child last: the LIFO pop continues this
     // worker's dive with it, while the sibling is exposed for stealing.
     if (down_first) {
-      if (up_ok) pool_.push(id_, make_child(up_lb, ub0));
-      if (down_ok) pool_.push(id_, make_child(lb0, down_ub));
+      if (up_ok) pool_.push(id_, make_child(up_lb, ub0, PseudoCosts::Dir::Up));
+      if (down_ok) pool_.push(id_, make_child(lb0, down_ub, PseudoCosts::Dir::Down));
     } else {
-      if (down_ok) pool_.push(id_, make_child(lb0, down_ub));
-      if (up_ok) pool_.push(id_, make_child(up_lb, ub0));
+      if (down_ok) pool_.push(id_, make_child(lb0, down_ub, PseudoCosts::Dir::Down));
+      if (up_ok) pool_.push(id_, make_child(up_lb, ub0, PseudoCosts::Dir::Up));
     }
   }
 
@@ -912,7 +909,7 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
   const MilpOptions& opts = ctx.opts;
   const CheckpointData* resume = probe ? nullptr : ctx.resume;
   NodePool pool(work, opts, ctx.granularity, ctx.int_vars, ctx.sense_flip,
-                threads, probe);
+                threads, probe, ctx.pseudocosts);
   if (!probe && !opts.checkpoint_file.empty()) {
     pool.configure_checkpoint(opts.checkpoint_file, opts.checkpoint_interval_s,
                               ctx.ck_fingerprint, ctx.reg);
@@ -1401,6 +1398,8 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       .add(ctx.pool_transplants + ctx.lp.reopt_stats().transplants);
   reg->counter("milp.lp_cutoff")
       .add(ctx.pool_lp_cutoffs + ctx.lp.reopt_stats().cutoffs);
+  reg->counter("milp.pseudocost.updates").add(ctx.pseudocosts.updates());
+  reg->counter("milp.branch.fallback").add(ctx.pseudocosts.fallbacks());
   if (sol.threads_used == 1) {
     sol.nodes_per_worker.assign(1, ctx.nodes);
     sol.cpu_seconds = sol.solve_seconds;

@@ -312,6 +312,26 @@ TEST(ParallelBBTest, DefaultSolveIsBitExactRunToRun) {
   EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
 }
 
+TEST(ParallelBBTest, WorkersShareOnePseudoCostTable) {
+  // Every worker learns into and branches from the solve's one pseudo-cost
+  // table; the ThreadSanitizer leg runs this suite, so an unguarded access
+  // to the table fails there.
+  const Model m = hard_knapsack_fixture(30, 7);
+  MilpOptions par;
+  par.num_threads = 4;
+  const Solution s4 = solve_milp(m, par);
+  const Solution s1 = solve_milp(m);
+  ASSERT_TRUE(s4.optimal());
+  ASSERT_TRUE(s1.optimal());
+  EXPECT_NEAR(s4.objective, s1.objective, 1e-6);
+  for (const Solution* s : {&s1, &s4}) {
+    // At most one observation per solved child LP.
+    const double updates = s->metrics.at("milp.pseudocost.updates");
+    EXPECT_GT(updates, 0.0);
+    EXPECT_LE(updates, static_cast<double>(s->nodes_explored));
+  }
+}
+
 TEST(ParallelBBTest, NodeLimitIsHonored) {
   const Model m = knapsack_fixture(25, 11);
   MilpOptions o;
