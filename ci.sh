@@ -175,6 +175,39 @@ if not 0 < iters <= 20000:
 print(f"bench smoke: BM_LpSolve/1000 ok ({int(iters)} simplex iterations)")
 EOF
 
+echo "=== bench: bench_diff work-gate self-check ==="
+# tools/bench_diff.py requires the work counters a baseline repeats exactly
+# (nodes, simplex iterations, refactorizations, sweep solves) to repeat in
+# the candidate, on any CPU. Two synthetic recordings from different CPU
+# models: identical counts pass, one node of difference fails.
+python3 - build <<'EOF'
+import json, subprocess, sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+
+def recording(cpu, nodes):
+    runs = [{"name": "BM_Tree", "run_type": "iteration", "real_time": 10.0 + r,
+             "time_unit": "ms", "nodes": float(n), "iters": 900.0}
+            for r, n in enumerate(nodes)]
+    return {"context": {"archex_build_type": "release", "archex_cpu_model": cpu},
+            "benchmarks": runs}
+
+def diff(name, cand_nodes):
+    base = out / "bench_work_base.json"
+    cand = out / f"bench_work_{name}.json"
+    base.write_text(json.dumps(recording("cpu A", [412, 412, 412])))
+    cand.write_text(json.dumps(recording("cpu B", cand_nodes)))
+    return subprocess.run([sys.executable, "tools/bench_diff.py", str(base), str(cand)],
+                          capture_output=True, text=True).returncode
+
+if diff("same", [412, 412]) != 0:
+    sys.exit("FAIL: bench_diff work gate rejected identical counts")
+if diff("off_by_one", [412, 413]) != 1:
+    sys.exit("FAIL: bench_diff work gate passed a one-node difference")
+print("bench_diff work gate: identical counts pass, one node of difference fails")
+EOF
+
 echo "=== bench: regression diff against the committed baseline ==="
 # The perf-regression gate: a slightly longer recording of the kernel-bound
 # benchmarks, diffed against BENCH_milp.json. bench_diff.py fails on any

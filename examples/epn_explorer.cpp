@@ -238,7 +238,8 @@ int main(int argc, char** argv) {
                   << it.metrics.at("worst_lv") << "), ";
       }
       std::cout << it.stats.num_constraints << " constraints, " << it.stats.num_vars
-                << " variables, solve " << seconds(it.solve_seconds) << ", analyze "
+                << " variables, " << it.nodes << " nodes, " << it.simplex_iterations
+                << " simplex iterations, solve " << seconds(it.solve_seconds) << ", analyze "
                 << seconds(it.analyze_seconds) << ", learn " << seconds(it.learn_seconds)
                 << "\n";
       solve += it.solve_seconds;

@@ -9,7 +9,8 @@
 ///                   [--inject=site:n[:seed]] [--checkpoint=FILE]
 ///                   [--checkpoint-interval=S] [--resume]
 ///
-/// `--budget=S` is the wall-clock allowance (milp::Budget). `--threads=N`
+/// `--budget=S` is the wall-clock allowance (milp::Budget), with or without
+/// `--lp-relaxation`. `--threads=N`
 /// sets the tree search's workers: 1 (the default) is deterministic, 0 means
 /// one per hardware thread.
 ///
@@ -167,6 +168,8 @@ int main(int argc, char** argv) {
     Solution sol;
     if (relaxation) {
       SimplexOptions lp_opts;
+      // --budget bounds the relaxation too: the simplex polls this deadline.
+      lp_opts.deadline = Budget::of_seconds(budget_s).deadline_from(Budget::Clock::now());
       if (recording) lp_opts.spans = profiler.main();
       sol = solve_lp_relaxation(model, lp_opts);
     } else {

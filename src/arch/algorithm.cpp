@@ -6,6 +6,7 @@
 
 #include "arch/patterns/general.hpp"
 #include "graph/digraph.hpp"
+#include "milp/warm_start.hpp"
 #include "reliability/reliability.hpp"
 
 namespace archex {
@@ -116,6 +117,12 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
     return maximize ? std::min(a, b) : std::max(a, b);
   };
   double earlier_bound = maximize ? milp::kInf : -milp::kInf;
+  // One pseudo-cost table for the whole loop: learning keeps every column
+  // at its index (the LearnFn contract), so each re-solve starts branching
+  // from what the solves before it measured instead of from nothing.
+  // Appended columns start without history; iteration 1 solves with the
+  // caller's own options.
+  milp::WarmStartHint carry;
 
   for (int iter = 1; iter <= max_iterations; ++iter) {
     const auto t0 = Clock::now();
@@ -131,11 +138,15 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
       opts.budget = milp::Budget::until(t0 + (end - t0) / 4);
     }
     ExplorationResult er = p.solve(opts);
+    carry.pseudocosts = er.solution.pseudocosts;
+    opts.warm_hint = &carry;
 
     IterativeStep step;
     step.index = iter;
     step.status = er.solution.status;
     step.stats = er.stats;
+    step.nodes = er.solution.nodes_explored;
+    step.simplex_iterations = er.solution.simplex_iterations;
     step.solve_seconds = seconds(Clock::now() - t0);
 
     if (!er.feasible()) {

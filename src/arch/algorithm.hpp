@@ -15,8 +15,9 @@
 ///
 /// Every lazy loop (`solve_lazy` here, `domains::epn::solve_lazy_epn`) is a
 /// pair of hooks over `solve_iteratively` and reports through its one
-/// record, `IterativeStep`: the solve's status, cost, model size and
+/// record, `IterativeStep`: the solve's status, cost, model size, work and
 /// architecture, the analysis metrics, and the solve/analyze/learn split.
+/// The loop carries one pseudo-cost table across its re-solves.
 #pragma once
 
 #include <functional>
@@ -89,6 +90,11 @@ struct IterativeStep {
   std::map<std::string, double> metrics;
   milp::ModelStats stats;
   Architecture architecture;
+  /// The work of this step's solve alone (Solution::nodes_explored and
+  /// Solution::simplex_iterations; the problem's metrics registry sums them
+  /// over the loop).
+  std::int64_t nodes = 0;
+  std::int64_t simplex_iterations = 0;
   /// The step's solve/analyze/learn split. Learning runs only after a
   /// rejected candidate, so an accepted or unanalyzed step has 0 there.
   double solve_seconds = 0.0;
@@ -110,6 +116,10 @@ struct IterativeResult {
 /// incumbent, the previous architecture under the TimeLimit status).
 /// `milp_options.budget` bounds the whole loop: it is converted to one
 /// absolute end at entry, and re-solves get a quarter of what is left.
+/// Each re-solve's `warm_hint` carries the pseudo-cost table the solve
+/// before it exported (Solution::pseudocosts), so branching history
+/// accumulates over the loop; nothing else crosses iterations, and nothing
+/// outlives the call.
 IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const LearnFn& learn,
                                   const milp::MilpOptions& milp_options = {},
                                   int max_iterations = 12);

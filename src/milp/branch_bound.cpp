@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -118,8 +119,9 @@ struct SearchCtx {
   SimplexSolver lp;
   std::vector<std::int32_t> int_vars;  // reduced columns with integrality
   std::vector<double> obj_coef;        ///< |objective coefficient| per column
-  /// Learnt by the probe and the main run alike; one table per solve, so
-  /// items and lazy iterations never share one.
+  /// Learnt by the probe and the main run alike; one table per solve,
+  /// seeded from MilpOptions::warm_hint when the caller carries one over
+  /// (the lazy loop does, from each re-solve to the next).
   PseudoCosts pseudocosts;
   double incumbent_obj = kInf;         // minimize sense
   std::vector<double> incumbent_x;
@@ -1210,12 +1212,27 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     if (options.on_incumbent) options.on_incumbent(obj);
   };
 
-  // Cross-solve warm start (milp/warm_start.hpp). The hint only lines up
-  // with the model the caller sees, so it is unusable under presolve (the
-  // reduced column space differs per call) — gate, count, and drop it.
+  // Cross-solve warm start (milp/warm_start.hpp). The pseudo-cost table is
+  // read column by column through the presolve map, so it seeds the tree
+  // with or without presolve. The basis and x only line up with the model
+  // the caller sees, so they are unusable under presolve (the reduced
+  // column space differs per call) — gate, count, and drop them.
+  std::vector<std::int32_t> identity;
+  if (!options.use_presolve) {
+    identity.resize(work->num_vars());
+    std::iota(identity.begin(), identity.end(), 0);
+  }
+  const std::vector<std::int32_t>& orig_of =
+      options.use_presolve ? pre.orig_of_reduced : identity;
+  const PseudoCostTable* pc_seed =
+      options.warm_hint != nullptr ? options.warm_hint->pseudocosts.get() : nullptr;
+  reg->counter("milp.pseudocost.seeded")
+      .add(pc_seed != nullptr ? ctx.pseudocosts.seed(*pc_seed, orig_of) : 0);
   const WarmStartHint* hint = options.warm_hint;
   if (hint != nullptr && options.use_presolve) {
-    reg->counter("milp.warm_hint.skipped_presolve").add();
+    if (hint->basis != nullptr || !hint->x.empty()) {
+      reg->counter("milp.warm_hint.skipped_presolve").add();
+    }
     hint = nullptr;
   }
   if (hint != nullptr && !hint->x.empty() && hint->x.size() == work->num_vars()) {
@@ -1400,6 +1417,10 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       .add(ctx.pool_lp_cutoffs + ctx.lp.reopt_stats().cutoffs);
   reg->counter("milp.pseudocost.updates").add(ctx.pseudocosts.updates());
   reg->counter("milp.branch.fallback").add(ctx.pseudocosts.fallbacks());
+  if (pc_seed != nullptr || ctx.pseudocosts.updates() > 0) {
+    sol.pseudocosts = std::make_shared<const PseudoCostTable>(
+        ctx.pseudocosts.export_table(pc_seed, orig_of, model.num_vars()));
+  }
   if (sol.threads_used == 1) {
     sol.nodes_per_worker.assign(1, ctx.nodes);
     sol.cpu_seconds = sol.solve_seconds;

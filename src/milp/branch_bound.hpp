@@ -51,13 +51,16 @@ struct MilpOptions {
   bool warm_start = true;
   /// Optional cross-solve warm start (milp/warm_start.hpp): a previous
   /// solve's root basis and/or incumbent vector, typically from the prior
-  /// scenario of a compiled-model sweep. The basis is installed into the
-  /// root LP and reoptimized with the dual simplex; a hint that no longer
-  /// fits the model (structure changed) or has decayed numerically falls
-  /// back to a cold primal root deterministically. Honored only when
-  /// `use_presolve` is false — presolve's reduced column space differs per
-  /// call, so nothing in the hint would line up. Non-owning; must outlive
-  /// the call. Null (the default) is the ordinary cold root.
+  /// scenario of a compiled-model sweep, and/or its pseudo-cost table,
+  /// carried by the lazy loop from one re-solve to the next. The basis is
+  /// installed into the root LP and reoptimized with the dual simplex; a
+  /// hint that no longer fits the model (structure changed) or has decayed
+  /// numerically falls back to a cold primal root deterministically. Basis
+  /// and x are honored only when `use_presolve` is false — presolve's
+  /// reduced column space differs per call, so they would not line up; the
+  /// pseudo-cost table is mapped through it and honored either way.
+  /// Non-owning; must outlive the call. Null (the default) is the ordinary
+  /// cold root with an empty pseudo-cost table.
   const WarmStartHint* warm_hint = nullptr;
   /// Export the root LP's optimal basis into `Solution::final_basis` so the
   /// caller can warm-start the next structurally identical solve. Off by

@@ -21,6 +21,7 @@
 namespace archex::milp {
 
 struct Basis;  // milp/warm_start.hpp; Solution carries one opaquely
+struct PseudoCostTable;  // milp/warm_start.hpp; likewise
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -236,6 +237,13 @@ struct Solution {
   /// MilpOptions::warm_hint basis (loaded + dual reoptimized) rather than
   /// solved cold — the sweep pipeline's per-scenario warm/cold signal.
   bool warm_started = false;
+  /// The tree's pseudo-cost table at the end of the solve (MILP only), in
+  /// the caller's column space: columns presolve removed keep what
+  /// MilpOptions::warm_hint seeded them with. Null when the solve neither
+  /// observed a branching nor was seeded. Feed it back through
+  /// WarmStartHint::pseudocosts on a model with the same columns (more may
+  /// be appended). Immutable and safely shareable across solves.
+  std::shared_ptr<const PseudoCostTable> pseudocosts;
 
   [[nodiscard]] bool optimal() const { return status == SolveStatus::Optimal; }
   [[nodiscard]] double value(VarId v) const { return x[static_cast<std::size_t>(v.index)]; }

@@ -34,6 +34,36 @@ std::int32_t cost_weighted_branch_var(const std::vector<double>& x,
   return best;
 }
 
+std::int64_t PseudoCosts::seed(const PseudoCostTable& table,
+                               const std::vector<std::int32_t>& orig_of) {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (std::size_t j = 0; j < cols_.size(); ++j) {
+    const auto o = static_cast<std::size_t>(orig_of[j]);
+    if (o >= table.cols.size()) continue;
+    const Entry& e = table.cols[o];
+    cols_[j] = e;
+    for (int d = 0; d < 2; ++d) {
+      dir_sum_[d] += e.sum[d];
+      dir_count_[d] += e.count[d];
+    }
+  }
+  seeded_ = dir_count_[0] + dir_count_[1];
+  return seeded_;
+}
+
+PseudoCostTable PseudoCosts::export_table(const PseudoCostTable* base,
+                                          const std::vector<std::int32_t>& orig_of,
+                                          std::size_t num_orig) const {
+  PseudoCostTable out;
+  if (base != nullptr) out.cols = base->cols;
+  out.cols.resize(num_orig);
+  std::lock_guard<std::mutex> lk(mu_);
+  for (std::size_t j = 0; j < cols_.size(); ++j) {
+    out.cols[static_cast<std::size_t>(orig_of[j])] = cols_[j];
+  }
+  return out;
+}
+
 void PseudoCosts::record(std::int32_t col, Dir dir, double distance, double gain) {
   if (distance <= 0.0) return;
   const double unit = std::max(0.0, gain) / distance;
@@ -92,7 +122,7 @@ std::int32_t PseudoCosts::select(const std::vector<double>& x,
 
 std::int64_t PseudoCosts::updates() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return dir_count_[0] + dir_count_[1];
+  return dir_count_[0] + dir_count_[1] - seeded_;
 }
 
 std::int64_t PseudoCosts::fallbacks() const {

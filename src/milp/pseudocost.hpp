@@ -5,10 +5,13 @@
 /// branching, learnt per column and direction from the child LPs the tree
 /// solves anyway. The fixed cost-weighted most-fractional rule stays as the
 /// probe's rule and as the cold-start fallback before any branching has been
-/// observed.
+/// observed. A table can start from an earlier solve's export
+/// (PseudoCostTable, milp/warm_start.hpp) and exports its own at the end.
 #include <cstdint>
 #include <mutex>
 #include <vector>
+
+#include "milp/warm_start.hpp"
 
 namespace archex::milp {
 
@@ -30,6 +33,20 @@ class PseudoCosts {
 
   explicit PseudoCosts(std::size_t num_cols) : cols_(num_cols) {}
 
+  /// Starts this (still empty) table from an earlier solve's export. Column
+  /// j of this table is column `orig_of[j]` of `table`; one past the
+  /// table's end (appended since) starts without history. The running
+  /// averages are recomputed from the seeded entries. Returns the number of
+  /// observations inherited.
+  std::int64_t seed(const PseudoCostTable& table, const std::vector<std::int32_t>& orig_of);
+
+  /// This table in the caller's column space of `num_orig` columns: `base`
+  /// (the seed, or null) with column `orig_of[j]` overwritten by column j of
+  /// this table, so columns without a counterpart here keep base's entries.
+  [[nodiscard]] PseudoCostTable export_table(const PseudoCostTable* base,
+                                             const std::vector<std::int32_t>& orig_of,
+                                             std::size_t num_orig) const;
+
   /// Learns one observation: a branching moved `col` by `distance` in `dir`
   /// and the child LP's objective rose by `gain` over its parent's (clamped
   /// at 0, minimize sense).
@@ -50,14 +67,12 @@ class PseudoCosts {
   /// 0 before any observation.
   [[nodiscard]] double estimate(std::int32_t col, Dir dir) const;
 
+  /// Observations recorded by this solve (seeded ones excluded).
   [[nodiscard]] std::int64_t updates() const;
   [[nodiscard]] std::int64_t fallbacks() const;
 
  private:
-  struct Entry {
-    double sum[2] = {0.0, 0.0};
-    std::int32_t count[2] = {0, 0};
-  };
+  using Entry = PseudoCostTable::Entry;
 
   /// Running average of direction `d` (callers hold mu_); with no history in
   /// `d`, the other direction's, so a one-sided start still ranks columns.
@@ -68,6 +83,7 @@ class PseudoCosts {
   std::vector<Entry> cols_;
   double dir_sum_[2] = {0.0, 0.0};
   std::int64_t dir_count_[2] = {0, 0};
+  std::int64_t seeded_ = 0;  ///< observations inherited through seed()
   std::int64_t fallbacks_ = 0;
 };
 

@@ -42,6 +42,19 @@ struct Basis {
   std::shared_ptr<const FactorState> factor;  ///< optional factorization
 };
 
+/// Branching history of one solve, exported by milp/pseudocost.hpp's
+/// PseudoCosts into the caller's (pre-presolve) column space: per column,
+/// the summed per-unit LP bound change and the observation count of each
+/// direction (index 0 down, 1 up). A column with zero counts, or past the
+/// end of `cols`, has no history.
+struct PseudoCostTable {
+  struct Entry {
+    double sum[2] = {0.0, 0.0};
+    std::int32_t count[2] = {0, 0};
+  };
+  std::vector<Entry> cols;
+};
+
 /// Caller-supplied warm start for `solve_milp` (MilpOptions::warm_hint),
 /// typically the previous solve of a structurally identical model whose
 /// bounds / objective / RHS were perturbed (a scenario delta):
@@ -55,13 +68,20 @@ struct Basis {
 ///     against *this* model's constraints (a delta may have invalidated the
 ///     point) and only admitted when feasible — so the cutoff it provides is
 ///     always sound.
+///   * `pseudocosts` — a previous solve's Solution::pseudocosts. The tree
+///     starts its pseudo-cost table from it instead of from nothing; the
+///     lazy loop (arch/algorithm.hpp) hands each re-solve the table of the
+///     solve before, whose columns keep their indices under learning.
 ///
-/// Both fields are optional (null basis / empty x). Hints are only honored
-/// when `use_presolve` is off: under presolve the solver works in a reduced
-/// column space that differs per call, so neither field would line up.
+/// Every field is optional (null basis / empty x / null table). `basis` and
+/// `x` are honored only when `use_presolve` is off: under presolve the
+/// solver works in a reduced column space that differs per call, so neither
+/// would line up. `pseudocosts` is honored either way: it is read through
+/// PresolveResult::orig_of_reduced, one column at a time.
 struct WarmStartHint {
   std::shared_ptr<const Basis> basis;  ///< previous basis; may be null
   std::vector<double> x;  ///< candidate incumbent; empty = none
+  std::shared_ptr<const PseudoCostTable> pseudocosts;  ///< may be null
 };
 
 }  // namespace archex::milp

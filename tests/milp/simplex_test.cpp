@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <random>
 
@@ -145,6 +146,23 @@ TEST(SimplexTest, DegenerateLpTerminates) {
   Solution s = solve_lp_relaxation(m);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, -1.0, 1e-6);
+}
+
+TEST(SimplexTest, ExpiredDeadlineStopsTheRelaxation) {
+  // The same LP the classic test solves to 36, given no time at all.
+  Model m;
+  VarId x = m.add_continuous(0, kInf, "x");
+  VarId y = m.add_continuous(0, kInf, "y");
+  m.add_constraint(LinExpr(x) <= LinExpr(4.0));
+  m.add_constraint(2.0 * y <= LinExpr(12.0));
+  m.add_constraint(3.0 * x + 2.0 * y <= LinExpr(18.0));
+  m.set_objective(3.0 * x + 5.0 * y, ObjectiveSense::Maximize);
+  SimplexOptions opts;
+  opts.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  const Solution s = solve_lp_relaxation(m, opts);
+  EXPECT_EQ(s.status, SolveStatus::TimeLimit);
+  EXPECT_EQ(s.term_reason, TermReason::TimeLimit);
+  EXPECT_FALSE(s.has_incumbent);
 }
 
 TEST(SimplexTest, DualReoptimizeAfterBoundChangeMatchesColdSolve) {

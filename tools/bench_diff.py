@@ -15,14 +15,23 @@ files must carry the provenance stamped by tools/run_bench.sh:
     0 so CI stays green on other hardware; pass --strict to make it exit 1
     (for the machine that owns the baseline).
 
-Comparison: per benchmark name, the minimum `real_time` over repetitions
-(min is the noise-robust statistic for "how fast can this go"). A benchmark
-regresses when the candidate is more than PCT slower than the baseline
-(default 15). Per-benchmark overrides: --threshold=BM_LpSolve/1000=25.
-Benchmarks present on only one side are reported but never fail the run.
+Work gate: a work counter (one of WORK_COUNTERS: simplex iterations, nodes,
+refactorizations, cold/warm sweep solves) that holds one value in every
+repetition of a benchmark in the baseline (two or more repetitions) is a
+deterministic search count, and every candidate repetition of that
+benchmark must report exactly that value. A changed count means a changed
+search, which a time threshold cannot tell from noise. The work gate does
+not depend on the machine, so it also runs when the CPU models differ.
 
-Exit code 0 on pass/skip, 1 on any regression or provenance failure, 2 on
-usage errors.
+Time comparison: per benchmark name, the minimum `real_time` over
+repetitions (min is the noise-robust statistic for "how fast can this go").
+A benchmark regresses when the candidate is more than PCT slower than the
+baseline (default 15). Per-benchmark overrides:
+--threshold=BM_LpSolve/1000=25. Benchmarks present on only one side are
+reported but never fail the run.
+
+Exit code 0 on pass/skip, 1 on any regression, work mismatch or provenance
+failure, 2 on usage errors.
 """
 import json
 import sys
@@ -39,6 +48,38 @@ def load(path):
         return None
 
 
+WORK_COUNTERS = ("iters", "nodes", "refactors", "cold_solves", "warm_solves")
+
+
+def iteration_runs(data):
+    """name -> list of plain iteration records (no aggregates)."""
+    runs = {}
+    for b in data.get("benchmarks", []):
+        if b.get("run_type", "iteration") == "iteration" and "name" in b:
+            runs.setdefault(b["name"], []).append(b)
+    return runs
+
+
+def work_mismatches(base, cand):
+    """(name, counter, baseline value, candidate values) for every work
+    counter the baseline repeats exactly and the candidate does not report
+    exactly, over benchmarks present on both sides."""
+    cand_runs = iteration_runs(cand)
+    out = []
+    for name, runs in sorted(iteration_runs(base).items()):
+        if len(runs) < 2 or name not in cand_runs:
+            continue
+        for counter in WORK_COUNTERS:
+            values = {r.get(counter) for r in runs}
+            if len(values) != 1 or not isinstance(next(iter(values)), (int, float)):
+                continue
+            want = next(iter(values))
+            got = [r.get(counter) for r in cand_runs[name]]
+            if any(g != want for g in got):
+                out.append((name, counter, want, got))
+    return out
+
+
 # time_unit -> nanoseconds; google-benchmark may record sides differently.
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -46,21 +87,19 @@ UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 def best_times(data, path):
     """name -> min real_time in ns over plain iterations (no aggregates)."""
     best = {}
-    for b in data.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        name = b.get("name")
-        t = b.get("real_time")
-        unit = b.get("time_unit", "ns")
-        if name is None or not isinstance(t, (int, float)):
-            continue
-        if unit not in UNIT_NS:
-            print(f"FAIL: {path}: unknown time_unit '{unit}' for {name}",
-                  file=sys.stderr)
-            return None
-        ns = t * UNIT_NS[unit]
-        if name not in best or ns < best[name]:
-            best[name] = ns
+    for name, runs in iteration_runs(data).items():
+        for b in runs:
+            t = b.get("real_time")
+            unit = b.get("time_unit", "ns")
+            if not isinstance(t, (int, float)):
+                continue
+            if unit not in UNIT_NS:
+                print(f"FAIL: {path}: unknown time_unit '{unit}' for {name}",
+                      file=sys.stderr)
+                return None
+            ns = t * UNIT_NS[unit]
+            if name not in best or ns < best[name]:
+                best[name] = ns
     return best
 
 
@@ -117,6 +156,11 @@ def main(argv):
                   " — record with tools/run_bench.sh from a release build",
                   file=sys.stderr)
             return 1
+    mismatches = work_mismatches(base, cand)
+    for name, counter, want, got in mismatches:
+        print(f"FAIL: {name}: {counter} = {got}, baseline repeats {want} exactly",
+              file=sys.stderr)
+
     base_cpu = base.get("context", {}).get("archex_cpu_model") or ""
     cand_cpu = cand.get("context", {}).get("archex_cpu_model") or ""
     if not base_cpu or not cand_cpu or base_cpu != cand_cpu:
@@ -127,10 +171,10 @@ def main(argv):
             print(f"FAIL: cross-machine comparison refused: {why}",
                   file=sys.stderr)
             return 1
-        print(f"SKIP: bench_diff: {why}; recordings are not comparable "
+        print(f"SKIP: bench_diff: {why}; times are not comparable "
               "(re-record the baseline on this machine, or use --strict "
               "on the baseline's machine)")
-        return 0
+        return 1 if mismatches else 0
 
     base_times = best_times(base, base_path)
     cand_times = best_times(cand, cand_path)
@@ -168,6 +212,8 @@ def main(argv):
         for name, delta, threshold in regressions:
             print(f"FAIL: {name} regressed {delta:+.1f}% "
                   f"(threshold {threshold:.0f}%)", file=sys.stderr)
+        return 1
+    if mismatches:
         return 1
     print(f"OK bench_diff: {compared} benchmark(s) within threshold "
           f"({base_path} -> {cand_path})")
