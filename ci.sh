@@ -2,8 +2,9 @@
 # CI entry point, four legs:
 #   1. release: build + full test suite, model-lint fixture gate, a
 #      traced + certified end-to-end EPN solve whose JSONL event log is
-#      validated against the documented schema, and the exploration
-#      benchmark's smoke test with its correctness gates.
+#      validated against the documented schema, the small-EPN search-
+#      trajectory gate, and the exploration benchmark's smoke test with its
+#      correctness gates.
 #   2. asan: AddressSanitizer + UBSan build (-fno-sanitize-recover, warnings
 #      promoted to errors via ARCHEX_WERROR) running the full suite.
 #   3. tsan: ThreadSanitizer build running the concurrency-focused suites.
@@ -152,6 +153,38 @@ wall = time.monotonic() - t0
 if wall >= 1.5:
     sys.exit(f"FAIL: --budget=1 lazy EPN run took {wall:.2f} s (limit 1.5 s)")
 print(f"budget drill: --budget=1 lazy EPN run finished in {wall:.2f} s")
+EOF
+
+echo "=== determinism: small-EPN search-trajectory gate ==="
+# The one-thread search is deterministic, so the paper's small EPN pins its
+# trajectory exactly: the monolithic solve's cost, nodes and simplex
+# iterations, and each lazy iteration's cost, nodes and iterations. A
+# refactoring that reorders the tree, shifts an incumbent or changes a
+# pivot fails here. A change that alters the search on purpose updates
+# these pins together with the EPN tables in EXPERIMENTS.md. About 4.5 s.
+python3 - build/examples/epn_explorer <<'EOF'
+import re, subprocess, sys
+exe = sys.argv[1]
+def run(mode):
+    return subprocess.run([exe, f"--mode={mode}", "--scale=small"], check=True,
+                          capture_output=True, text=True).stdout
+mono = run("monolithic")
+m = re.search(r"^status: optimal, solver time \S+, (\d+) nodes, (\d+) simplex iterations$",
+              mono, re.M)
+cost = re.search(r"^cost: (\d+)$", mono, re.M)
+got = (int(cost.group(1)), int(m.group(1)), int(m.group(2))) if m and cost else None
+if got != (64018, 1516, 50401):
+    sys.exit(f"FAIL: monolithic small EPN (cost, nodes, iterations) = {got}, "
+             "pinned (64018, 1516, 50401)")
+lazy = [tuple(int(v) for v in t) for t in re.findall(
+    r"^iteration \d+: cost (\d+), .*?, (\d+) nodes, (\d+) simplex iterations,",
+    run("lazy"), re.M)]
+pinned = [(30506, 784, 7907), (47012, 284, 12936), (64018, 4189, 77246)]
+if lazy != pinned:
+    sys.exit(f"FAIL: lazy small EPN (cost, nodes, iterations) per iteration = "
+             f"{lazy}, pinned {pinned}")
+print("trajectory gate: monolithic 64018 (1516 nodes / 50401 iterations); lazy "
+      "30506 -> 47012 -> 64018 (784/7907, 284/12936, 4189/77246)")
 EOF
 
 echo "=== bench: Release-provenance smoke (BM_LpSolve/1000) ==="

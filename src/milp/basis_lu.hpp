@@ -177,8 +177,9 @@ class BasisRep {
 /// eight and gathers the rest branch-free.
 void gather_nonzeros(const std::vector<double>& v, std::vector<std::int32_t>& nz);
 
-/// Builds a kernel for an m-row basis. `markowitz_tol` and `eta_fill_factor`
-/// only affect the sparse kernel (see SimplexOptions).
+/// Builds a kernel for an m-row basis. `markowitz_tol` (see SimplexOptions)
+/// and `eta_fill_factor` (the refactorize-early fill bound, a multiple of the
+/// LU nonzeros) only affect the sparse kernel.
 std::unique_ptr<BasisRep> make_basis_rep(BasisKernel kernel, std::size_t m,
                                          double markowitz_tol,
                                          double eta_fill_factor);

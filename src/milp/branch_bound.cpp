@@ -32,6 +32,15 @@ using Clock = std::chrono::steady_clock;
 
 const double kNan = std::numeric_limits<double>::quiet_NaN();
 
+constexpr double kIntTol = 1e-6;  // integrality tolerance
+// Optimality gap of the pruning cutoff: absolute, and relative to |incumbent|.
+constexpr double kGapAbs = 1e-9;
+constexpr double kGapRel = 1e-9;
+constexpr double kCertifyTol = 1e-6;  // residual tolerance of the certifier
+// Recovery ladder: fresh cold attempts a quarantined node gets before its
+// subtree is abandoned (its parent bound then caps Solution::best_bound).
+constexpr int kRecoverMaxRetries = 2;
+
 int resolve_threads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -110,7 +119,26 @@ SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h,
   return st;
 }
 
-/// Search state shared by the root phase and every pool run.
+/// One solver's work counters — iterations and warm-start paths into `sol`,
+/// refactorizations, eta-replay transplants and cutoff stops into the
+/// registry. Called once per solver: each pool worker's own solver after its
+/// run, the root solver (worker 0 of every run) at the end of the solve.
+void fold_solver_counters(const SimplexSolver& lp, Solution& sol,
+                          obs::MetricsRegistry& reg) {
+  const SimplexSolver::ReoptStats& s = lp.reopt_stats();
+  sol.simplex_iterations += lp.iterations();
+  sol.warm_dual_nodes += s.dual_fast;
+  sol.warm_repair_nodes += s.repaired;
+  sol.cold_nodes += s.cold;
+  reg.counter("milp.refactors").add(s.refactors);
+  reg.counter("milp.basis_transplants").add(s.transplants);
+  reg.counter("milp.lp_cutoff").add(s.cutoffs);
+}
+
+/// The search state of one solve, shared by the root phase, the probe run
+/// and the main run: the incumbent, the node ledger (count and trace-id
+/// sequence), the degradation record and the pseudo-cost table. A NodePool
+/// holds only what belongs to one run.
 struct SearchCtx {
   const Model& model;  // reduced model
   const MilpOptions& opts;
@@ -123,33 +151,37 @@ struct SearchCtx {
   /// seeded from MilpOptions::warm_hint when the caller carries one over
   /// (the lazy loop does, from each re-solve to the next).
   PseudoCosts pseudocosts;
-  double incumbent_obj = kInf;         // minimize sense
-  std::vector<double> incumbent_x;
-  bool has_incumbent = false;
   double granularity = 0.0;  ///< objective step size, see objective_granularity
   double root_bound = -kInf;
   /// Root-optimal basis, captured before any dive: pool runs seed their root
   /// node with it, so the fixed root warm-starts from the root optimum.
   std::shared_ptr<const Basis> root_basis;
-  std::int64_t nodes = 0;
-  std::uint64_t next_id = 0;  ///< last trace node id handed out
   Clock::time_point deadline;
   SolveStatus stop_reason = SolveStatus::Optimal;  // set on limit hits
   bool stopped = false;  ///< a limit ended the search
   double sense_flip = 1.0;
   obs::NodeLogger* logger = nullptr;  ///< null when the node log is off
   obs::MetricsRegistry* reg = nullptr;  ///< always set by solve_milp
-  std::int64_t pool_refactors = 0;  ///< refactorizations folded from workers
-  std::int64_t pool_transplants = 0;  ///< eta-replay basis loads from workers
-  std::int64_t pool_lp_cutoffs = 0;  ///< node LPs stopped at the cutoff, from workers
-  // Recovery-ladder accounting. `degraded_bound` is the min (minimize sense)
-  // parent bound over every abandoned subtree: folding it into the final
-  // best bound keeps the reported gap sound — an abandoned subtree can hide
-  // solutions no better than its parent LP bound, never better.
-  std::int64_t degraded_nodes = 0;
-  double degraded_bound = kInf;
   std::uint64_t ck_fingerprint = 0;
   const CheckpointData* resume = nullptr;  ///< frontier for the main run
+
+  // Node ledger, charged by the workers of every run: the nodes explored so
+  // far (root included; checked against opts.max_nodes) and the last trace
+  // node id handed out, so ids stay unique across the solve.
+  std::atomic<std::int64_t> nodes{0};
+  std::atomic<std::uint64_t> next_id{0};
+
+  // Written under `mu`: the incumbent, whose objective (minimize sense,
+  // kInf if none) is mirrored into an atomic so the pruning cutoff reads it
+  // without the lock, and the recovery-ladder record. `degraded_bound` is
+  // the min parent bound over every abandoned subtree: folding it into the
+  // final best bound keeps the reported gap sound — an abandoned subtree can
+  // hide solutions no better than its parent LP bound, never better.
+  std::mutex mu;
+  std::atomic<double> incumbent_obj{kInf};
+  std::vector<double> incumbent_x;
+  std::int64_t degraded_nodes = 0;
+  double degraded_bound = kInf;
 
   SearchCtx(const Model& m, const MilpOptions& o)
       : model(m), opts(o), lp(m, o.lp), pseudocosts(m.num_vars()) {
@@ -163,22 +195,54 @@ struct SearchCtx {
     sense_flip = m.objective_sense() == ObjectiveSense::Maximize ? -1.0 : 1.0;
   }
 
+  /// Current incumbent objective (minimize sense, kInf if none). Lock-free.
+  [[nodiscard]] double incumbent() const {
+    return incumbent_obj.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool has_incumbent() const { return incumbent() < kInf; }
+
+  /// Bound-pruning cutoff against the current incumbent (kInf if none).
+  [[nodiscard]] double cutoff() const {
+    const double inc = incumbent();
+    if (inc >= kInf) return kInf;
+    return inc - std::max({kGapAbs, kGapRel * std::abs(inc), granularity - 1e-6});
+  }
+
+  /// Integer-snap, validate against the true model, and install if better.
+  /// Returns true when the incumbent improved (callers emit trace events).
   bool try_incumbent(std::vector<double> x, double obj) {
-    // Snap integers and validate against the true model.
-    for (std::int32_t j : int_vars) x[static_cast<std::size_t>(j)] = std::round(x[j]);
+    for (std::int32_t j : int_vars) {
+      x[static_cast<std::size_t>(j)] = std::round(x[static_cast<std::size_t>(j)]);
+    }
     if (!model.feasible(x, 1e-5)) return false;
-    if (obj < incumbent_obj - 1e-12) {
-      incumbent_obj = obj;
+    std::lock_guard<std::mutex> lk(mu);
+    if (obj < incumbent() - 1e-12) {
+      incumbent_obj.store(obj, std::memory_order_relaxed);
       incumbent_x = std::move(x);
-      has_incumbent = true;
       if (opts.on_incumbent) opts.on_incumbent(sense_flip * obj);
       return true;
     }
     return false;
   }
 
-  [[nodiscard]] std::int32_t pick_branch_var(const std::vector<double>& x) const {
-    return cost_weighted_branch_var(x, int_vars, obj_coef, opts.int_tol);
+  /// Charges one node against opts.max_nodes; false when the budget is
+  /// already spent (the count is then left unchanged).
+  [[nodiscard]] bool count_node() {
+    std::int64_t n = nodes.load(std::memory_order_relaxed);
+    while (n < opts.max_nodes) {
+      if (nodes.compare_exchange_weak(n, n + 1, std::memory_order_relaxed)) return true;
+    }
+    return false;
+  }
+
+  /// The next trace node id.
+  std::uint64_t new_id() { return next_id.fetch_add(1, std::memory_order_relaxed) + 1; }
+
+  /// Records one subtree abandoned by the recovery ladder.
+  void mark_abandoned(double bound) {
+    std::lock_guard<std::mutex> lk(mu);
+    ++degraded_nodes;
+    degraded_bound = std::min(degraded_bound, bound);
   }
 };
 
@@ -206,34 +270,35 @@ struct BBNode {
   PseudoCosts::Dir branch_dir = PseudoCosts::Dir::Down;
   double branch_dist = 0.0;       ///< how far the branch moved the column: f or 1-f
   std::vector<BoundChange> path;  ///< from the fixed root
-  std::shared_ptr<const SimplexSolver::Basis> basis;  ///< parent basis
+  std::shared_ptr<const Basis> basis;  ///< parent basis
 };
 
-/// Lock-guarded open-node pool plus the shared incumbent.
+/// The lock-guarded open nodes of one run, plus the run's stop flag, its
+/// node-log bound estimate and its checkpoint timer. Everything that outlives
+/// the run lives in the SearchCtx.
 ///
 /// Pop policy is the work-stealing compromise: a worker whose last solved
 /// node is the parent of the deque's back continues its own dive (LIFO, keeps
 /// the warm-start chain intact, no basis reinstall); otherwise it *steals*
-/// the best-bound open node, paying one basis refactorization. The incumbent
-/// objective is mirrored into an atomic so the pruning cutoff is readable
-/// without the lock.
+/// the best-bound open node, paying one basis refactorization.
 class NodePool {
  public:
-  NodePool(const Model& model, const MilpOptions& opts, double granularity,
-           const std::vector<std::int32_t>& int_vars, double sense_flip,
-           int num_workers, bool probe, PseudoCosts& pseudocosts)
-      : model_(model), opts_(opts), granularity_(granularity),
-        int_vars_(int_vars), sense_flip_(sense_flip), probe_(probe),
-        pseudocosts_(pseudocosts),
+  /// `probe`: dive upward and stop at the first installed incumbent; never
+  /// checkpointed. `root_bound` starts the node log's bound estimate.
+  NodePool(SearchCtx& ctx, int num_workers, bool probe, double root_bound)
+      : ctx_(ctx), probe_(probe),
+        checkpointing_(!probe && !ctx.opts.checkpoint_file.empty()),
         queues_(static_cast<std::size_t>(num_workers)),
         inflight_bound_(static_cast<std::size_t>(num_workers), kInf),
-        inflight_node_(static_cast<std::size_t>(num_workers)) {}
-
-  /// Seeds the incumbent found before this run (root phase, checkpoint).
-  void seed_incumbent(double obj, std::vector<double> x) {
-    incumbent_obj_.store(obj, std::memory_order_relaxed);
-    incumbent_x_ = std::move(x);
-    has_incumbent_ = obj < kInf;
+        inflight_node_(static_cast<std::size_t>(num_workers)),
+        best_known_bound_(root_bound) {
+    if (checkpointing_) {
+      const double interval_s = ctx.opts.checkpoint_interval_s;
+      ck_epoch_ = Clock::now();
+      ck_interval_ns_ =
+          interval_s <= 0.0 ? 0 : static_cast<std::int64_t>(interval_s * 1e9);
+      ck_next_ns_.store(ck_interval_ns_, std::memory_order_relaxed);
+    }
   }
 
   /// Appends a node to `worker`'s own deque. Sleeping peers are only woken
@@ -243,7 +308,7 @@ class NodePool {
     bool wake;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      node->id = ++next_id_;
+      node->id = ctx_.new_id();
       queues_[static_cast<std::size_t>(worker)].push_back(std::move(node));
       ++queued_;
       wake = waiters_ > 0;
@@ -329,97 +394,8 @@ class NodePool {
     return stop_reason_;  // read after join: workers are quiescent
   }
 
-  /// Current incumbent objective (minimize sense, kInf if none). Lock-free.
-  [[nodiscard]] double incumbent() const {
-    return incumbent_obj_.load(std::memory_order_relaxed);
-  }
-
-  /// Bound-pruning cutoff against the current incumbent (kInf if none).
-  [[nodiscard]] double cutoff() const {
-    const double inc = incumbent();
-    if (inc >= kInf) return kInf;
-    return inc - std::max({opts_.gap_abs, opts_.gap_rel * std::abs(inc),
-                           granularity_ - 1e-6});
-  }
-
-  /// Integer-snap, validate against the true model, and install if better.
-  /// Returns true when the incumbent improved (callers emit trace events).
-  bool try_incumbent(std::vector<double> x, double obj) {
-    for (std::int32_t j : int_vars_) {
-      x[static_cast<std::size_t>(j)] = std::round(x[static_cast<std::size_t>(j)]);
-    }
-    if (!model_.feasible(x, 1e-5)) return false;
-    std::lock_guard<std::mutex> lk(incumbent_mu_);
-    if (obj < incumbent_obj_.load(std::memory_order_relaxed) - 1e-12) {
-      incumbent_obj_.store(obj, std::memory_order_relaxed);
-      incumbent_x_ = std::move(x);
-      has_incumbent_ = true;
-      if (opts_.on_incumbent) opts_.on_incumbent(sense_flip_ * obj);
-      return true;
-    }
-    return false;
-  }
-
-  /// Atomically counts one solved node against the global budget; returns
-  /// false when the budget is already spent (caller requests NodeLimit).
-  [[nodiscard]] bool count_node() {
-    return nodes_.fetch_add(1, std::memory_order_relaxed) < max_pool_nodes_;
-  }
-  void set_node_budget(std::int64_t n) { max_pool_nodes_ = n; }
-  [[nodiscard]] std::int64_t nodes() const {
-    return nodes_.load(std::memory_order_relaxed);
-  }
-
-  // Read after join (workers quiescent).
-  [[nodiscard]] bool has_incumbent() const { return has_incumbent_; }
-  [[nodiscard]] std::vector<double>& incumbent_x() { return incumbent_x_; }
-
-  [[nodiscard]] double sense_flip() const { return sense_flip_; }
   /// Probe run: dive upward and stop at the first installed incumbent.
   [[nodiscard]] bool probe() const { return probe_; }
-  /// The solve's pseudo-cost table, shared by every run's workers.
-  [[nodiscard]] PseudoCosts& pseudocosts() { return pseudocosts_; }
-
-  /// Continues the trace node-id sequence of earlier phases and runs, so
-  /// node ids stay unique across the solve.
-  void set_next_id(std::uint64_t n) { next_id_ = n; }
-  [[nodiscard]] std::uint64_t next_id() const { return next_id_; }  // after join
-  /// Nodes already charged before this run (node-log display only).
-  void set_base_nodes(std::int64_t n) { base_nodes_ = n; }
-  /// Initial global lower bound (minimize sense), for Bound-event deltas.
-  void set_root_bound(double b) { best_known_bound_ = b; }
-
-  /// Records one subtree abandoned by the recovery ladder. The bound is
-  /// folded into the final best bound by run_pool.
-  void mark_abandoned(double bound) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++degraded_nodes_;
-    degraded_bound_ = std::min(degraded_bound_, bound);
-  }
-  /// Seeds the degradation record accumulated before this run (the probe,
-  /// a resumed checkpoint), so checkpoint snapshots and the fold-back after
-  /// join carry it forward. Called before workers start.
-  void seed_degraded(std::int64_t nodes, double bound) {
-    degraded_nodes_ = nodes;
-    degraded_bound_ = bound;
-  }
-  // Read after join (workers quiescent).
-  [[nodiscard]] std::int64_t degraded_nodes() const { return degraded_nodes_; }
-  [[nodiscard]] double degraded_bound() const { return degraded_bound_; }
-
-  /// Arms periodic checkpointing (empty file = off).
-  void configure_checkpoint(const std::string& file, double interval_s,
-                            std::uint64_t fingerprint,
-                            obs::MetricsRegistry* reg) {
-    ck_file_ = file;
-    ck_fingerprint_ = fingerprint;
-    ck_reg_ = reg;
-    ck_epoch_ = Clock::now();
-    ck_interval_ns_ = interval_s <= 0.0
-                          ? 0
-                          : static_cast<std::int64_t>(interval_s * 1e9);
-    ck_next_ns_.store(ck_interval_ns_, std::memory_order_relaxed);
-  }
 
   /// Re-enqueues a node a worker popped but could not process (stop already
   /// requested, deadline, node budget, or its LP cut short by a time or
@@ -428,10 +404,10 @@ class NodePool {
   /// final checkpoint records, and a resume would silently lose it. No-op
   /// when checkpointing is off (the pool is torn down anyway).
   void keep_for_checkpoint(int worker, const BBNode& node) {
-    if (ck_file_.empty()) return;
+    if (!checkpointing_) return;
     auto copy = std::make_shared<BBNode>(node);
     std::lock_guard<std::mutex> lk(mu_);
-    copy->id = ++next_id_;
+    copy->id = ctx_.new_id();
     queues_[static_cast<std::size_t>(worker)].push_back(std::move(copy));
     ++queued_;
   }
@@ -440,7 +416,7 @@ class NodePool {
   /// an atomic exchange elects a single writer, and the snapshot is taken
   /// under the pool lock but written outside it.
   void maybe_checkpoint(obs::SpanBuffer* rec) {
-    if (ck_file_.empty()) return;
+    if (!checkpointing_) return;
     const std::int64_t now_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              ck_epoch_)
@@ -458,8 +434,7 @@ class NodePool {
   /// (node/time-limited) solves resume from their final frontier and
   /// completed solves leave an empty frontier that resumes trivially.
   void write_final_checkpoint(obs::SpanBuffer* rec) {
-    if (ck_file_.empty()) return;
-    write_checkpoint(rec);
+    if (checkpointing_) write_checkpoint(rec);
   }
 
   /// Emits one node-log line from the pool's current state, and a Bound
@@ -468,12 +443,13 @@ class NodePool {
   /// estimate, because a worker's in-flight LP may already have lifted its
   /// node's bound. Called by whichever worker finds the logger due; the
   /// pool lock makes the snapshot consistent.
-  void log_line(obs::NodeLogger* logger, obs::SpanBuffer* rec) {
+  void log_line(obs::SpanBuffer* rec) {
     obs::NodeLogger::Line line;
+    const double flip = ctx_.sense_flip;
     double est = kInf;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      line.nodes = base_nodes_ + nodes_.load(std::memory_order_relaxed);
+      line.nodes = ctx_.nodes.load(std::memory_order_relaxed);
       line.open = queued_;
       line.steals = steals_;
       for (const auto& q : queues_) {
@@ -482,32 +458,31 @@ class NodePool {
       for (double b : inflight_bound_) est = std::min(est, b);
       if (est < kInf && est > best_known_bound_ + 1e-9) {
         best_known_bound_ = est;
-        if (rec != nullptr) rec->emit(obs::EventType::Bound, -1, sense_flip_ * est);
+        if (rec != nullptr) rec->emit(obs::EventType::Bound, -1, flip * est);
       }
       if (est >= kInf) est = best_known_bound_;
     }
-    const double inc = incumbent();
+    const double inc = ctx_.incumbent();
     line.has_incumbent = inc < kInf;
-    line.incumbent = sense_flip_ * inc;
-    line.best_bound = sense_flip_ * est;
-    if (logger != nullptr) logger->log(line);
+    line.incumbent = flip * inc;
+    line.best_bound = flip * est;
+    ctx_.logger->log(line);
   }
 
  private:
   /// Consistent copy of the resumable search state: frontier (queued plus
-  /// in-flight nodes) under the pool lock, incumbent under its own lock.
-  /// An in-flight node that already pushed its children may be captured
-  /// together with them — the duplicated subtree costs re-exploration on
-  /// resume but never correctness (same cutoffs, same incumbent checks).
+  /// in-flight nodes) under the pool lock, incumbent and degradation record
+  /// under the SearchCtx lock. An in-flight node that already pushed its
+  /// children may be captured together with them — the duplicated subtree
+  /// costs re-exploration on resume but never correctness (same cutoffs,
+  /// same incumbent checks).
   CheckpointData snapshot() {
     CheckpointData d;
-    d.fingerprint = ck_fingerprint_;
+    d.fingerprint = ctx_.ck_fingerprint;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      d.nodes = base_nodes_ + nodes_.load(std::memory_order_relaxed);
+      d.nodes = ctx_.nodes.load(std::memory_order_relaxed);
       d.root_bound = best_known_bound_;
-      d.degraded_nodes = degraded_nodes_;
-      d.degraded_bound = degraded_bound_;
       for (const auto& q : queues_) {
         for (const auto& n : q) d.frontier.push_back({n->bound, n->retries, n->path});
       }
@@ -516,11 +491,13 @@ class NodePool {
       }
     }
     {
-      std::lock_guard<std::mutex> lk(incumbent_mu_);
-      d.has_incumbent = has_incumbent_;
-      if (has_incumbent_) {
-        d.incumbent_obj = incumbent_obj_.load(std::memory_order_relaxed);
-        d.incumbent_x = incumbent_x_;
+      std::lock_guard<std::mutex> lk(ctx_.mu);
+      d.degraded_nodes = ctx_.degraded_nodes;
+      d.degraded_bound = ctx_.degraded_bound;
+      d.has_incumbent = ctx_.has_incumbent();
+      if (d.has_incumbent) {
+        d.incumbent_obj = ctx_.incumbent();
+        d.incumbent_x = ctx_.incumbent_x;
       }
     }
     return d;
@@ -528,25 +505,19 @@ class NodePool {
 
   void write_checkpoint(obs::SpanBuffer* rec) {
     const CheckpointData d = snapshot();
-    const bool ok = save_checkpoint(ck_file_, d);
-    if (ck_reg_ != nullptr) {
-      ck_reg_->counter(ok ? "milp.checkpoint.writes"
-                          : "milp.checkpoint.write_failures").add();
-      ck_reg_->gauge("milp.checkpoint.frontier")
-          .set(static_cast<double>(d.frontier.size()));
-    }
+    const bool ok = save_checkpoint(ctx_.opts.checkpoint_file, d);
+    ctx_.reg->counter(ok ? "milp.checkpoint.writes"
+                         : "milp.checkpoint.write_failures").add();
+    ctx_.reg->gauge("milp.checkpoint.frontier")
+        .set(static_cast<double>(d.frontier.size()));
     if (rec != nullptr) {
       rec->emit(obs::EventType::Checkpoint, -1, static_cast<double>(d.frontier.size()));
     }
   }
 
-  const Model& model_;
-  const MilpOptions& opts_;
-  const double granularity_;
-  const std::vector<std::int32_t>& int_vars_;
-  const double sense_flip_;
+  SearchCtx& ctx_;
   const bool probe_;
-  PseudoCosts& pseudocosts_;
+  const bool checkpointing_;
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -554,34 +525,17 @@ class NodePool {
   std::int64_t queued_ = 0;  ///< total nodes across all deques
   int in_flight_ = 0;
   int waiters_ = 0;
-  std::uint64_t next_id_ = 0;
   std::atomic<bool> stop_{false};
   SolveStatus stop_reason_ = SolveStatus::Optimal;
 
-  std::mutex incumbent_mu_;
-  std::atomic<double> incumbent_obj_{kInf};
-  std::vector<double> incumbent_x_;
-  bool has_incumbent_ = false;
-
-  std::atomic<std::int64_t> nodes_{0};
-  std::int64_t max_pool_nodes_ = std::numeric_limits<std::int64_t>::max();
-
-  // Telemetry (all under mu_ except base_nodes_, set before workers start).
+  // Telemetry (under mu_).
   std::vector<double> inflight_bound_;  ///< bound of each worker's node, kInf idle
-  std::vector<std::shared_ptr<BBNode>> inflight_node_;  ///< under mu_; for snapshots
+  std::vector<std::shared_ptr<BBNode>> inflight_node_;  ///< for snapshots
   std::int64_t steals_ = 0;
-  std::int64_t base_nodes_ = 0;
-  double best_known_bound_ = -kInf;
-
-  // Recovery-ladder accounting (under mu_).
-  std::int64_t degraded_nodes_ = 0;
-  double degraded_bound_ = kInf;
+  double best_known_bound_;
 
   // Checkpointing (configured before workers start; due-time and the
   // single-writer election are atomics so workers race without the lock).
-  std::string ck_file_;
-  std::uint64_t ck_fingerprint_ = 0;
-  obs::MetricsRegistry* ck_reg_ = nullptr;
   Clock::time_point ck_epoch_{};
   std::int64_t ck_interval_ns_ = 0;
   std::atomic<std::int64_t> ck_next_ns_{std::numeric_limits<std::int64_t>::max()};
@@ -592,37 +546,28 @@ class NodePool {
 /// solver, the others own one), dive-local bookkeeping, and statistics.
 class Worker {
  public:
-  /// Each worker's SimplexSolver gets a private copy of the LP options with
-  /// its *own* recorder buffer, keeping every buffer single-writer.
-  static SimplexOptions worker_lp_options(SimplexOptions lp, obs::SpanBuffer* rec) {
-    lp.spans = rec;
-    return lp;
-  }
-
-  /// `root_lp` non-null: dive on that solver, whose bounds are the fixed
-  /// root frame. Otherwise build a private solver and replay `root_fixes`
-  /// so its root bounds match the pool's reference frame.
-  Worker(int id, SimplexSolver* root_lp, const Model& model,
-         const MilpOptions& opts, NodePool& pool,
-         const std::vector<std::int32_t>& int_vars,
-         const std::vector<double>& obj_coef,
-         const std::vector<BoundChange>& root_fixes, Clock::time_point deadline,
-         obs::SpanBuffer* rec, obs::NodeLogger* logger, obs::MetricsRegistry* reg)
-      : id_(id), opts_(opts), pool_(pool), int_vars_(int_vars),
-        obj_coef_(obj_coef), deadline_(deadline),
-        rec_(rec),
-        logger_((logger != nullptr && logger->enabled()) ? logger : nullptr),
-        reg_(reg) {
-    if (root_lp == nullptr) {
-      own_lp_ = std::make_unique<SimplexSolver>(
-          model, worker_lp_options(opts.lp, rec));
-      for (const BoundChange& f : root_fixes) own_lp_->set_bounds(f.col, f.lb, f.ub);
-      root_lp = own_lp_.get();
+  /// Worker 0 dives on the root solver, whose bounds are the fixed root
+  /// frame. The others build a private solver and replay the root solver's
+  /// reduced-cost fixes, so node paths share that frame. Each private solver
+  /// writes its *own* recorder buffer, keeping every buffer single-writer.
+  Worker(int id, SearchCtx& ctx, NodePool& pool)
+      : id_(id), ctx_(ctx), pool_(pool), rec_(recorder_buffer(ctx.opts, id)),
+        lp_(&ctx.lp) {
+    const Model& model = ctx.model;
+    if (id != 0) {
+      SimplexOptions lp_opts = ctx.opts.lp;
+      lp_opts.spans = rec_;
+      own_lp_ = std::make_unique<SimplexSolver>(model, std::move(lp_opts));
+      lp_ = own_lp_.get();
     }
-    lp_ = root_lp;
     for (std::size_t j = 0; j < model.num_vars(); ++j) {
-      root_lb_.push_back(lp_->lower_bound(static_cast<std::int32_t>(j)));
-      root_ub_.push_back(lp_->upper_bound(static_cast<std::int32_t>(j)));
+      const auto col = static_cast<std::int32_t>(j);
+      root_lb_.push_back(ctx.lp.lower_bound(col));
+      root_ub_.push_back(ctx.lp.upper_bound(col));
+      if (own_lp_ != nullptr &&
+          (root_lb_[j] != model.vars()[j].lb || root_ub_[j] != model.vars()[j].ub)) {
+        own_lp_->set_bounds(col, root_lb_[j], root_ub_[j]);
+      }
     }
   }
 
@@ -653,20 +598,17 @@ class Worker {
       process(*node);
       pool_.done(id_);
       pool_.maybe_checkpoint(rec_);
-      if (logger_ != nullptr && logger_->due()) pool_.log_line(logger_, rec_);
+      if (ctx_.logger != nullptr && ctx_.logger->due()) pool_.log_line(rec_);
     }
     rewind();  // a borrowed root solver goes back to the fixed-root frame
     busy_seconds_ = thread_cpu_seconds() - cpu0;
   }
 
-  [[nodiscard]] bool owns_solver() const { return own_lp_ != nullptr; }
+  /// This worker's private solver, or null when it dives on the root solver.
+  [[nodiscard]] const SimplexSolver* own_solver() const { return own_lp_.get(); }
   [[nodiscard]] std::int64_t nodes() const { return nodes_; }
   [[nodiscard]] std::int64_t steals() const { return steals_; }
   [[nodiscard]] double busy_seconds() const { return busy_seconds_; }
-  [[nodiscard]] std::int64_t iterations() const { return lp_->iterations(); }
-  [[nodiscard]] const SimplexSolver::ReoptStats& reopt_stats() const {
-    return lp_->reopt_stats();
-  }
 
  private:
   /// Restores the root bound of every column on the current path.
@@ -706,9 +648,10 @@ class Worker {
   }
 
   void process(const BBNode& node) {
+    const MilpOptions& opts = ctx_.opts;
     const auto nid = static_cast<std::int64_t>(node.id);
-    const double flip = pool_.sense_flip();
-    if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::WorkerStall)) {
+    const double flip = ctx_.sense_flip;
+    if (opts.fault != nullptr && opts.fault->fire(FaultSite::WorkerStall)) {
       // Injected stall: models a worker losing its timeslice mid-search, so
       // tests can exercise steal/termination behaviour under skew.
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
@@ -719,23 +662,22 @@ class Worker {
       pool_.keep_for_checkpoint(id_, node);
       return;
     }
-    if (Clock::now() >= deadline_ ||
-        (opts_.cancel != nullptr &&
-         opts_.cancel->load(std::memory_order_relaxed))) {
+    if (Clock::now() >= ctx_.deadline ||
+        (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed))) {
       // Expired budget and cooperative cancel stop identically: the node is
       // parked for the final checkpoint so a drain leaves a resumable file.
       pool_.request_stop(SolveStatus::TimeLimit);
       pool_.keep_for_checkpoint(id_, node);
       return;
     }
-    if (!pool_.count_node()) {
+    if (!ctx_.count_node()) {
       pool_.request_stop(SolveStatus::NodeLimit);
       pool_.keep_for_checkpoint(id_, node);
       return;
     }
     ++nodes_;
     if (rec_ != nullptr) rec_->emit(obs::EventType::NodeOpen, nid, flip * node.bound);
-    if (node.bound >= pool_.cutoff()) {  // pruned by a newer incumbent, no LP
+    if (node.bound >= ctx_.cutoff()) {  // pruned by a newer incumbent, no LP
       close(nid, obs::NodeOutcome::Pruned, flip * node.bound);
       return;
     }
@@ -747,30 +689,30 @@ class Worker {
     // would prune this node at its optimum too, and a stopped node has no
     // children, so the next pop reinstalls its own parent's basis (a resumed
     // node that ships none starts from the stopped one, which stays valid).
-    const double cutoff = pool_.cutoff();
+    const double cutoff = ctx_.cutoff();
     SolveStatus st = SolveStatus::NumericalError;
     try {
-      st = opts_.warm_start ? lp_->reoptimize_dual(cutoff) : lp_->solve_primal();
-      if (st == SolveStatus::Optimal && opts_.fault != nullptr &&
-          opts_.fault->fire(FaultSite::BadAlloc)) {
+      st = opts.warm_start ? lp_->reoptimize_dual(cutoff) : lp_->solve_primal();
+      if (st == SolveStatus::Optimal && opts.fault != nullptr &&
+          opts.fault->fire(FaultSite::BadAlloc)) {
         throw std::bad_alloc{};
       }
     } catch (const std::bad_alloc&) {
       st = SolveStatus::NumericalError;  // enter the ladder below
     }
     if (st == SolveStatus::NumericalError) {
-      st = run_recovery_ladder(*lp_, {reg_, rec_, nid}, cutoff);
+      st = run_recovery_ladder(*lp_, {ctx_.reg, rec_, nid}, cutoff);
     }
     if (st == SolveStatus::NumericalError) {
       // Both in-place rungs failed. Quarantine: re-enqueue the node for a
       // bounded number of fresh cold attempts (possibly on another worker's
       // solver, whose numerical state differs), then abandon the subtree —
       // its parent bound is folded into the global bound, never pruned away.
-      if (node.retries < opts_.recover_max_retries) {
+      if (node.retries < kRecoverMaxRetries) {
         auto retry = std::make_shared<BBNode>(node);
         retry->basis.reset();  // force a cold start on the next attempt
         retry->retries = node.retries + 1;
-        if (reg_ != nullptr) reg_->counter("milp.recover.requeue").add();
+        ctx_.reg->counter("milp.recover.requeue").add();
         if (rec_ != nullptr) {
           rec_->emit(obs::EventType::Recover, nid, 0.0,
                      static_cast<std::uint8_t>(obs::RecoverRung::Requeue));
@@ -779,8 +721,8 @@ class Worker {
         pool_.push(id_, std::move(retry));
         return;
       }
-      pool_.mark_abandoned(node.bound);
-      if (reg_ != nullptr) reg_->counter("milp.recover.abandoned").add();
+      ctx_.mark_abandoned(node.bound);
+      ctx_.reg->counter("milp.recover.abandoned").add();
       if (rec_ != nullptr) {
         rec_->emit(obs::EventType::Recover, nid, 0.0,
                    static_cast<std::uint8_t>(obs::RecoverRung::Abandon));
@@ -807,10 +749,10 @@ class Worker {
     // After a cutoff stop `obj` is the LP's dual bound, not its optimum.
     const double obj = lp_->objective_value();
     if (st == SolveStatus::Optimal && node.branch_col >= 0) {
-      pool_.pseudocosts().record(node.branch_col, node.branch_dir, node.branch_dist,
-                                 obj - node.bound);
+      ctx_.pseudocosts.record(node.branch_col, node.branch_dir, node.branch_dist,
+                              obj - node.bound);
     }
-    if (st == SolveStatus::Cutoff || obj >= pool_.cutoff()) {  // bound pruning
+    if (st == SolveStatus::Cutoff || obj >= ctx_.cutoff()) {  // bound pruning
       close(nid, obs::NodeOutcome::Cutoff, flip * obj);
       return;
     }
@@ -818,10 +760,10 @@ class Worker {
     const std::vector<double> x = lp_->primal_solution();
     // The probe keeps the fixed rule, which its upward dive is tuned for.
     const std::int32_t bv =
-        pool_.probe() ? cost_weighted_branch_var(x, int_vars_, obj_coef_, opts_.int_tol)
-                      : pool_.pseudocosts().select(x, int_vars_, obj_coef_, opts_.int_tol);
+        pool_.probe() ? cost_weighted_branch_var(x, ctx_.int_vars, ctx_.obj_coef, kIntTol)
+                      : ctx_.pseudocosts.select(x, ctx_.int_vars, ctx_.obj_coef, kIntTol);
     if (bv < 0) {
-      if (pool_.try_incumbent(x, obj)) {
+      if (ctx_.try_incumbent(x, obj)) {
         if (rec_ != nullptr) rec_->emit(obs::EventType::Incumbent, nid, flip * obj);
         // The probe's job is done; Optimal marks the stop as no limit.
         if (pool_.probe()) pool_.request_stop(SolveStatus::Optimal);
@@ -834,8 +776,8 @@ class Worker {
     const double v = x[static_cast<std::size_t>(bv)];
     const double lb0 = lp_->lower_bound(bv);
     const double ub0 = lp_->upper_bound(bv);
-    const double down_ub = std::floor(v + opts_.int_tol);
-    const double up_lb = std::ceil(v - opts_.int_tol);
+    const double down_ub = std::floor(v + kIntTol);
+    const double up_lb = std::ceil(v - kIntTol);
     // Dive toward the nearest integer first; the probe leans upward —
     // architecture MILPs are covering-style, and instantiating components
     // reaches feasibility much faster than pruning them.
@@ -843,9 +785,9 @@ class Worker {
     const double f = v - std::floor(v);
     const bool down_first = f < up_threshold;
 
-    std::shared_ptr<const SimplexSolver::Basis> basis;
-    if (opts_.warm_start) {
-      SimplexSolver::Basis b = lp_->export_basis();
+    std::shared_ptr<const Basis> basis;
+    if (opts.warm_start) {
+      Basis b = lp_->export_basis();
       // Ship the factorization only when this node did not refactorize: it
       // then extends the one its parent's snapshot already holds, so the
       // open siblings of a dive share one LU and one eta prefix. After a
@@ -853,7 +795,7 @@ class Worker {
       // little gain — the kernel is refactorizing at node rate anyway — so
       // the children refactorize on load instead.
       if (lp_->reopt_stats().refactors != refactors0) b.factor = nullptr;
-      basis = std::make_shared<const SimplexSolver::Basis>(std::move(b));
+      basis = std::make_shared<const Basis>(std::move(b));
     }
     auto make_child = [&](double clb, double cub, PseudoCosts::Dir dir) {
       auto child = std::make_shared<BBNode>();
@@ -881,14 +823,9 @@ class Worker {
   }
 
   const int id_;
-  const MilpOptions& opts_;
+  SearchCtx& ctx_;
   NodePool& pool_;
-  const std::vector<std::int32_t>& int_vars_;
-  const std::vector<double>& obj_coef_;
-  const Clock::time_point deadline_;
   obs::SpanBuffer* rec_;  ///< this worker's recorder buffer; null = off
-  obs::NodeLogger* logger_;
-  obs::MetricsRegistry* reg_;
   std::unique_ptr<SimplexSolver> own_lp_;  ///< null for the root solver's worker
   SimplexSolver* lp_;
   std::vector<double> root_lb_, root_ub_;
@@ -904,31 +841,21 @@ class Worker {
 /// threads with private solvers. A `probe` run dives upward and stops at the
 /// first installed incumbent; its frontier is dropped. Otherwise the run is
 /// the main search: checkpointed when armed, and seeded from `ctx.resume`'s
-/// frontier when resuming. Results fold back into `ctx` and `sol`. Returns
-/// true when the probe stopped at an incumbent, i.e. the search goes on.
+/// frontier when resuming. Every run charges the solve's node ledger and
+/// incumbent in `ctx` directly; the per-worker statistics and the private
+/// solvers' counters land in `sol`. Returns true when the probe stopped at
+/// an incumbent, i.e. the search goes on.
 bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
-  const Model& work = ctx.model;
-  const MilpOptions& opts = ctx.opts;
   const CheckpointData* resume = probe ? nullptr : ctx.resume;
-  NodePool pool(work, opts, ctx.granularity, ctx.int_vars, ctx.sense_flip,
-                threads, probe, ctx.pseudocosts);
-  if (!probe && !opts.checkpoint_file.empty()) {
-    pool.configure_checkpoint(opts.checkpoint_file, opts.checkpoint_interval_s,
-                              ctx.ck_fingerprint, ctx.reg);
+  if (resume != nullptr) {
+    // Nodes charged by the interrupted run count against max_nodes too, so
+    // the budget continues across a kill/resume instead of restarting, and
+    // the resumed run's trace ids start above them.
+    ctx.nodes = std::max(ctx.nodes.load(), resume->nodes);
+    ctx.next_id = std::max(ctx.next_id.load(), static_cast<std::uint64_t>(ctx.nodes.load()));
   }
-  if (ctx.has_incumbent) pool.seed_incumbent(ctx.incumbent_obj, ctx.incumbent_x);
-  // ctx already folded any resumed checkpoint's degradation record; seeding
-  // it here keeps abandoned-subtree accounting in this pool's snapshots.
-  pool.seed_degraded(ctx.degraded_nodes, ctx.degraded_bound);
-  // Nodes charged by a resumed run count against max_nodes too, so the
-  // budget continues across a kill/resume instead of restarting.
-  const std::int64_t charged =
-      resume != nullptr ? std::max(ctx.nodes, resume->nodes) : ctx.nodes;
-  pool.set_node_budget(opts.max_nodes - charged);
-  pool.set_next_id(std::max(ctx.next_id, static_cast<std::uint64_t>(charged)));
-  // Node-log totals: a resume restarts them from the checkpoint's count.
-  pool.set_base_nodes(resume != nullptr ? resume->nodes : ctx.nodes);
-  pool.set_root_bound(resume != nullptr ? resume->root_bound : ctx.root_bound);
+  NodePool pool(ctx, threads, probe,
+                resume != nullptr ? resume->root_bound : ctx.root_bound);
 
   if (resume != nullptr) {
     // Re-enqueue the checkpointed frontier on worker 0 (steals rebalance it).
@@ -950,29 +877,12 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
     pool.push(0, std::move(root));
   }
 
-  // Reference frame for the private solvers (workers 1..threads-1): the
-  // root solver's bounds already include the reduced-cost fixes, so node
-  // paths stay relative to the fixed root.
-  std::vector<BoundChange> root_fixes;
-  for (std::size_t j = 0; threads > 1 && j < work.num_vars(); ++j) {
-    const auto col = static_cast<std::int32_t>(j);
-    const double lb = ctx.lp.lower_bound(col);
-    const double ub = ctx.lp.upper_bound(col);
-    if (lb != work.vars()[j].lb || ub != work.vars()[j].ub) {
-      root_fixes.push_back({col, lb, ub});
-    }
-  }
-
+  // Each worker writes its own recorder buffer (worker 0 is the calling
+  // thread, which is also the recorder's buffer-0 owner — same thread,
+  // single-writer holds).
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    // Each worker writes its own recorder buffer (worker 0 is the calling
-    // thread, which is also the recorder's buffer-0 owner — same thread,
-    // single-writer holds).
-    workers.push_back(std::make_unique<Worker>(
-        t, t == 0 ? &ctx.lp : nullptr, work, opts, pool, ctx.int_vars, ctx.obj_coef,
-        root_fixes, ctx.deadline, recorder_buffer(opts, t), ctx.logger, ctx.reg));
-  }
+  for (int t = 0; t < threads; ++t) workers.push_back(std::make_unique<Worker>(t, ctx, pool));
   std::vector<std::thread> pool_threads;
   pool_threads.reserve(workers.size() - 1);
   for (std::size_t t = 1; t < workers.size(); ++t) {
@@ -984,29 +894,13 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
   // Final snapshot after all workers drained: an interrupted run's last
   // checkpoint then carries the exact surviving frontier, and a finished
   // run's carries an empty one (resume returns the incumbent immediately).
-  pool.write_final_checkpoint(recorder_buffer(opts, 0));
+  pool.write_final_checkpoint(recorder_buffer(ctx.opts, 0));
 
-  // Fold results back into the context. Node counts come from the workers
-  // (the pool's atomic budget counter can overshoot by one racing increment
-  // per worker at the node limit).
-  if (resume != nullptr) ctx.nodes = resume->nodes;
-  for (const auto& w : workers) ctx.nodes += w->nodes();
-  ctx.next_id = pool.next_id();
-  // The pool was seeded with ctx's pre-run record, so its counters are the
-  // totals — assign, don't accumulate.
-  ctx.degraded_nodes = pool.degraded_nodes();
-  ctx.degraded_bound = pool.degraded_bound();
   const bool hit_incumbent = pool.stopped() && pool.stop_reason() == SolveStatus::Optimal;
   if (pool.stopped() && !hit_incumbent) {
     ctx.stopped = true;
     ctx.stop_reason = pool.stop_reason();
   }
-  if (pool.has_incumbent()) {
-    ctx.has_incumbent = true;
-    ctx.incumbent_obj = pool.incumbent();
-    ctx.incumbent_x = std::move(pool.incumbent_x());
-  }
-
   sol.threads_used = threads;
   sol.nodes_per_worker.resize(workers.size());
   for (std::size_t t = 0; t < workers.size(); ++t) {
@@ -1015,14 +909,7 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
     sol.steals += w.steals();
     sol.cpu_seconds += w.busy_seconds();
     // The root solver's counters are folded once, at the end of solve_milp.
-    if (!w.owns_solver()) continue;
-    sol.simplex_iterations += w.iterations();
-    sol.warm_dual_nodes += w.reopt_stats().dual_fast;
-    sol.warm_repair_nodes += w.reopt_stats().repaired;
-    sol.cold_nodes += w.reopt_stats().cold;
-    ctx.pool_refactors += w.reopt_stats().refactors;
-    ctx.pool_transplants += w.reopt_stats().transplants;
-    ctx.pool_lp_cutoffs += w.reopt_stats().cutoffs;
+    if (w.own_solver() != nullptr) fold_solver_counters(*w.own_solver(), sol, *ctx.reg);
   }
   return hit_incumbent;
 }
@@ -1193,10 +1080,9 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     ctx.degraded_bound = std::min(ctx.degraded_bound, ckdata.degraded_bound);
   }
   if (resume_ok && ckdata.has_incumbent) {
-    // Seed the checkpointed incumbent (internal minimize sense, like the
-    // pool stores it) without firing on_incumbent — it is not a new find.
-    ctx.has_incumbent = true;
-    ctx.incumbent_obj = ckdata.incumbent_obj;
+    // Seed the checkpointed incumbent (internal minimize sense) without
+    // firing on_incumbent — it is not a new find.
+    ctx.incumbent_obj.store(ckdata.incumbent_obj, std::memory_order_relaxed);
     ctx.incumbent_x = ckdata.incumbent_x;
   }
 
@@ -1309,9 +1195,8 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       root_status[j] = ctx.lp.column_status(static_cast<std::int32_t>(j));
     }
     auto fix_by_reduced_cost = [&] {
-      if (!ctx.has_incumbent) return;
-      const double cutoff = ctx.incumbent_obj -
-                            std::max(options.gap_abs, ctx.granularity - 1e-6);
+      if (!ctx.has_incumbent()) return;
+      const double cutoff = ctx.incumbent() - std::max(kGapAbs, ctx.granularity - 1e-6);
       for (std::int32_t j : ctx.int_vars) {
         const double lb = ctx.lp.lower_bound(j);
         const double ub = ctx.lp.upper_bound(j);
@@ -1330,11 +1215,11 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
       }
     };
 
-    if (ctx.pick_branch_var(x) < 0) {
+    if (cost_weighted_branch_var(x, ctx.int_vars, ctx.obj_coef, kIntTol) < 0) {
       const bool improved = ctx.try_incumbent(x, ctx.lp.objective_value());
       if (root_rec != nullptr) {
         if (improved) {
-          root_rec->emit(obs::EventType::Incumbent, 1, ctx.sense_flip * ctx.incumbent_obj);
+          root_rec->emit(obs::EventType::Incumbent, 1, ctx.sense_flip * ctx.incumbent());
         }
         root_rec->emit(obs::EventType::NodeClose, 1, ctx.sense_flip * ctx.root_bound,
                        static_cast<std::uint8_t>(obs::NodeOutcome::Integer));
@@ -1350,26 +1235,23 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
                                   obs::span_id(obs::SpanName::Heuristic));
         obs::ScopedTimer heur_timer(&reg->timer("milp.phase.heuristic"),
                                     &sol.phases.heuristic);
-        if (options.rounding_heuristic) {
-          // Root rounding heuristic: snap and test.
-          std::vector<double> xr = x;
-          double obj = work->objective().constant();
-          for (std::int32_t j : ctx.int_vars) {
-            xr[static_cast<std::size_t>(j)] = std::round(xr[j]);
-          }
-          for (const Term& t : work->objective().terms()) {
-            obj += t.coef * xr[static_cast<std::size_t>(t.var.index)];
-          }
-          const bool improved =
-              ctx.try_incumbent(std::move(xr), ctx.sense_flip * obj);  // minimize sense
-          if (improved && root_rec != nullptr) {
-            root_rec->emit(obs::EventType::Incumbent, -1, ctx.sense_flip * ctx.incumbent_obj);
-          }
+        // Root rounding heuristic: snap and test.
+        std::vector<double> xr = x;
+        double obj = work->objective().constant();
+        for (std::int32_t j : ctx.int_vars) {
+          xr[static_cast<std::size_t>(j)] = std::round(xr[static_cast<std::size_t>(j)]);
+        }
+        for (const Term& t : work->objective().terms()) {
+          obj += t.coef * xr[static_cast<std::size_t>(t.var.index)];
+        }
+        // try_incumbent takes the minimize-sense objective.
+        if (ctx.try_incumbent(std::move(xr), ctx.sense_flip * obj) && root_rec != nullptr) {
+          root_rec->emit(obs::EventType::Incumbent, -1, ctx.sense_flip * ctx.incumbent());
         }
         // Probe: a pool run that stops at its first incumbent, so reduced-
         // cost fixing can prune the main search below. A probe that ends
         // without one has exhausted the tree or hit a limit.
-        if (!ctx.has_incumbent) search_left = run_pool(ctx, sol, 1, /*probe=*/true);
+        if (!ctx.has_incumbent()) search_left = run_pool(ctx, sol, 1, /*probe=*/true);
       }
       obs::ScopedSpan tree_span(root_rec, obs::span_id(obs::SpanName::Tree));
       obs::ScopedTimer tree_timer(&reg->timer("milp.phase.tree"),
@@ -1403,18 +1285,10 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
 
   // Pool runs folded their private solvers' counters into `sol`; the root
   // solver, shared by worker 0 of every run, is counted once, here.
-  sol.simplex_iterations += ctx.lp.iterations();
-  sol.nodes_explored = ctx.nodes;
+  fold_solver_counters(ctx.lp, sol, *reg);
+  const std::int64_t nodes = ctx.nodes.load(std::memory_order_relaxed);
+  sol.nodes_explored = nodes;
   sol.solve_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  sol.warm_dual_nodes += ctx.lp.reopt_stats().dual_fast;
-  sol.warm_repair_nodes += ctx.lp.reopt_stats().repaired;
-  sol.cold_nodes += ctx.lp.reopt_stats().cold;
-  reg->counter("milp.refactors")
-      .add(ctx.pool_refactors + ctx.lp.reopt_stats().refactors);
-  reg->counter("milp.basis_transplants")
-      .add(ctx.pool_transplants + ctx.lp.reopt_stats().transplants);
-  reg->counter("milp.lp_cutoff")
-      .add(ctx.pool_lp_cutoffs + ctx.lp.reopt_stats().cutoffs);
   reg->counter("milp.pseudocost.updates").add(ctx.pseudocosts.updates());
   reg->counter("milp.branch.fallback").add(ctx.pseudocosts.fallbacks());
   if (pc_seed != nullptr || ctx.pseudocosts.updates() > 0) {
@@ -1422,7 +1296,7 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
         ctx.pseudocosts.export_table(pc_seed, orig_of, model.num_vars()));
   }
   if (sol.threads_used == 1) {
-    sol.nodes_per_worker.assign(1, ctx.nodes);
+    sol.nodes_per_worker.assign(1, nodes);
     sol.cpu_seconds = sol.solve_seconds;
   }
 
@@ -1435,14 +1309,13 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     // parents' bounds — the min below keeps the reported gap sound.
     sol.degraded_nodes = ctx.degraded_nodes;
     sol.degraded = ctx.degraded_nodes > 0;
-    if (ctx.has_incumbent) {
+    if (ctx.has_incumbent()) {
       sol.status = ctx.stopped ? ctx.stop_reason : SolveStatus::Optimal;
       sol.has_incumbent = true;
-      sol.objective = ctx.sense_flip * ctx.incumbent_obj;
+      sol.objective = ctx.sense_flip * ctx.incumbent();
       sol.best_bound =
           ctx.sense_flip *
-          std::min(ctx.stopped ? ctx.root_bound : ctx.incumbent_obj,
-                   ctx.degraded_bound);
+          std::min(ctx.stopped ? ctx.root_bound : ctx.incumbent(), ctx.degraded_bound);
       std::vector<double> x = ctx.incumbent_x;
       sol.x = options.use_presolve ? pre.postsolve(x) : std::move(x);
     } else {
@@ -1463,10 +1336,10 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   // without presolve (row indices then match the engine's duals).
   if (options.certify && sol.has_incumbent) {
     check::CertifyOptions copts;
-    copts.feas_tol = options.certify_tol;
-    copts.int_tol = std::max(options.int_tol, options.certify_tol);
-    copts.obj_tol = options.certify_tol;
-    copts.dual_tol = options.certify_tol;
+    copts.feas_tol = kCertifyTol;
+    copts.int_tol = std::max(kIntTol, kCertifyTol);
+    copts.obj_tol = kCertifyTol;
+    copts.dual_tol = kCertifyTol;
     check::Certificate cert;
     if (ctx.int_vars.empty() && !options.use_presolve &&
         sol.status == SolveStatus::Optimal) {

@@ -25,9 +25,6 @@ namespace archex::milp {
 
 /// Branch & bound configuration.
 struct MilpOptions {
-  double int_tol = 1e-6;          ///< integrality tolerance
-  double gap_abs = 1e-9;          ///< absolute optimality gap
-  double gap_rel = 1e-9;          ///< relative optimality gap
   std::int64_t max_nodes = 10'000'000;
   /// The one time knob (milp/budget.hpp): a relative allowance measured
   /// from `solve_milp` entry and/or an absolute end (`Budget::until`),
@@ -67,8 +64,6 @@ struct MilpOptions {
   /// default (the snapshot copies the status vectors and pins the LU
   /// factorization snapshot).
   bool export_basis = false;
-  /// Use the root rounding heuristic to seed the incumbent.
-  bool rounding_heuristic = true;
   /// Workers of the tree search's open-node pool. 1 (the default) runs the
   /// pool on the calling thread alone: a LIFO dive whose node order, counts
   /// and incumbents are deterministic on any host. >= 2 adds worker threads
@@ -103,17 +98,10 @@ struct MilpOptions {
   /// feasibility and complementary slackness. On by default — the cost is
   /// one pass over the matrix per solve; see docs/diagnostics.md.
   bool certify = true;
-  double certify_tol = 1e-6;  ///< residual tolerance for the certifier
   /// Deterministic fault-injection plan shared by the root solver and every
   /// worker (copied into `lp.fault` unless one is already set there). Null —
   /// the default — is zero-cost. See milp/fault.hpp and docs/diagnostics.md.
   FaultPlan* fault = nullptr;
-  /// Numerical-recovery ladder: after the tightened-refactorization and
-  /// cold-restart rungs both fail on a node, the node is quarantined and
-  /// re-enqueued for this many fresh cold attempts before its subtree is
-  /// abandoned (the parent bound is then folded into `Solution::best_bound`
-  /// — never an unsound prune — and `Solution::degraded` is set).
-  int recover_max_retries = 2;
   /// Checkpoint/resume. A non-empty path makes the tree phase periodically
   /// serialize the incumbent, global bound and open-node frontier to this
   /// file (write-temp-then-rename; format in docs/solver.md).

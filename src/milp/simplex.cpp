@@ -15,8 +15,17 @@ constexpr double kRatioTol = 1e-9;   // rows with |w| below this do not block
 constexpr double kDegenTol = 1e-10;  // step sizes below this count as degenerate
 // A dual bound must pass the objective cutoff by this much, relative to
 // max(1, |cutoff|), before a node LP stops: the margin absorbs the drift of
-// the incremental objective and reduced costs off by up to opt_tol.
+// the incremental objective and reduced costs off by up to kOptTol.
 constexpr double kCutoffMargin = 1e-6;
+constexpr double kFeasTol = 1e-7;  // primal feasibility tolerance
+constexpr double kOptTol = 1e-7;   // dual feasibility (reduced cost) tolerance
+constexpr std::int64_t kMaxIterations = 50'000'000;
+// Degenerate pivots in a row before the primal loop switches to Bland's
+// rule; ten times as many stop the dual loop with NumericalError.
+constexpr int kBlandThreshold = 300;
+// Sparse kernel: refactorize once the eta file holds more than this
+// multiple of the LU nonzeros, even before `refactor_interval` pivots.
+constexpr double kEtaFillFactor = 3.0;
 }  // namespace
 
 SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
@@ -107,34 +116,11 @@ void SimplexSolver::build_from_model(const Model& model) {
   }
   obj_constant_ = flip * model.objective().constant();
 
-  // Perturbation setup: deterministic per-column jitter in (0.5, 1].
-  true_lb_ = lb_;
-  true_ub_ = ub_;
-  pert_.assign(total_cols_, 0.0);
-  pert_cost_ = cost_;
-  if (opts_.perturb) {
-    auto jitter = [](std::size_t j, std::uint64_t salt) {
-      std::uint64_t h = (j + 1) * 0x9E3779B97F4A7C15ull + salt;
-      h ^= h >> 33;
-      h *= 0xFF51AFD7ED558CCDull;
-      h ^= h >> 33;
-      return 0.5 + 0.5 * static_cast<double>(h % 1000003) / 1000003.0;
-    };
-    for (std::size_t j = 0; j < n_ + m_; ++j) {  // structural + slack only
-      pert_[j] = opts_.bound_pert * jitter(j, 0x1234);
-      if (lb_[j] > -kInf) lb_[j] -= pert_[j];
-      if (ub_[j] < kInf) ub_[j] += pert_[j];
-    }
-    for (std::size_t j = 0; j < total_cols_; ++j) {
-      pert_cost_[j] += opts_.cost_pert * (1.0 + std::abs(cost_[j])) * jitter(j, 0x5678);
-    }
-  }
-
   status_.assign(total_cols_, ColStatus::AtLower);
   xval_.assign(total_cols_, 0.0);
   basic_.assign(m_, -1);
   basis_pos_.assign(total_cols_, -1);
-  rep_ = make_basis_rep(opts_.kernel, m_, opts_.markowitz_tol, opts_.eta_fill_factor);
+  rep_ = make_basis_rep(opts_.kernel, m_, opts_.markowitz_tol, kEtaFillFactor);
   pricer_ = make_pricer(opts_.pricing);
   if (pricer_ == nullptr) pricer_ = make_pricer("dantzig");  // unknown name
   pricer_->reset(total_cols_);
@@ -178,9 +164,9 @@ void SimplexSolver::initial_basis() {
   for (std::size_t i = 0; i < m_; ++i) {
     const std::size_t s = n_ + i;
     const std::size_t a = n_ + m_ + i;
-    lb_[a] = true_lb_[a] = 0.0;
-    ub_[a] = true_ub_[a] = 0.0;
-    if (r[i] >= lb_[s] - opts_.feas_tol && r[i] <= ub_[s] + opts_.feas_tol) {
+    lb_[a] = 0.0;
+    ub_[a] = 0.0;
+    if (r[i] >= lb_[s] - kFeasTol && r[i] <= ub_[s] + kFeasTol) {
       // The slack absorbs the residual: no artificial needed for this row.
       basic_[i] = static_cast<std::int32_t>(s);
       basis_pos_[s] = static_cast<std::int32_t>(i);
@@ -188,7 +174,7 @@ void SimplexSolver::initial_basis() {
       xval_[s] = r[i];
     } else {
       art_val(i) = (r[i] >= 0.0) ? 1.0 : -1.0;
-      ub_[a] = true_ub_[a] = kInf;  // live artificial
+      ub_[a] = kInf;  // live artificial
       basic_[i] = static_cast<std::int32_t>(a);
       basis_pos_[a] = static_cast<std::int32_t>(i);
       status_[a] = ColStatus::Basic;
@@ -362,7 +348,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
   rebuild_candidates();
 
   for (;;) {
-    if (total_iterations_ >= opts_.max_iterations) return SolveStatus::IterationLimit;
+    if (total_iterations_ >= kMaxIterations) return SolveStatus::IterationLimit;
     if ((total_iterations_ & 0xFF) == 0) {
       if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::Deadline)) {
         return SolveStatus::TimeLimit;  // injected mid-solve deadline
@@ -387,7 +373,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       prices_stale = 0;
     }
 
-    const bool bland = degen_streak > opts_.bland_threshold;
+    const bool bland = degen_streak > kBlandThreshold;
     std::int32_t q = -1;
     double qdir = 0.0;
     auto select_entering = [&] {
@@ -401,9 +387,9 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
           if (st == ColStatus::Basic) continue;
           const double dj = d[j];
           double dir = 0.0;
-          if (st == ColStatus::AtLower && dj < -opts_.opt_tol) dir = 1.0;
-          else if (st == ColStatus::AtUpper && dj > opts_.opt_tol) dir = -1.0;
-          else if (st == ColStatus::Free && std::abs(dj) > opts_.opt_tol)
+          if (st == ColStatus::AtLower && dj < -kOptTol) dir = 1.0;
+          else if (st == ColStatus::AtUpper && dj > kOptTol) dir = -1.0;
+          else if (st == ColStatus::Free && std::abs(dj) > kOptTol)
             dir = dj < 0 ? 1.0 : -1.0;
           if (dir == 0.0 || is_fixed(static_cast<std::int32_t>(j))) continue;
           q = static_cast<std::int32_t>(j);
@@ -417,9 +403,9 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
         const double dj = d[j];
         const ColStatus st = status_[j];
         double dir = 0.0;
-        if (st == ColStatus::AtLower && dj < -opts_.opt_tol) dir = 1.0;
-        else if (st == ColStatus::AtUpper && dj > opts_.opt_tol) dir = -1.0;
-        else if (st == ColStatus::Free && std::abs(dj) > opts_.opt_tol)
+        if (st == ColStatus::AtLower && dj < -kOptTol) dir = 1.0;
+        else if (st == ColStatus::AtUpper && dj > kOptTol) dir = -1.0;
+        else if (st == ColStatus::Free && std::abs(dj) > kOptTol)
           dir = dj < 0 ? 1.0 : -1.0;
         if (dir == 0.0) continue;
         // Devirtualized Dantzig fast path: |d_j|, no indirect call per column.
@@ -441,7 +427,6 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       select_entering();
     }
     if (q < 0) {
-      // Report with the *true* costs (pricing may have used perturbed ones).
       obj_value_ = phase_one ? current_objective(cost)
                              : current_objective(cost_) + obj_constant_;
       return SolveStatus::Optimal;
@@ -569,13 +554,13 @@ SolveStatus SimplexSolver::solve_primal() {
     obj_value_ = obj_constant_;
     for (std::size_t j = 0; j < n_; ++j) {
       if (cost_[j] > 0) {
-        if (true_lb_[j] <= -kInf) return SolveStatus::Unbounded;
-        xval_[j] = true_lb_[j];
+        if (lb_[j] <= -kInf) return SolveStatus::Unbounded;
+        xval_[j] = lb_[j];
       } else if (cost_[j] < 0) {
-        if (true_ub_[j] >= kInf) return SolveStatus::Unbounded;
-        xval_[j] = true_ub_[j];
+        if (ub_[j] >= kInf) return SolveStatus::Unbounded;
+        xval_[j] = ub_[j];
       } else {
-        xval_[j] = std::clamp(0.0, true_lb_[j], true_ub_[j]);
+        xval_[j] = std::clamp(0.0, lb_[j], ub_[j]);
       }
       obj_value_ += cost_[j] * xval_[j];
     }
@@ -606,7 +591,7 @@ SolveStatus SimplexSolver::solve_primal() {
       // dual repair drives any still-basic ones back into bounds.
       for (std::size_t i = 0; i < m_; ++i) {
         const std::size_t a = n_ + m_ + i;
-        ub_[a] = true_ub_[a] = 0.0;
+        ub_[a] = 0.0;
       }
       return st;
     }
@@ -616,7 +601,7 @@ SolveStatus SimplexSolver::solve_primal() {
     // Freeze artificials at zero for phase 2 (basic ones stay, degenerate).
     for (std::size_t i = 0; i < m_; ++i) {
       const std::size_t a = n_ + m_ + i;
-      ub_[a] = true_ub_[a] = 0.0;
+      ub_[a] = 0.0;
       if (status_[a] != ColStatus::Basic) {
         status_[a] = ColStatus::AtLower;
         xval_[a] = 0.0;
@@ -626,19 +611,19 @@ SolveStatus SimplexSolver::solve_primal() {
     }
   }
 
-  const SolveStatus st = primal_loop(pert_cost_, /*phase_one=*/false);
+  const SolveStatus st = primal_loop(cost_, /*phase_one=*/false);
   basis_valid_ = (st == SolveStatus::Optimal);
   return st;
 }
 
 bool SimplexSolver::dual_feasible() {
-  price(pert_cost_, scratch_d_);
+  price(cost_, scratch_d_);
   for (std::size_t j = 0; j < total_cols_; ++j) {
     if (status_[j] == ColStatus::Basic || is_fixed(static_cast<std::int32_t>(j))) continue;
     const double d = scratch_d_[j];
-    if (status_[j] == ColStatus::AtLower && d < -opts_.opt_tol) return false;
-    if (status_[j] == ColStatus::AtUpper && d > opts_.opt_tol) return false;
-    if (status_[j] == ColStatus::Free && std::abs(d) > opts_.opt_tol) return false;
+    if (status_[j] == ColStatus::AtLower && d < -kOptTol) return false;
+    if (status_[j] == ColStatus::AtUpper && d > kOptTol) return false;
+    if (status_[j] == ColStatus::Free && std::abs(d) > kOptTol) return false;
   }
   return true;
 }
@@ -666,7 +651,7 @@ SolveStatus SimplexSolver::reoptimize_dual(double cutoff) {
     // "infeasible" verdicts are confirmed with a cold solve.
     st = dual_loop();
     if (st == SolveStatus::Optimal) {
-      st = primal_loop(pert_cost_, /*phase_one=*/false);
+      st = primal_loop(cost_, /*phase_one=*/false);
     } else if (st == SolveStatus::Infeasible) {
       ++reopt_stats_.cold;
       if (opts_.spans != nullptr) opts_.spans->emit(obs::EventType::ColdRestart);
@@ -711,12 +696,12 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
   std::vector<double>& alphas = scratch_alpha_;
   std::vector<std::int32_t>& alpha_nz = scratch_alpha_nz_;
   // Bitset of the rows whose basic variable violates a bound by more than
-  // feas_tol, kept in step with xval_: only those rows can leave, so the
+  // kFeasTol, kept in step with xval_: only those rows can leave, so the
   // leaving-row search visits them instead of all m.
   std::vector<std::uint64_t>& infeasible = scratch_infeasible_;
   auto mark_violation = [&](std::size_t i) {
     const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    if (bound_violation(basic_[i]) > opts_.feas_tol) {
+    if (bound_violation(basic_[i]) > kFeasTol) {
       infeasible[i >> 6] |= bit;
     } else {
       infeasible[i >> 6] &= ~bit;
@@ -727,9 +712,8 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
   // no dual pivot decreases. Once it passes the cutoff the caller would
   // prune the node anyway, so the loop stops. `z` follows each pivot
   // (z += d_q·Δx_q), is recomputed exactly with the basic values, and an
-  // exact recomputation confirms every stop. Perturbed costs make the basis
-  // dual feasible only for the jittered objective, so there is no stop.
-  const bool watch_cutoff = cutoff < kInf && !opts_.perturb;
+  // exact recomputation confirms every stop.
+  const bool watch_cutoff = cutoff < kInf;
   const double stop_above =
       cutoff + kCutoffMargin * std::max(1.0, std::abs(cutoff));
   double z = 0.0;
@@ -750,7 +734,7 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
   int prices_stale = 0;
 
   for (;;) {
-    if (total_iterations_ >= opts_.max_iterations) return SolveStatus::IterationLimit;
+    if (total_iterations_ >= kMaxIterations) return SolveStatus::IterationLimit;
     if ((total_iterations_ & 0xFF) == 0) {
       if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::Deadline)) {
         return SolveStatus::TimeLimit;  // injected mid-solve deadline
@@ -765,18 +749,18 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
       if (!refactorize()) return SolveStatus::NumericalError;
       refresh();
-      price(pert_cost_, d);
+      price(cost_, d);
       prices_stale = 0;
     }
     if (++prices_stale > 200) {
-      price(pert_cost_, d);
+      price(cost_, d);
       prices_stale = 0;
     }
 
     // Leaving row: largest primal bound violation among basic variables
     // (the first such row, scanning rows in ascending order).
     std::int32_t leave_row = -1;
-    double worst = opts_.feas_tol;
+    double worst = kFeasTol;
     for (std::size_t wd = 0; wd < infeasible.size(); ++wd) {
       for (std::uint64_t bits = infeasible[wd]; bits != 0; bits &= bits - 1) {
         const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(bits));
@@ -860,7 +844,7 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     degen_streak = (std::abs(delta) <= kDegenTol) ? degen_streak + 1 : 0;
     ++reopt_stats_.total_pivots;
     if (std::abs(delta) <= kDegenTol) ++reopt_stats_.degen_pivots;
-    if (degen_streak > 10 * opts_.bland_threshold) return SolveStatus::NumericalError;
+    if (degen_streak > 10 * kBlandThreshold) return SolveStatus::NumericalError;
 
     gather_nonzeros(w, wnz);
     xval_[q] += delta;
@@ -903,10 +887,8 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
 
 void SimplexSolver::set_bounds(std::int32_t col, double lb, double ub) {
   assert(col >= 0 && static_cast<std::size_t>(col) < n_);
-  true_lb_[col] = lb;
-  true_ub_[col] = ub;
-  lb_[col] = (lb > -kInf) ? lb - pert_[col] : lb;
-  ub_[col] = (ub < kInf) ? ub + pert_[col] : ub;
+  lb_[col] = lb;
+  ub_[col] = ub;
   if (status_[col] == ColStatus::Basic) return;
   // Keep the nonbasic resting point consistent with the new bounds.
   if (status_[col] == ColStatus::AtLower) {
@@ -955,7 +937,7 @@ std::vector<double> SimplexSolver::reduced_costs() const {
   return d;
 }
 
-SimplexSolver::Basis SimplexSolver::export_basis() const {
+Basis SimplexSolver::export_basis() const {
   Basis b;
   b.status.resize(total_cols_);
   for (std::size_t j = 0; j < total_cols_; ++j) {
@@ -986,8 +968,8 @@ bool SimplexSolver::load_basis(const Basis& basis) {
   for (std::size_t i = 0; i < m_; ++i) {
     const std::size_t a = n_ + m_ + i;
     art_val(i) = basis.art_sign[i];
-    lb_[a] = true_lb_[a] = 0.0;
-    ub_[a] = true_ub_[a] = 0.0;
+    lb_[a] = 0.0;
+    ub_[a] = 0.0;
   }
 
   std::fill(basis_pos_.begin(), basis_pos_.end(), -1);
@@ -1050,9 +1032,10 @@ SimplexSolver::BoundStatus SimplexSolver::column_status(std::int32_t col) const 
 
 std::vector<double> SimplexSolver::primal_solution() const {
   std::vector<double> x(xval_.begin(), xval_.begin() + static_cast<std::ptrdiff_t>(n_));
-  // Clamp perturbation slack back into the true bounds.
+  // Clip basic values that sit within the feasibility tolerance outside a
+  // bound back onto it.
   for (std::size_t j = 0; j < n_; ++j) {
-    x[j] = std::clamp(x[j], true_lb_[j], true_ub_[j]);
+    x[j] = std::clamp(x[j], lb_[j], ub_[j]);
   }
   return x;
 }

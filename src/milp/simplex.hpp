@@ -40,12 +40,8 @@ class FaultPlan;
 
 /// Simplex configuration knobs.
 struct SimplexOptions {
-  double feas_tol = 1e-7;    ///< primal feasibility tolerance
-  double opt_tol = 1e-7;     ///< dual feasibility (reduced cost) tolerance
   double pivot_tol = 1e-8;   ///< minimum acceptable pivot magnitude
-  std::int64_t max_iterations = 50'000'000;
   int refactor_interval = 400;  ///< pivots between basis refactorizations
-  int bland_threshold = 300;    ///< degenerate pivots before Bland's rule kicks in
   /// Basis kernel (see milp/basis_lu.hpp). SparseLu is the default; Dense is
   /// the original explicit inverse, kept as the cross-check oracle.
   BasisKernel kernel = BasisKernel::SparseLu;
@@ -53,22 +49,9 @@ struct SimplexOptions {
   /// candidate column, entries at least this fraction of the column max are
   /// acceptable pivots. Smaller favors sparsity, larger favors stability.
   double markowitz_tol = 0.1;
-  /// Early-refactorization fill governor (sparse kernel only): refactorize
-  /// once the eta file holds more than this multiple of the LU nonzeros,
-  /// even before `refactor_interval` pivots have accumulated.
-  double eta_fill_factor = 3.0;
   /// Pricing rule by registry name (milp/pricing.hpp): "dantzig" (default)
   /// or "devex"; unknown names fall back to Dantzig.
   std::string pricing = "dantzig";
-  /// Anti-degeneracy perturbation. Architecture MILPs are massively
-  /// degenerate (symmetric costs, unit-capacity flows); tiny deterministic
-  /// *relaxing* bound shifts and cost jitter break the ties. Bounds are only
-  /// ever widened, so LP objective values remain valid lower bounds; reported
-  /// objectives always use the true costs and solutions are clamped back to
-  /// the true bounds.
-  bool perturb = false;
-  double bound_pert = 1e-8;  ///< bound widening magnitude
-  double cost_pert = 1e-10;  ///< relative cost jitter magnitude
   /// Hard wall-clock deadline; simplex loops return TimeLimit when passed.
   /// Defaults to "never". Checked every few hundred iterations.
   std::chrono::steady_clock::time_point deadline =
@@ -92,9 +75,6 @@ struct SimplexOptions {
   /// Shared across solvers of one solve; see milp/fault.hpp.
   FaultPlan* fault = nullptr;
 };
-
-/// The LP-facing alias used by docs and downstream options plumbing.
-using LpOptions = SimplexOptions;
 
 /// LP engine over a fixed constraint matrix with mutable variable bounds.
 ///
@@ -121,8 +101,8 @@ class SimplexSolver {
   /// LP optimum that never decreases, so once it passes `cutoff` the loop
   /// returns SolveStatus::Cutoff with objective_value() set to that bound
   /// (cutoff < bound <= optimum). The basis stays valid for later
-  /// reoptimizations. Dual repair, cold fallbacks and perturbed solvers
-  /// never stop early; the default (+inf) reproduces the uncut solve.
+  /// reoptimizations. Dual repair and cold fallbacks never stop early; the
+  /// default (+inf) reproduces the uncut solve.
   SolveStatus reoptimize_dual(double cutoff = kInf);
 
   /// First rung of the branch & bound's numerical-recovery ladder: rebuild
@@ -135,15 +115,15 @@ class SimplexSolver {
   SolveStatus recover_resolve(double cutoff = kInf);
 
   /// Changes the bounds of structural column `col` (0-based model index).
-  /// Getters return the *true* (unperturbed) bounds.
   void set_bounds(std::int32_t col, double lb, double ub);
-  [[nodiscard]] double lower_bound(std::int32_t col) const { return true_lb_[col]; }
-  [[nodiscard]] double upper_bound(std::int32_t col) const { return true_ub_[col]; }
+  [[nodiscard]] double lower_bound(std::int32_t col) const { return lb_[col]; }
+  [[nodiscard]] double upper_bound(std::int32_t col) const { return ub_[col]; }
 
   /// Objective value of the last solve, in *minimization* sense.
   [[nodiscard]] double objective_value() const { return obj_value_; }
 
-  /// Values of the structural variables after the last solve.
+  /// Values of the structural variables after the last solve, clipped into
+  /// their bounds.
   [[nodiscard]] std::vector<double> primal_solution() const;
 
   /// Reduced costs of the structural columns w.r.t. the true objective and
@@ -164,12 +144,6 @@ class SimplexSolver {
   [[nodiscard]] std::int64_t iterations() const { return total_iterations_; }
   [[nodiscard]] std::size_t num_rows() const { return m_; }
   [[nodiscard]] std::size_t num_structural() const { return n_; }
-
-  /// Compact snapshot of a simplex basis — the hand-off unit of the parallel
-  /// branch & bound and of the sweep pipeline's cross-solve warm starts. The
-  /// struct itself lives at namespace scope (milp/warm_start.hpp) so that
-  /// `Solution` can carry one; this alias keeps the historical spelling.
-  using Basis = milp::Basis;
 
   /// Exports the current basis. Only meaningful after a successful solve.
   [[nodiscard]] Basis export_basis() const;
@@ -246,7 +220,7 @@ class SimplexSolver {
   // --- simplex cores ---
   SolveStatus primal_loop(const std::vector<double>& cost, bool phase_one);
   /// Dual simplex iterations. Expects `scratch_d_` to hold the reduced costs
-  /// of `pert_cost_` for the current basis — the dual_feasible() pass that
+  /// of `cost_` for the current basis — the dual_feasible() pass that
   /// reoptimize_dual runs first leaves exactly that. Returns Cutoff once the
   /// basis objective passes `cutoff`, which is only sound from a
   /// dual-feasible start (dual repair passes +inf).
@@ -256,7 +230,7 @@ class SimplexSolver {
   void price(const std::vector<double>& cost, std::vector<double>& d) const;
   double current_objective(const std::vector<double>& cost) const;
 
-  [[nodiscard]] bool is_fixed(std::int32_t j) const { return true_lb_[j] == true_ub_[j]; }
+  [[nodiscard]] bool is_fixed(std::int32_t j) const { return lb_[j] == ub_[j]; }
   [[nodiscard]] double bound_violation(std::int32_t j) const;
 
   /// One pivot in this many records the pivot-level kernel spans.
@@ -309,11 +283,8 @@ class SimplexSolver {
   std::vector<std::int32_t> row_start_;  ///< size m_ + 1
   std::vector<ColEntry> row_ent_;
   std::vector<double> rhs_;
-  std::vector<double> cost_;       ///< true phase-2 cost (minimize), size total_cols_
-  std::vector<double> pert_cost_;  ///< perturbed cost used for pricing decisions
-  std::vector<double> lb_, ub_;    ///< working (perturbation-widened) bounds
-  std::vector<double> true_lb_, true_ub_;  ///< unperturbed bounds
-  std::vector<double> pert_;       ///< per-column bound widening (0 for artificials)
+  std::vector<double> cost_;       ///< phase-2 cost (minimize), size total_cols_
+  std::vector<double> lb_, ub_;    ///< column bounds, size total_cols_
   std::vector<ColStatus> status_;
   std::vector<double> xval_;       ///< current value per column
   std::vector<std::int32_t> basic_;    ///< column basic in row i

@@ -2,11 +2,9 @@
 /// Warm-start vocabulary shared by the simplex, the branch & bound, and the
 /// compiled-model sweep pipeline (arch/compiled_model.hpp).
 ///
-/// The `Basis` snapshot used to be a nested type of SimplexSolver; it moved
-/// to namespace scope so `Solution` can carry one across `solve_milp` calls
-/// without `model.hpp` depending on the whole simplex header. SimplexSolver
-/// keeps `SimplexSolver::Basis` as an alias, so existing callers compile
-/// unchanged.
+/// The `Basis` snapshot lives at namespace scope so `Solution` can carry one
+/// across `solve_milp` calls without `model.hpp` depending on the whole
+/// simplex header.
 #pragma once
 
 #include <cstdint>

@@ -120,7 +120,6 @@ TEST(BranchBoundTest, NodeLimitReportsIncumbent) {
   m.set_objective(tv, ObjectiveSense::Maximize);
   MilpOptions o;
   o.max_nodes = 3;
-  o.rounding_heuristic = true;
   Solution s = solve_milp(m, o);
   // With a tiny node budget we may or may not finish, but the status must be
   // truthful and any reported incumbent must be feasible.

@@ -157,7 +157,7 @@ TEST(KernelCrossCheck, EtaReplayMatchesRefactorization) {
   // Accumulate eta updates past the initial factorization before exporting.
   donor.set_bounds(0, 0.0, 4.0);
   ASSERT_EQ(donor.reoptimize_dual(), SolveStatus::Optimal);
-  const SimplexSolver::Basis basis = donor.export_basis();
+  const Basis basis = donor.export_basis();
   ASSERT_NE(basis.factor, nullptr) << "sparse kernel must ship its factorization";
 
   // Transplant via eta replay: no refactorization may be charged.
@@ -169,7 +169,7 @@ TEST(KernelCrossCheck, EtaReplayMatchesRefactorization) {
       << "transplant must cost an eta replay, not a refactorization";
 
   // Same basis through the fresh-refactorization path (snapshot stripped).
-  SimplexSolver::Basis stripped = basis;
+  Basis stripped = basis;
   stripped.factor = nullptr;
   SimplexSolver refact(m, kernel_opts(BasisKernel::SparseLu));
   refact.set_bounds(0, 0.0, 4.0);
@@ -197,7 +197,7 @@ TEST(KernelCrossCheck, SnapshotSurvivesDonorMutation) {
   const Model m = random_bounded_lp(16, 7);
   SimplexSolver donor(m, kernel_opts(BasisKernel::SparseLu));
   ASSERT_EQ(donor.solve_primal(), SolveStatus::Optimal);
-  const SimplexSolver::Basis basis = donor.export_basis();
+  const Basis basis = donor.export_basis();
   const double exported_obj = donor.objective_value();
 
   // Mutate the donor's kernel state thoroughly after the export: pivot,
@@ -224,7 +224,7 @@ TEST(KernelCrossCheck, DenseKernelShipsNoSnapshotAndStillLoads) {
   const Model m = random_bounded_lp(12, 3);
   SimplexSolver a(m, kernel_opts(BasisKernel::Dense));
   ASSERT_EQ(a.solve_primal(), SolveStatus::Optimal);
-  const SimplexSolver::Basis basis = a.export_basis();
+  const Basis basis = a.export_basis();
   EXPECT_EQ(basis.factor, nullptr);
   SimplexSolver b(m, kernel_opts(BasisKernel::Dense));
   ASSERT_TRUE(b.load_basis(basis));  // refactorization fallback
@@ -440,7 +440,7 @@ void check_solves(const BasisRep& rep, std::size_t m, const Columns& cols, std::
 void check_basis_solves(const Model& model, unsigned seed, const std::string& what) {
   SimplexSolver lp(model);
   ASSERT_EQ(lp.solve_primal(), SolveStatus::Optimal) << what;
-  const SimplexSolver::Basis basis = lp.export_basis();
+  const Basis basis = lp.export_basis();
   const Columns cols = columns_of(model, basis.art_sign);
   const std::size_t m = basis.basic.size();
   std::vector<std::int32_t> basic = basis.basic;

@@ -44,7 +44,7 @@ TEST(SimplexBasisTest, ExportLoadRoundTripReproducesOptimum) {
   m.set_objective(-1.0 * x - 2.0 * y);
   SimplexSolver donor(m);
   ASSERT_EQ(donor.solve_primal(), SolveStatus::Optimal);
-  const SimplexSolver::Basis basis = donor.export_basis();
+  const Basis basis = donor.export_basis();
 
   // A never-solved solver adopts the basis and confirms optimality with a
   // warm dual solve (no cold two-phase start).
@@ -65,7 +65,7 @@ TEST(SimplexBasisTest, LoadedBasisWarmStartsUnderTightenedBounds) {
   m.set_objective(-1.0 * x - 2.0 * y);
   SimplexSolver donor(m);
   ASSERT_EQ(donor.solve_primal(), SolveStatus::Optimal);
-  const SimplexSolver::Basis basis = donor.export_basis();
+  const Basis basis = donor.export_basis();
 
   SimplexSolver thief(m);
   thief.set_bounds(0, 0.0, 2.0);  // the "stolen node" tightens x <= 2

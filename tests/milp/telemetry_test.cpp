@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -166,9 +167,12 @@ TEST(TelemetryTest, SequentialTraceAccountsForEveryNode) {
   o.num_threads = 1;
   obs::SpanProfiler recorder;
   o.profiler = &recorder;
+  // The root rounding overshoots this knapsack's capacity, so the solve runs
+  // the probe between the root and the main run: all three emit nodes.
   const Solution s = solve_milp(knapsack_fixture(18, 5), o);
   ASSERT_TRUE(s.optimal());
   ASSERT_FALSE(s.trace.empty());
+  EXPECT_EQ(s.trace.dropped, 0);
   EXPECT_EQ(s.trace.count(obs::EventType::SolveStart), 1u);
   EXPECT_EQ(s.trace.count(obs::EventType::SolveEnd), 1u);
   EXPECT_GE(s.trace.count(obs::EventType::Phase), 3u);  // presolve, root, tree
@@ -183,6 +187,29 @@ TEST(TelemetryTest, SequentialTraceAccountsForEveryNode) {
   for (std::size_t i = 1; i < s.trace.events.size(); ++i) {
     EXPECT_LE(s.trace.events[i - 1].t, s.trace.events[i].t);
   }
+  // Node ids are unique across the root, the probe and the main run: each
+  // id opens once, then closes once. The phase a node opens in names its
+  // run: the root LP, the heuristic (the probe), or the tree (the main run).
+  std::map<std::int64_t, int> opened, closed;
+  int opened_in[3] = {0, 0, 0};  // root, probe, main run
+  int run = 0;
+  for (const obs::TraceEvent& e : s.trace.events) {
+    if (e.type == obs::EventType::Phase) {
+      if (e.detail == static_cast<std::uint8_t>(obs::Phase::Heuristic)) run = 1;
+      if (e.detail == static_cast<std::uint8_t>(obs::Phase::Tree)) run = 2;
+    } else if (e.type == obs::EventType::NodeOpen) {
+      EXPECT_EQ(++opened[e.id], 1) << "node " << e.id << " opened twice";
+      ++opened_in[run];
+    } else if (e.type == obs::EventType::NodeClose) {
+      EXPECT_EQ(opened.count(e.id), 1u) << "node " << e.id << " closed before opening";
+      EXPECT_EQ(++closed[e.id], 1) << "node " << e.id << " closed twice";
+    }
+  }
+  EXPECT_EQ(opened.size(), static_cast<std::size_t>(s.nodes_explored));
+  EXPECT_EQ(closed.size(), opened.size());
+  EXPECT_EQ(opened_in[0], 1);
+  EXPECT_GT(opened_in[1], 0);
+  EXPECT_GT(opened_in[2], 0);
   // Incumbent events carry the model-sense objective; the last one is the
   // reported optimum.
   ASSERT_GE(s.trace.count(obs::EventType::Incumbent), 1u);
