@@ -121,8 +121,12 @@ void BM_SweepCold(benchmark::State& state) {
       ++solved;
     }
   }
-  state.counters["scenarios"] = static_cast<double>(solved);
-  state.counters["cold_solves"] = static_cast<double>(solved);
+  // Work counters are per iteration: the iteration count google-benchmark
+  // picks depends on speed, and tools/bench_diff.py gates these exactly.
+  state.counters["scenarios"] =
+      benchmark::Counter(static_cast<double>(solved), benchmark::Counter::kAvgIterations);
+  state.counters["cold_solves"] =
+      benchmark::Counter(static_cast<double>(solved), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SweepCold)
     ->Arg(96)
@@ -165,8 +169,10 @@ void BM_SweepWarm(benchmark::State& state) {
     warm += sweep.warm_solves;
     cold += sweep.cold_solves;
   }
-  state.counters["warm_solves"] = static_cast<double>(warm);
-  state.counters["cold_solves"] = static_cast<double>(cold);
+  state.counters["warm_solves"] =
+      benchmark::Counter(static_cast<double>(warm), benchmark::Counter::kAvgIterations);
+  state.counters["cold_solves"] =
+      benchmark::Counter(static_cast<double>(cold), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SweepWarm)
     ->Arg(96)

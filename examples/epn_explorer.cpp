@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "arch/compiled_model.hpp"
@@ -116,10 +117,12 @@ std::string seconds(double s) {
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
 
-  EpnConfig cfg = args.scale == "paper"  ? EpnConfig{}
-                  : args.scale == "tiny" ? tiny_config()
-                                         : small_config();
-  if (args.scale == "small") cfg.rectifiers_per_side = 3;
+  const std::optional<EpnConfig> scaled = scale_config(args.scale);
+  if (!scaled) {
+    std::cerr << "unknown scale: " << args.scale << " (expected tiny, small or paper)\n";
+    return 2;
+  }
+  EpnConfig cfg = *scaled;
   // The compiled sweep solves the frozen matrix directly, so it needs the
   // eager (monolithic) reliability encoding.
   cfg.reliability_eager = (args.mode == "monolithic") || args.sweep > 0;

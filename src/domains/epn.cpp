@@ -69,6 +69,15 @@ EpnConfig tiny_config() {
   return cfg;
 }
 
+std::optional<EpnConfig> scale_config(std::string_view scale) {
+  if (scale == "tiny") return tiny_config();
+  if (scale == "paper") return EpnConfig{};
+  if (scale != "small") return std::nullopt;
+  EpnConfig cfg = small_config();
+  cfg.rectifiers_per_side = 3;
+  return cfg;
+}
+
 Library make_library(const EpnConfig& cfg) {
   Library lib;
   lib.set_edge_cost(cfg.contactor_cost);

@@ -14,7 +14,9 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/algorithm.hpp"
@@ -51,6 +53,13 @@ struct EpnConfig {
 /// in well under a second. The compiled-pipeline drills (sweeps of dozens of
 /// solves: tests, ci.sh, bench_sweep) run at this scale.
 [[nodiscard]] EpnConfig tiny_config();
+
+/// The named instance sizes shared by `epn_explorer --scale` and the
+/// service's `scale` key: "tiny" (tiny_config()), "small" (small_config()
+/// with a third rectifier per side, which the eager reliability encoding
+/// needs to be satisfiable) and "paper" (Table 2, the EpnConfig defaults).
+/// Empty for any other name.
+[[nodiscard]] std::optional<EpnConfig> scale_config(std::string_view scale);
 
 /// The Table 2 component library.
 [[nodiscard]] Library make_library(const EpnConfig& cfg = {});

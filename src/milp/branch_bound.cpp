@@ -1061,10 +1061,11 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   }
 
   MilpOptions node_options = options;
-  node_options.lp.deadline = deadline;  // simplex loops honor the wall clock
-  if (node_options.lp.cancel == nullptr) node_options.lp.cancel = options.cancel;
-  if (node_options.lp.spans == nullptr) node_options.lp.spans = root_rec;
-  if (node_options.lp.fault == nullptr) node_options.lp.fault = options.fault;
+  // The run-control fields of the LP options come from the solve's own.
+  node_options.lp.deadline = deadline;
+  node_options.lp.cancel = options.cancel;
+  node_options.lp.spans = root_rec;
+  node_options.lp.fault = options.fault;
   SearchCtx ctx(*work, node_options);
   ctx.granularity = objective_granularity(*work);
   ctx.deadline = deadline;

@@ -74,6 +74,9 @@ struct MilpOptions {
   /// root phase (root LP, rounding heuristic, probe, reduced-cost fixing)
   /// runs on the calling thread at every setting.
   int num_threads = 1;
+  /// LP engine settings of the root and node solvers. `solve_milp` sets the
+  /// run-control fields (`deadline`, `cancel`, `spans`, `fault`) from
+  /// `budget`, `cancel`, `profiler` and `fault`, overwriting any value here.
   SimplexOptions lp{};
   /// Optional per-improvement callback (incumbent objective in model sense).
   /// With num_threads != 1 it may fire from worker threads; calls are
@@ -99,8 +102,8 @@ struct MilpOptions {
   /// one pass over the matrix per solve; see docs/diagnostics.md.
   bool certify = true;
   /// Deterministic fault-injection plan shared by the root solver and every
-  /// worker (copied into `lp.fault` unless one is already set there). Null —
-  /// the default — is zero-cost. See milp/fault.hpp and docs/diagnostics.md.
+  /// worker (copied into `lp.fault`). Null — the default — is zero-cost. See
+  /// milp/fault.hpp and docs/diagnostics.md.
   FaultPlan* fault = nullptr;
   /// Checkpoint/resume. A non-empty path makes the tree phase periodically
   /// serialize the incumbent, global bound and open-node frontier to this
@@ -117,15 +120,14 @@ struct MilpOptions {
   /// events. Attached, it records the phase spans (presolve / root LP /
   /// heuristic / tree / extract) and the root events on the caller's buffer
   /// 0, and each worker's node / incumbent / steal / recover events and
-  /// sampled simplex kernel spans on that worker's own buffer (copied into
-  /// `lp.spans` per worker unless one is already set there); the solve's
-  /// share of the recording comes back as `Solution::trace`. The recorder
-  /// outlives the solve and may span several (lazy-constraint) solves; its
-  /// constructor capacity bounds each buffer, and records dropped to a full
-  /// buffer surface per solve as `Trace::dropped` and the
-  /// `milp.records_dropped` counter. Null — the default — keeps every span
-  /// and event site at a single pointer test. Exports:
-  /// `Trace::write_jsonl` (`milp_solve --trace-json`) and
+  /// sampled simplex kernel spans on that worker's own buffer (set as its
+  /// solver's `lp.spans`); the solve's share of the recording comes back as
+  /// `Solution::trace`. The recorder outlives the solve and may span several
+  /// (lazy-constraint) solves; its constructor capacity bounds each buffer,
+  /// and records dropped to a full buffer surface per solve as
+  /// `Trace::dropped` and the `milp.records_dropped` counter. Null — the
+  /// default — keeps every span and event site at a single pointer test.
+  /// Exports: `Trace::write_jsonl` (`milp_solve --trace-json`) and
   /// SpanProfiler::write_chrome_trace (`milp_solve --profile-json`).
   obs::SpanProfiler* profiler = nullptr;
 };

@@ -140,18 +140,10 @@ void SimplexSolver::build_from_model(const Model& model) {
 void SimplexSolver::initial_basis() {
   std::fill(basis_pos_.begin(), basis_pos_.end(), -1);
 
-  // Nonbasic structural columns rest at their nearest finite bound.
+  // Nonbasic columns rest at their nearest finite bound, the lower first.
   for (std::size_t j = 0; j < total_cols_; ++j) {
-    if (lb_[j] > -kInf) {
-      status_[j] = ColStatus::AtLower;
-      xval_[j] = lb_[j];
-    } else if (ub_[j] < kInf) {
-      status_[j] = ColStatus::AtUpper;
-      xval_[j] = ub_[j];
-    } else {
-      status_[j] = ColStatus::Free;
-      xval_[j] = 0.0;
-    }
+    status_[j] = ColStatus::AtLower;
+    rest_nonbasic(j);
   }
 
   // Residual of each row given the nonbasic resting point.
@@ -191,6 +183,7 @@ void SimplexSolver::initial_basis() {
 }
 
 void SimplexSolver::ftran(std::int32_t col, std::vector<double>& w) const {
+  obs::ScopedSpan span(sampled_spans(), obs::span_id(obs::SpanName::Ftran));
   std::fill(w.begin(), w.end(), 0.0);
   std::vector<std::int32_t>& nz = scratch_in_nz_;
   nz.clear();
@@ -202,6 +195,7 @@ void SimplexSolver::ftran(std::int32_t col, std::vector<double>& w) const {
 }
 
 void SimplexSolver::btran_row(std::size_t r, std::vector<double>& rho) const {
+  obs::ScopedSpan span(sampled_spans(), obs::span_id(obs::SpanName::BtranRow));
   rho.assign(m_, 0.0);
   rho[r] = 1.0;
   std::vector<std::int32_t>& nz = scratch_in_nz_;
@@ -212,6 +206,7 @@ void SimplexSolver::btran_row(std::size_t r, std::vector<double>& rho) const {
 void SimplexSolver::price_row(const std::vector<double>& rho,
                               std::vector<double>& alpha,
                               std::vector<std::int32_t>& alpha_nz) const {
+  obs::ScopedSpan span(sampled_spans(), obs::span_id(obs::SpanName::PriceRow));
   // alpha entries outside alpha_nz are stale from earlier calls; consumers
   // must only read through the nonzero list.
   alpha_nz.clear();
@@ -274,12 +269,6 @@ void SimplexSolver::compute_basic_values() {
   }
 }
 
-void SimplexSolver::update_factors(const std::vector<double>& w, std::size_t r,
-                                   const std::vector<std::int32_t>& wnz) {
-  rep_->update(w, r, wnz);
-  ++pivots_since_refactor_;
-}
-
 void SimplexSolver::rebuild_candidates() {
   cand_.clear();
   cand_idx_.assign(total_cols_, -1);
@@ -326,14 +315,98 @@ double SimplexSolver::bound_violation(std::int32_t j) const {
   return 0.0;
 }
 
+std::optional<SolveStatus> SimplexSolver::poll_stop() const {
+  if (total_iterations_ >= kMaxIterations) return SolveStatus::IterationLimit;
+  if ((total_iterations_ & 0xFF) == 0) {
+    if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::Deadline)) {
+      return SolveStatus::TimeLimit;  // injected mid-solve deadline
+    }
+    if (std::chrono::steady_clock::now() >= opts_.deadline) {
+      return SolveStatus::TimeLimit;
+    }
+    if (opts_.cancel != nullptr && opts_.cancel->load(std::memory_order_relaxed)) {
+      return SolveStatus::TimeLimit;  // cooperative cancel (drain/preempt)
+    }
+  }
+  return std::nullopt;
+}
+
+void SimplexSolver::count_pivot(double step, int& streak) {
+  const bool degenerate = step <= kDegenTol;
+  streak = degenerate ? streak + 1 : 0;
+  ++reopt_stats_.total_pivots;
+  if (degenerate) ++reopt_stats_.degen_pivots;
+}
+
+void SimplexSolver::step(std::int32_t q, double delta) {
+  xval_[q] += delta;
+  if (delta == 0.0) return;
+  for (const std::int32_t i : scratch_wnz_) {
+    xval_[static_cast<std::size_t>(basic_[i])] -=
+        scratch_w_[static_cast<std::size_t>(i)] * delta;
+  }
+}
+
+void SimplexSolver::update_reduced_costs(std::int32_t q, std::int32_t k, double pivot) {
+  std::vector<double>& d = scratch_d_;
+  const std::vector<double>& alpha = scratch_alpha_;
+  const double dq = d[static_cast<std::size_t>(q)];
+  if (dq != 0.0) {
+    const double ratio = dq / pivot;
+    // alpha_nz holds no basic column outside phase 1 (see price_row), and a
+    // basic column's d is never read before it leaves, so the update runs
+    // without a per-column status check.
+    for (const std::int32_t j32 : scratch_alpha_nz_) {
+      const std::size_t j = static_cast<std::size_t>(j32);
+      if (alpha[j] == 0.0) continue;
+      d[j] -= ratio * alpha[j];
+    }
+    d[static_cast<std::size_t>(k)] = -ratio;  // leaving column (alpha = 1)
+  } else {
+    d[static_cast<std::size_t>(k)] = 0.0;
+  }
+  d[static_cast<std::size_t>(q)] = 0.0;
+  pricer_->on_pivot(q, k, pivot, alpha, scratch_alpha_nz_);
+}
+
+void SimplexSolver::swap_basis(std::size_t r, std::int32_t q, bool to_upper) {
+  const std::int32_t k = basic_[r];
+  status_[k] = to_upper ? ColStatus::AtUpper : ColStatus::AtLower;
+  xval_[k] = to_upper ? ub_[k] : lb_[k];
+  basis_pos_[k] = -1;
+  basic_[r] = q;
+  basis_pos_[q] = static_cast<std::int32_t>(r);
+  status_[q] = ColStatus::Basic;
+  rep_->update(scratch_w_, r, scratch_wnz_);
+  ++pivots_since_refactor_;
+}
+
+double SimplexSolver::entering_dir(ColStatus st, double dj) {
+  if (st == ColStatus::AtLower && dj < -kOptTol) return 1.0;
+  if (st == ColStatus::AtUpper && dj > kOptTol) return -1.0;
+  if (st == ColStatus::Free && std::abs(dj) > kOptTol) return dj < 0 ? 1.0 : -1.0;
+  return 0.0;
+}
+
+void SimplexSolver::rest_nonbasic(std::size_t j) {
+  ColStatus& st = status_[j];
+  if (st == ColStatus::AtLower && lb_[j] <= -kInf) {
+    st = (ub_[j] < kInf) ? ColStatus::AtUpper : ColStatus::Free;
+  } else if (st == ColStatus::AtUpper && ub_[j] >= kInf) {
+    st = (lb_[j] > -kInf) ? ColStatus::AtLower : ColStatus::Free;
+  }
+  switch (st) {
+    case ColStatus::AtLower: xval_[j] = lb_[j]; break;
+    case ColStatus::AtUpper: xval_[j] = ub_[j]; break;
+    default: xval_[j] = 0.0; break;
+  }
+}
+
 SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool phase_one) {
   int degen_streak = 0;
   std::vector<double>& d = scratch_d_;
   std::vector<double>& w = scratch_w_;
   std::vector<std::int32_t>& wnz = scratch_wnz_;
-  std::vector<double>& rho = scratch_rho_;
-  std::vector<double>& alpha = scratch_alpha_;
-  std::vector<std::int32_t>& alpha_nz = scratch_alpha_nz_;
 
   // Reduced costs are maintained incrementally across pivots via the pivot
   // row (d' = d - (d_q / alpha_q) * alpha); a full pricing pass happens only
@@ -348,18 +421,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
   rebuild_candidates();
 
   for (;;) {
-    if (total_iterations_ >= kMaxIterations) return SolveStatus::IterationLimit;
-    if ((total_iterations_ & 0xFF) == 0) {
-      if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::Deadline)) {
-        return SolveStatus::TimeLimit;  // injected mid-solve deadline
-      }
-      if (std::chrono::steady_clock::now() >= opts_.deadline) {
-        return SolveStatus::TimeLimit;
-      }
-      if (opts_.cancel != nullptr && opts_.cancel->load(std::memory_order_relaxed)) {
-        return SolveStatus::TimeLimit;  // cooperative cancel (drain/preempt)
-      }
-    }
+    if (const std::optional<SolveStatus> stop = poll_stop()) return *stop;
     if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
       if (!refactorize()) return SolveStatus::NumericalError;
       compute_basic_values();
@@ -383,14 +445,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       if (bland) {
         // Bland's rule: first eligible column in index order.
         for (std::size_t j = 0; j < total_cols_; ++j) {
-          const ColStatus st = status_[j];
-          if (st == ColStatus::Basic) continue;
-          const double dj = d[j];
-          double dir = 0.0;
-          if (st == ColStatus::AtLower && dj < -kOptTol) dir = 1.0;
-          else if (st == ColStatus::AtUpper && dj > kOptTol) dir = -1.0;
-          else if (st == ColStatus::Free && std::abs(dj) > kOptTol)
-            dir = dj < 0 ? 1.0 : -1.0;
+          const double dir = entering_dir(status_[j], d[j]);
           if (dir == 0.0 || is_fixed(static_cast<std::int32_t>(j))) continue;
           q = static_cast<std::int32_t>(j);
           qdir = dir;
@@ -401,12 +456,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       for (const std::int32_t j32 : cand_) {
         const std::size_t j = static_cast<std::size_t>(j32);
         const double dj = d[j];
-        const ColStatus st = status_[j];
-        double dir = 0.0;
-        if (st == ColStatus::AtLower && dj < -kOptTol) dir = 1.0;
-        else if (st == ColStatus::AtUpper && dj > kOptTol) dir = -1.0;
-        else if (st == ColStatus::Free && std::abs(dj) > kOptTol)
-          dir = dj < 0 ? 1.0 : -1.0;
+        const double dir = entering_dir(status_[j], dj);
         if (dir == 0.0) continue;
         // Devirtualized Dantzig fast path: |d_j|, no indirect call per column.
         const double score =
@@ -432,11 +482,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       return SolveStatus::Optimal;
     }
 
-    {
-      obs::ScopedSpan ftran_span(sampled_spans(),
-                                 obs::span_id(obs::SpanName::Ftran));
-      ftran(q, w);
-    }
+    ftran(q, w);
 
     // Ratio test: how far can the entering variable move? It walks w's
     // nonzero positions, which the bookkeeping below and the kernel update
@@ -482,17 +528,8 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       return SolveStatus::NumericalError;
     }
 
-    degen_streak = (t_best <= kDegenTol) ? degen_streak + 1 : 0;
-    ++reopt_stats_.total_pivots;
-    if (t_best <= kDegenTol) ++reopt_stats_.degen_pivots;
-
-    const double delta = qdir * t_best;
-    xval_[q] += delta;
-    if (delta != 0.0) {
-      for (const std::int32_t i : wnz) {
-        xval_[static_cast<std::size_t>(basic_[i])] -= w[static_cast<std::size_t>(i)] * delta;
-      }
-    }
+    count_pivot(t_best, degen_streak);
+    step(q, qdir * t_best);
 
     if (leave_row < 0) {
       // Bound flip: entering moved to its opposite bound, basis unchanged.
@@ -507,41 +544,12 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
         continue;
       }
       const std::int32_t k = basic_[r];
-      // Incremental reduced-cost update via the pivot row (computed against
-      // the *old* basis factorization, before update_factors).
-      const double dq = d[static_cast<std::size_t>(q)];
-      if (dq != 0.0) {
-        obs::SpanBuffer* const sp = sampled_spans();
-        obs::ScopedSpan btran_span(sp, obs::span_id(obs::SpanName::BtranRow));
-        btran_row(r, rho);
-        btran_span.stop();
-        obs::ScopedSpan price_span(sp, obs::span_id(obs::SpanName::PriceRow));
-        price_row(rho, alpha, alpha_nz);
-        price_span.stop();
-        const double ratio = dq / w[r];
-        for (const std::int32_t j32 : alpha_nz) {
-          // alpha_nz holds no basic columns (price_row filters them), so the
-          // update runs without a per-column status check.
-          const std::size_t j = static_cast<std::size_t>(j32);
-          if (alpha[j] == 0.0) continue;
-          d[j] -= ratio * alpha[j];
-        }
-        d[static_cast<std::size_t>(k)] = -ratio;  // leaving column (alpha = 1)
-        pricer_->on_pivot(q, k, w[r], alpha, alpha_nz);
-      } else {
-        d[static_cast<std::size_t>(k)] = 0.0;
-      }
-      d[static_cast<std::size_t>(q)] = 0.0;
-
-      status_[k] = leave_to_upper ? ColStatus::AtUpper : ColStatus::AtLower;
-      xval_[k] = leave_to_upper ? ub_[k] : lb_[k];
-      basis_pos_[k] = -1;
-      basic_[r] = q;
-      basis_pos_[q] = static_cast<std::int32_t>(r);
-      status_[q] = ColStatus::Basic;
+      btran_row(r, scratch_rho_);
+      price_row(scratch_rho_, scratch_alpha_, scratch_alpha_nz_);
+      update_reduced_costs(q, k, w[r]);
+      swap_basis(r, q, leave_to_upper);
       cand_remove(q);
       cand_add(k);
-      update_factors(w, r, wnz);
     }
     ++total_iterations_;
   }
@@ -619,11 +627,8 @@ SolveStatus SimplexSolver::solve_primal() {
 bool SimplexSolver::dual_feasible() {
   price(cost_, scratch_d_);
   for (std::size_t j = 0; j < total_cols_; ++j) {
-    if (status_[j] == ColStatus::Basic || is_fixed(static_cast<std::int32_t>(j))) continue;
-    const double d = scratch_d_[j];
-    if (status_[j] == ColStatus::AtLower && d < -kOptTol) return false;
-    if (status_[j] == ColStatus::AtUpper && d > kOptTol) return false;
-    if (status_[j] == ColStatus::Free && std::abs(d) > kOptTol) return false;
+    if (is_fixed(static_cast<std::int32_t>(j))) continue;
+    if (entering_dir(status_[j], scratch_d_[j]) != 0.0) return false;
   }
   return true;
 }
@@ -734,18 +739,7 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
   int prices_stale = 0;
 
   for (;;) {
-    if (total_iterations_ >= kMaxIterations) return SolveStatus::IterationLimit;
-    if ((total_iterations_ & 0xFF) == 0) {
-      if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::Deadline)) {
-        return SolveStatus::TimeLimit;  // injected mid-solve deadline
-      }
-      if (std::chrono::steady_clock::now() >= opts_.deadline) {
-        return SolveStatus::TimeLimit;
-      }
-      if (opts_.cancel != nullptr && opts_.cancel->load(std::memory_order_relaxed)) {
-        return SolveStatus::TimeLimit;  // cooperative cancel (drain/preempt)
-      }
-    }
+    if (const std::optional<SolveStatus> stop = poll_stop()) return *stop;
     if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
       if (!refactorize()) return SolveStatus::NumericalError;
       refresh();
@@ -786,14 +780,8 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     const bool above = xval_[kleave] > ub_[kleave];
     const double e = above ? 1.0 : -1.0;
 
-    {
-      obs::SpanBuffer* const sp = sampled_spans();
-      obs::ScopedSpan btran_span(sp, obs::span_id(obs::SpanName::BtranRow));
-      btran_row(r, rho);
-      btran_span.stop();
-      obs::ScopedSpan price_span(sp, obs::span_id(obs::SpanName::PriceRow));
-      price_row(rho, alphas, alpha_nz);
-    }
+    btran_row(r, rho);
+    price_row(rho, alphas, alpha_nz);
 
     // Dual ratio test over the pivot row's nonzero columns (alphas stay
     // cached for the incremental reduced-cost update below).
@@ -802,7 +790,7 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     double alpha_q = 0.0;
     for (const std::int32_t j32 : alpha_nz) {
       const std::size_t j = static_cast<std::size_t>(j32);
-      if (status_[j] == ColStatus::Basic || is_fixed(j32)) continue;
+      if (is_fixed(j32)) continue;
       const double alpha = alphas[j];
       if (std::abs(alpha) <= opts_.pivot_tol) continue;
       const double abar = e * alpha;
@@ -823,11 +811,7 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     }
     if (q < 0) return SolveStatus::Infeasible;  // dual unbounded
 
-    {
-      obs::ScopedSpan ftran_span(sampled_spans(),
-                                 obs::span_id(obs::SpanName::Ftran));
-      ftran(q, w);
-    }
+    ftran(q, w);
     if (std::abs(w[r]) < opts_.pivot_tol) {
       if (!refactorize()) return SolveStatus::NumericalError;
       refresh();
@@ -841,46 +825,18 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     // bound. x_B(r) changes by -w[r] * delta.
     const double target = above ? ub_[kleave] : lb_[kleave];
     const double delta = (xval_[kleave] - target) / w[r];
-    degen_streak = (std::abs(delta) <= kDegenTol) ? degen_streak + 1 : 0;
-    ++reopt_stats_.total_pivots;
-    if (std::abs(delta) <= kDegenTol) ++reopt_stats_.degen_pivots;
+    count_pivot(std::abs(delta), degen_streak);
     if (degen_streak > 10 * kBlandThreshold) return SolveStatus::NumericalError;
 
     gather_nonzeros(w, wnz);
-    xval_[q] += delta;
-    if (delta != 0.0) {
-      for (const std::int32_t i : wnz) {
-        xval_[static_cast<std::size_t>(basic_[i])] -= w[static_cast<std::size_t>(i)] * delta;
-      }
-    }
-
-    // Incremental reduced-cost update from the cached pivot row.
-    const double dq = d[static_cast<std::size_t>(q)];
-    if (watch_cutoff) z += dq * delta;
-    if (dq != 0.0) {
-      const double ratio = dq / alpha_q;
-      for (const std::int32_t j32 : alpha_nz) {
-        const std::size_t j = static_cast<std::size_t>(j32);
-        if (status_[j] == ColStatus::Basic || alphas[j] == 0.0) continue;
-        d[j] -= ratio * alphas[j];
-      }
-      d[static_cast<std::size_t>(kleave)] = -ratio;  // leaving column (alpha = 1)
-    } else {
-      d[static_cast<std::size_t>(kleave)] = 0.0;
-    }
-    d[static_cast<std::size_t>(q)] = 0.0;
-    pricer_->on_pivot(q, kleave, alpha_q, alphas, alpha_nz);
-
-    status_[kleave] = above ? ColStatus::AtUpper : ColStatus::AtLower;
-    xval_[kleave] = target;
-    basis_pos_[kleave] = -1;
-    basic_[r] = q;
-    basis_pos_[q] = static_cast<std::int32_t>(r);
-    status_[q] = ColStatus::Basic;
+    step(q, delta);
+    if (watch_cutoff) z += d[static_cast<std::size_t>(q)] * delta;
+    // The reduced-cost update reuses the pivot row of the ratio test.
+    update_reduced_costs(q, kleave, alpha_q);
+    swap_basis(r, q, above);
     // The pivot moved only the basic values of w's nonzero rows (r included,
     // which now holds q).
     for (const std::int32_t i : wnz) mark_violation(static_cast<std::size_t>(i));
-    update_factors(w, r, wnz);
     ++total_iterations_;
   }
 }
@@ -889,29 +845,7 @@ void SimplexSolver::set_bounds(std::int32_t col, double lb, double ub) {
   assert(col >= 0 && static_cast<std::size_t>(col) < n_);
   lb_[col] = lb;
   ub_[col] = ub;
-  if (status_[col] == ColStatus::Basic) return;
-  // Keep the nonbasic resting point consistent with the new bounds.
-  if (status_[col] == ColStatus::AtLower) {
-    if (lb > -kInf) {
-      xval_[col] = lb;
-    } else if (ub < kInf) {
-      status_[col] = ColStatus::AtUpper;
-      xval_[col] = ub;
-    } else {
-      status_[col] = ColStatus::Free;
-      xval_[col] = 0.0;
-    }
-  } else if (status_[col] == ColStatus::AtUpper) {
-    if (ub < kInf) {
-      xval_[col] = ub;
-    } else if (lb > -kInf) {
-      status_[col] = ColStatus::AtLower;
-      xval_[col] = lb;
-    } else {
-      status_[col] = ColStatus::Free;
-      xval_[col] = 0.0;
-    }
-  }
+  if (status_[col] != ColStatus::Basic) rest_nonbasic(static_cast<std::size_t>(col));
 }
 
 std::vector<double> SimplexSolver::dual_values() const {
@@ -991,17 +925,7 @@ bool SimplexSolver::load_basis(const Basis& basis) {
   // Nonbasic columns rest at a bound consistent with the *current* bounds
   // (which may differ from the exporter's: branching only changes bounds).
   for (std::size_t j = 0; j < total_cols_; ++j) {
-    if (status_[j] == ColStatus::Basic) continue;
-    if (status_[j] == ColStatus::AtLower && lb_[j] <= -kInf) {
-      status_[j] = (ub_[j] < kInf) ? ColStatus::AtUpper : ColStatus::Free;
-    } else if (status_[j] == ColStatus::AtUpper && ub_[j] >= kInf) {
-      status_[j] = (lb_[j] > -kInf) ? ColStatus::AtLower : ColStatus::Free;
-    }
-    switch (status_[j]) {
-      case ColStatus::AtLower: xval_[j] = lb_[j]; break;
-      case ColStatus::AtUpper: xval_[j] = ub_[j]; break;
-      default: xval_[j] = 0.0; break;
-    }
+    if (status_[j] != ColStatus::Basic) rest_nonbasic(j);
   }
 
   // Eta replay: adopt the exporter's factorization snapshot when the kernel

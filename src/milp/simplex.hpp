@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,6 +53,11 @@ struct SimplexOptions {
   /// Pricing rule by registry name (milp/pricing.hpp): "dantzig" (default)
   /// or "devex"; unknown names fall back to Dantzig.
   std::string pricing = "dantzig";
+  // Run control. `solve_milp` owns the four fields below: it sets them on
+  // its root and node solvers from MilpOptions::{budget, cancel, profiler,
+  // fault}, overwriting what a caller put in MilpOptions::lp. Set them here
+  // only for a solver driven directly (solve_lp_relaxation, SimplexSolver).
+
   /// Hard wall-clock deadline; simplex loops return TimeLimit when passed.
   /// Defaults to "never". Checked every few hundred iterations.
   std::chrono::steady_clock::time_point deadline =
@@ -177,13 +183,17 @@ class SimplexSolver {
   void initial_basis();
 
   // --- linear algebra (delegating to the basis kernel) ---
+  // ftran, btran_row and price_row run once per pivot and record the
+  // sampled kernel spans (sampled_spans()).
   /// w = Binv * A_col (dense result, sparse column input).
   void ftran(std::int32_t col, std::vector<double>& w) const;
   /// rho = row r of Binv (B^-T e_r), row-indexed.
   void btran_row(std::size_t r, std::vector<double>& rho) const;
   /// alpha_j = rho * A_j for every column with a nonzero, computed sparsely
-  /// through the row-wise adjacency; touched columns are listed in
-  /// `alpha_nz` and must be zeroed through it after use.
+  /// through the row-wise adjacency. `alpha_nz` lists the touched columns
+  /// except basic structurals and slacks and fixed artificials, so outside
+  /// phase 1 it holds no basic column; only its entries of `alpha` are
+  /// current.
   void price_row(const std::vector<double>& rho, std::vector<double>& alpha,
                  std::vector<std::int32_t>& alpha_nz) const;
   /// Rebuilds the basis factorization (stats, span and fault site), then
@@ -192,10 +202,6 @@ class SimplexSolver {
   bool refactorize();
   /// Recomputes the values of basic variables from nonbasic values.
   void compute_basic_values();
-  /// Product-form update of the kernel for a pivot (entering column's
-  /// ftran result `w`, pivot row `r`).
-  void update_factors(const std::vector<double>& w, std::size_t r,
-                      const std::vector<std::int32_t>& wnz);
 
   // --- entering-candidate bookkeeping ---
   /// Rebuilds `cand_` as the nonbasic, non-fixed columns. Called at the top
@@ -232,6 +238,35 @@ class SimplexSolver {
 
   [[nodiscard]] bool is_fixed(std::int32_t j) const { return lb_[j] == ub_[j]; }
   [[nodiscard]] double bound_violation(std::int32_t j) const;
+
+  // --- pivot steps shared by primal_loop and dual_loop ---
+  // A pivot reads the entering column's ftran result from scratch_w_ (its
+  // nonzero rows in scratch_wnz_) and the pivot row from scratch_alpha_ /
+  // scratch_alpha_nz_, both computed against the basis before the swap.
+  /// The loops' stop poll: IterationLimit at the iteration cap and, every
+  /// 256 iterations, TimeLimit on an injected Deadline fault, a passed
+  /// deadline or a set cancel flag. Empty while the loop may go on.
+  [[nodiscard]] std::optional<SolveStatus> poll_stop() const;
+  /// Counts a pivot whose step length is `step` and tracks the loop's run of
+  /// consecutive degenerate (step <= kDegenTol) pivots in `streak`.
+  void count_pivot(double step, int& streak);
+  /// Moves entering column q by `delta` and the basic values with it.
+  void step(std::int32_t q, double delta);
+  /// Pivot-row update of the reduced costs in scratch_d_,
+  /// d' = d - (d_q / pivot) * alpha, for entering q and leaving k, then the
+  /// pricer's weights. `pivot` is the pivot element (alpha_q = w_r).
+  void update_reduced_costs(std::int32_t q, std::int32_t k, double pivot);
+  /// Basis swap: q becomes basic in row r, the leaving column rests at its
+  /// upper bound if `to_upper`, else its lower; then the kernel update.
+  void swap_basis(std::size_t r, std::int32_t q, bool to_upper);
+  /// Direction in which a nonbasic column of status `st` and reduced cost
+  /// `dj` can enter and lower the objective: +1 up, -1 down, 0 when it is
+  /// not eligible (basic, or d_j of the wrong sign or within kOptTol).
+  [[nodiscard]] static double entering_dir(ColStatus st, double dj);
+  /// Puts nonbasic column j at the resting point its status names under the
+  /// current bounds; a status whose bound is infinite moves to the other
+  /// bound, or to Free (value 0) when both are.
+  void rest_nonbasic(std::size_t j);
 
   /// One pivot in this many records the pivot-level kernel spans.
   static constexpr std::int64_t kKernelSpanSample = 64;

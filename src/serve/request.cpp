@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "domains/epn.hpp"
+
 namespace archex::serve {
 
 using obs::Json;
@@ -96,7 +98,7 @@ std::optional<Request> Request::from_json(const Json& j, std::string* err) {
   r.scale = j.get_string("scale");
   if (!r.scale.empty()) {
     if (r.domain != "epn") return fail("'scale' is only valid with domain 'epn'");
-    if (r.scale != "tiny" && r.scale != "small" && r.scale != "paper") {
+    if (!domains::epn::scale_config(r.scale)) {
       return fail("unknown scale '" + r.scale +
                   "' (expected 'tiny', 'small' or 'paper')");
     }

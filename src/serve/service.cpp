@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -76,17 +77,10 @@ struct BuiltModel {
 BuiltModel build_model(const Request& req) {
   BuiltModel b;
   if (req.domain == "epn") {
-    if (req.scale == "tiny") {
-      // The k = 1 regime: closes in well under a second, what sweeps use.
-      b.epn_cfg = domains::epn::tiny_config();
-    } else if (req.scale == "paper") {
-      b.epn_cfg = domains::epn::EpnConfig{};
-    } else {
-      // Same sizing as `epn_explorer --scale=small`: the eager reliability
-      // encoding needs the third rectifier per side to be satisfiable.
-      b.epn_cfg = domains::epn::small_config();
-      b.epn_cfg.rectifiers_per_side = 3;
-    }
+    const std::optional<domains::epn::EpnConfig> cfg =
+        domains::epn::scale_config(req.scale.empty() ? "small" : req.scale);
+    if (!cfg) throw std::invalid_argument("unknown scale '" + req.scale + "'");
+    b.epn_cfg = *cfg;
     b.epn_lazy = req.lazy;
     b.epn_cfg.reliability_eager = !req.lazy;
     b.problem = domains::epn::make_problem(b.epn_cfg);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "graph/digraph.hpp"
 #include "reliability/reliability.hpp"
 
@@ -23,6 +25,23 @@ EpnConfig redundant_config() {
   cfg.critical_threshold = 1e-5;  // 2 disjoint paths
   cfg.sheddable_threshold = 1e-2;
   return cfg;
+}
+
+TEST(EpnScaleTest, NamedScalesMapToConfigsAndUnknownNamesAreRejected) {
+  const std::optional<EpnConfig> tiny = scale_config("tiny");
+  const std::optional<EpnConfig> small = scale_config("small");
+  const std::optional<EpnConfig> paper = scale_config("paper");
+  ASSERT_TRUE(tiny.has_value() && small.has_value() && paper.has_value());
+  EXPECT_EQ(tiny->gens_per_side, 1);
+  EXPECT_EQ(tiny->critical_threshold, 5e-3);  // the k = 1 regime
+  EXPECT_EQ(tiny->rectifiers_per_side, 2);
+  EXPECT_EQ(small->gens_per_side, 1);
+  EXPECT_EQ(small->critical_threshold, EpnConfig{}.critical_threshold);
+  EXPECT_EQ(small->rectifiers_per_side, 3);  // eager encoding needs the third
+  EXPECT_EQ(paper->gens_per_side, EpnConfig{}.gens_per_side);
+  EXPECT_EQ(paper->rectifiers_per_side, EpnConfig{}.rectifiers_per_side);
+  EXPECT_FALSE(scale_config("medium").has_value());
+  EXPECT_FALSE(scale_config("").has_value());
 }
 
 TEST(EpnLibraryTest, Table2Contents) {

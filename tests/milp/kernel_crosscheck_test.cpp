@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -534,6 +535,13 @@ TEST(PricingRegistry, BuiltinsRegisteredAndUnknownFallsBack) {
 }
 
 TEST(PricingRegistry, DevexReachesTheSameOptimum) {
+  // Pivot counts per seed under each rule. Both rules share every pivot
+  // step but entering selection, so a change to a shared step that alters
+  // a pivot sequence shows here.
+  constexpr std::array<std::int64_t, 10> kDantzigIterations = {7, 3, 3, 7, 1,
+                                                               11, 7, 6, 6, 4};
+  constexpr std::array<std::int64_t, 10> kDevexIterations = {7, 3, 3, 7, 1,
+                                                             12, 6, 6, 6, 4};
   for (unsigned seed = 0; seed < 10; ++seed) {
     const Model m = random_bounded_lp(15, seed);
     SimplexOptions dantzig;
@@ -542,6 +550,8 @@ TEST(PricingRegistry, DevexReachesTheSameOptimum) {
     const Solution a = solve_lp_relaxation(m, dantzig);
     const Solution b = solve_lp_relaxation(m, devex);
     ASSERT_EQ(a.status, b.status) << "seed " << seed;
+    EXPECT_EQ(a.simplex_iterations, kDantzigIterations[seed]) << "seed " << seed;
+    EXPECT_EQ(b.simplex_iterations, kDevexIterations[seed]) << "seed " << seed;
     if (a.status != SolveStatus::Optimal) continue;
     const double rel = 1e-6 * (1.0 + std::abs(a.objective));
     EXPECT_NEAR(b.objective, a.objective, rel) << "seed " << seed;

@@ -4,8 +4,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
+#include "domains/epn.hpp"
 #include "milp/model.hpp"
 
 namespace archex::milp {
@@ -185,6 +188,64 @@ TEST(SimplexTest, DualReoptimizeAfterBoundChangeMatchesColdSolve) {
   lp.set_bounds(0, 0.0, 7.0);
   ASSERT_EQ(lp.reoptimize_dual(), SolveStatus::Optimal);
   EXPECT_NEAR(lp.objective_value(), -16.0, 1e-7);
+}
+
+TEST(SimplexTest, TinyEpnDiveAndBacktrackPinTheWork) {
+  // A branch & bound path in miniature on the tiny EPN relaxation: dive by
+  // fixing four fractional binaries to 1, reoptimizing with the dual simplex
+  // after each; backtrack to the first fix's sibling (0, the rest relaxed);
+  // then relax that one too. The last relaxation leaves the basis
+  // dual-infeasible, so it takes the dual repair path. Each objective must
+  // equal a cold solve under the same bounds, and the pivot work is pinned:
+  // a change to the pivot steps that alters a pivot sequence fails here.
+  const auto problem = domains::epn::make_problem(domains::epn::tiny_config());
+  Model m = problem->model();
+  m.set_objective(problem->cost_expression(), ObjectiveSense::Minimize);
+  SimplexSolver lp(m);
+  ASSERT_EQ(lp.solve_primal(), SolveStatus::Optimal);
+  const std::vector<double> x0 = lp.primal_solution();
+  std::vector<std::int32_t> dive;
+  for (std::size_t j = 0; j < m.num_vars() && dive.size() < 4; ++j) {
+    if (m.vars()[j].type == VarType::Binary && x0[j] > 1e-6 && x0[j] < 1.0 - 1e-6) {
+      dive.push_back(static_cast<std::int32_t>(j));
+    }
+  }
+  ASSERT_EQ(dive.size(), 4U);
+
+  auto reoptimize_matches_cold = [&](const char* what) {
+    const SolveStatus st = lp.reoptimize_dual();
+    SimplexSolver cold(m);
+    for (std::size_t j = 0; j < m.num_vars(); ++j) {
+      const auto col = static_cast<std::int32_t>(j);
+      cold.set_bounds(col, lp.lower_bound(col), lp.upper_bound(col));
+    }
+    ASSERT_EQ(st, SolveStatus::Optimal) << what;
+    ASSERT_EQ(cold.solve_primal(), SolveStatus::Optimal) << what;
+    EXPECT_NEAR(lp.objective_value(), cold.objective_value(),
+                1e-6 * (1.0 + std::abs(cold.objective_value())))
+        << what;
+  };
+  for (const std::int32_t col : dive) {
+    lp.set_bounds(col, 1.0, 1.0);
+    reoptimize_matches_cold("dive");
+  }
+  for (const std::int32_t col : dive) lp.set_bounds(col, 0.0, 1.0);
+  lp.set_bounds(dive[0], 0.0, 0.0);
+  reoptimize_matches_cold("sibling");
+  EXPECT_EQ(lp.reopt_stats().repaired, 0);
+  lp.set_bounds(dive[0], 0.0, 1.0);
+  reoptimize_matches_cold("root");
+
+  const SimplexSolver::ReoptStats& st = lp.reopt_stats();
+  EXPECT_EQ(lp.iterations(), 676);
+  EXPECT_EQ(st.dual_fast, 5);
+  EXPECT_EQ(st.repaired, 1);
+  EXPECT_EQ(st.cold, 0);
+  EXPECT_EQ(st.degen_pivots, 397);
+  EXPECT_EQ(st.total_pivots, 676);
+  EXPECT_EQ(st.refactors, 19);
+  EXPECT_EQ(st.transplants, 0);
+  EXPECT_EQ(st.cutoffs, 0);
 }
 
 TEST(SimplexTest, DualReoptimizeDetectsInfeasibleBounds) {
