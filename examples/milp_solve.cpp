@@ -34,15 +34,16 @@ using namespace archex::milp;
 
 namespace {
 
-int exit_code(TermReason r) {
-  switch (r) {
-    case TermReason::Optimal: return 0;
-    case TermReason::Infeasible: return 3;
-    case TermReason::Unbounded: return 4;
-    case TermReason::NodeLimit: return 5;
-    case TermReason::TimeLimit: return 6;
-    case TermReason::IterationLimit: return 7;
-    case TermReason::Numerical: return 8;
+int exit_code(SolveStatus s) {
+  switch (s) {
+    case SolveStatus::Optimal: return 0;
+    case SolveStatus::Infeasible: return 3;
+    case SolveStatus::Unbounded: return 4;
+    case SolveStatus::NodeLimit: return 5;
+    case SolveStatus::TimeLimit: return 6;
+    case SolveStatus::IterationLimit: return 7;
+    case SolveStatus::NumericalError:
+    case SolveStatus::Cutoff: return 8;
   }
   return 8;
 }
@@ -266,7 +267,7 @@ int main(int argc, char** argv) {
                    profile_path.c_str());
     }
     if (cert.checked && !cert.ok()) return 9;
-    return exit_code(sol.term_reason);
+    return exit_code(sol.status);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -75,7 +75,7 @@ std::uint64_t fingerprint_of(const Problem& p, const milp::Model& base) {
     mix_f64(h, p.edge_base_cost(static_cast<std::int32_t>(i)));
   }
 
-  mix_u64(h, p.applied_patterns().size());
+  mix_u64(h, p.num_patterns_applied());
   for (const std::string& pat : p.applied_patterns()) mix_str(h, pat);
 
   // Model shape guards against anything the fields above miss (extra cost

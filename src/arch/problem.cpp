@@ -173,7 +173,6 @@ void Problem::apply(const Pattern& pattern) {
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  patterns_applied_.push_back(desc);
   // Rows emitted during this pattern (minus any flow-coupling rows flow()
   // already claimed) are attributed to the pattern.
   label_new_rows(desc);
@@ -181,6 +180,15 @@ void Problem::apply(const Pattern& pattern) {
 }
 
 void Problem::apply(const std::shared_ptr<Pattern>& pattern) { apply(*pattern); }
+
+std::vector<std::string> Problem::applied_patterns() const {
+  std::vector<std::string> out;
+  out.reserve(num_patterns_applied());
+  for (std::size_t i = 1; i < pattern_costs_.size(); ++i) {
+    out.push_back(pattern_costs_[i].label);
+  }
+  return out;
+}
 
 std::vector<NodeId> Problem::source_nodes() const {
   if (func_flow_.empty()) return {};

@@ -101,14 +101,15 @@ class Problem {
 
   // --- requirement specification -------------------------------------------
   /// Applies a pattern: translates it into MILP constraints immediately.
-  /// Patterns applied so far are remembered for reporting (the paper counts
+  /// Each application is recorded once, in pattern_costs() (the paper counts
   /// "46 patterns" for the EPN spec).
   void apply(const Pattern& pattern);
   void apply(const std::shared_ptr<Pattern>& pattern);
-  [[nodiscard]] std::size_t num_patterns_applied() const { return patterns_applied_.size(); }
-  [[nodiscard]] const std::vector<std::string>& applied_patterns() const {
-    return patterns_applied_;
+  /// The applications so far: pattern_costs() past its "structural" entry.
+  [[nodiscard]] std::size_t num_patterns_applied() const {
+    return pattern_costs_.size() - 1;
   }
+  [[nodiscard]] std::vector<std::string> applied_patterns() const;
 
   /// Functional flow F: the ordered sequence of component types realizing a
   /// source->sink link (e.g. (G, A, R, D, L)). Used by timing and
@@ -226,7 +227,6 @@ class Problem {
   std::vector<std::string> func_flow_;
   std::vector<std::pair<milp::LinExpr, double>> extra_cost_;
   std::map<std::int32_t, double> edge_cost_override_;  ///< by edge index
-  std::vector<std::string> patterns_applied_;
   std::vector<std::string> row_labels_;        ///< distinct origin labels
   std::vector<std::int32_t> row_origin_;       ///< per row: index into row_labels_
   std::function<std::string(const Problem&)> diagnoser_;

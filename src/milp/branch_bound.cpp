@@ -250,11 +250,6 @@ struct SearchCtx {
 // The tree search: an explicit open-node pool consumed by N workers.
 // ---------------------------------------------------------------------------
 
-/// One bound tightening along the path from the (post-fixing) root. The
-/// checkpoint layer serializes exactly this triple, so the pool's node paths
-/// are the on-disk frontier representation too.
-using BoundChange = BoundDelta;
-
 /// An open branch & bound node: the bound deltas that define its subproblem,
 /// the parent's LP objective (a valid lower bound for the whole subtree, used
 /// for pre-solve pruning and best-bound stealing), and the parent's exported
@@ -269,7 +264,9 @@ struct BBNode {
   std::int32_t branch_col = -1;   ///< branched column; -1 for a root or resumed node
   PseudoCosts::Dir branch_dir = PseudoCosts::Dir::Down;
   double branch_dist = 0.0;       ///< how far the branch moved the column: f or 1-f
-  std::vector<BoundChange> path;  ///< from the fixed root
+  /// From the fixed root; the checkpoint layer serializes these deltas, so
+  /// the pool's node paths are the on-disk frontier representation too.
+  std::vector<BoundDelta> path;
   std::shared_ptr<const Basis> basis;  ///< parent basis
 };
 
@@ -613,7 +610,7 @@ class Worker {
  private:
   /// Restores the root bound of every column on the current path.
   void rewind() {
-    for (const BoundChange& d : cur_path_) {
+    for (const BoundDelta& d : cur_path_) {
       lp_->set_bounds(d.col, root_lb_[static_cast<std::size_t>(d.col)],
                       root_ub_[static_cast<std::size_t>(d.col)]);
     }
@@ -626,13 +623,13 @@ class Worker {
   /// and transplants the parent basis.
   void rebase(const BBNode& node) {
     if (node.parent_id == held_id_ && node.path.size() == cur_path_.size() + 1) {
-      const BoundChange& d = node.path.back();
+      const BoundDelta& d = node.path.back();
       lp_->set_bounds(d.col, d.lb, d.ub);
       cur_path_.push_back(d);
     } else {
       rewind();
       cur_path_ = node.path;
-      for (const BoundChange& d : cur_path_) lp_->set_bounds(d.col, d.lb, d.ub);
+      for (const BoundDelta& d : cur_path_) lp_->set_bounds(d.col, d.lb, d.ub);
       if (node.basis) {
         lp_->load_basis(*node.basis);  // on failure reoptimize_dual cold-starts
       }
@@ -829,7 +826,7 @@ class Worker {
   std::unique_ptr<SimplexSolver> own_lp_;  ///< null for the root solver's worker
   SimplexSolver* lp_;
   std::vector<double> root_lb_, root_ub_;
-  std::vector<BoundChange> cur_path_;
+  std::vector<BoundDelta> cur_path_;
   std::uint64_t held_id_ = 0;  ///< node whose basis the solver holds
   std::int64_t nodes_ = 0;
   std::int64_t steals_ = 0;
@@ -944,7 +941,6 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
   // (and the threads==1 cpu_seconds mirror) to be set already — finish()
   // must not move the clock, callers pin cpu_seconds == solve_seconds.
   auto finish = [&](Solution& s) {
-    s.term_reason = term_reason_from(s.status);
     reg->counter("milp.nodes").add(s.nodes_explored);
     reg->counter("milp.simplex_iterations").add(s.simplex_iterations);
     reg->counter("milp.steals").add(s.steals);

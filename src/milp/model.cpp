@@ -32,35 +32,6 @@ const char* to_string(SolveStatus s) {
 
 std::ostream& operator<<(std::ostream& os, SolveStatus s) { return os << to_string(s); }
 
-const char* to_string(TermReason r) {
-  switch (r) {
-    case TermReason::Optimal: return "optimal";
-    case TermReason::Infeasible: return "infeasible";
-    case TermReason::Unbounded: return "unbounded";
-    case TermReason::NodeLimit: return "node-limit";
-    case TermReason::TimeLimit: return "time-limit";
-    case TermReason::IterationLimit: return "iteration-limit";
-    case TermReason::Numerical: return "numerical";
-  }
-  return "?";
-}
-
-TermReason term_reason_from(SolveStatus s) {
-  switch (s) {
-    case SolveStatus::Optimal: return TermReason::Optimal;
-    case SolveStatus::Infeasible: return TermReason::Infeasible;
-    case SolveStatus::Unbounded: return TermReason::Unbounded;
-    case SolveStatus::IterationLimit: return TermReason::IterationLimit;
-    case SolveStatus::NodeLimit: return TermReason::NodeLimit;
-    case SolveStatus::TimeLimit: return TermReason::TimeLimit;
-    case SolveStatus::NumericalError: return TermReason::Numerical;
-    // An LP-level outcome of the node reoptimizations; unreachable as a
-    // MILP Solution::status.
-    case SolveStatus::Cutoff: return TermReason::Numerical;
-  }
-  return TermReason::Numerical;
-}
-
 VarId Model::add_var(double lb, double ub, VarType type, std::string name) {
   if (lb > ub) throw std::invalid_argument("Model::add_var: lb > ub for " + name);
   if (type == VarType::Binary) {

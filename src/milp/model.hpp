@@ -137,24 +137,6 @@ enum class SolveStatus : std::uint8_t {
 
 [[nodiscard]] const char* to_string(SolveStatus s);
 
-/// Why the solve terminated. Unlike SolveStatus (which folds the LP-engine
-/// statuses in), this is the explicit MILP termination reason — callers no
-/// longer infer it from counters. `milp_solve` maps it to its exit code.
-enum class TermReason : std::uint8_t {
-  Optimal,       ///< proven optimal (or gap closed within tolerances)
-  Infeasible,    ///< proven infeasible
-  Unbounded,     ///< LP relaxation unbounded
-  NodeLimit,     ///< max_nodes hit
-  TimeLimit,     ///< time budget spent
-  IterationLimit,///< simplex iteration cap hit (LP-relaxation solves)
-  Numerical,     ///< numerical failure
-};
-
-[[nodiscard]] const char* to_string(TermReason r);
-
-/// Maps a final SolveStatus to the matching TermReason.
-[[nodiscard]] TermReason term_reason_from(SolveStatus s);
-
 /// Wall-clock breakdown of one MILP solve, in seconds. Phases are disjoint;
 /// their sum is slightly below `solve_seconds` (glue code between phases).
 struct SolvePhases {
@@ -208,8 +190,6 @@ struct Solution {
   /// the status, as the claim. See docs/solver.md ("Resilience").
   bool degraded = false;
   std::int64_t degraded_nodes = 0;  ///< subtrees abandoned by the ladder
-  /// Explicit termination reason (see TermReason); always populated.
-  TermReason term_reason = TermReason::Numerical;
   /// Wall-clock phase breakdown (MILP only; zeros for plain LP solves).
   SolvePhases phases;
   /// Time-stamped incumbent improvements, oldest first (model sense). Fed by

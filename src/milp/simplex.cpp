@@ -968,7 +968,6 @@ Solution solve_lp_relaxation(const Model& model, SimplexOptions options) {
   SimplexSolver lp(model, options);
   Solution sol;
   sol.status = lp.solve_primal();
-  sol.term_reason = term_reason_from(sol.status);
   sol.simplex_iterations = lp.iterations();
   if (sol.status == SolveStatus::Optimal) {
     sol.x = lp.primal_solution();

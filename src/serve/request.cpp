@@ -203,9 +203,7 @@ const char* to_string(ResponseStatus s) {
   return "unknown";
 }
 
-Json ScenarioResult::to_json() const {
-  Json j;
-  j["name"] = name;
+void Outcome::write(Json& j) const {
   j["status"] = to_string(status);
   j["ok"] = ok;
   if (has_objective) {
@@ -214,6 +212,12 @@ Json ScenarioResult::to_json() const {
     j["gap"] = gap;
   }
   j["degraded"] = degraded;
+}
+
+Json ScenarioResult::to_json() const {
+  Json j;
+  j["name"] = name;
+  write(j);
   j["warm"] = warm;
   j["solve_seconds"] = solve_seconds;
   return j;
@@ -222,14 +226,7 @@ Json ScenarioResult::to_json() const {
 Json Response::to_json() const {
   Json j;
   j["id"] = id;
-  j["status"] = to_string(status);
-  j["ok"] = ok;
-  if (has_objective) {
-    j["objective"] = objective;
-    j["bound"] = bound;
-    j["gap"] = gap;
-  }
-  j["degraded"] = degraded;
+  write(j);
   if (degraded_nodes > 0) j["degraded_nodes"] = degraded_nodes;
   if (nodes > 0) j["nodes"] = nodes;
   if (attempts > 0) j["attempts"] = attempts;

@@ -115,26 +115,11 @@ struct LifecycleEvent {
   double at_ms = 0.0;
 };
 
-/// Per-scenario outcome of a "sweep" response. Field names deliberately
-/// mirror the top-level response (and ExplorationResult's accessors) so
-/// per-scenario lines diff cleanly against solo solves.
-struct ScenarioResult {
-  std::string name;
-  ResponseStatus status = ResponseStatus::Error;
-  bool ok = false;
-  bool has_objective = false;
-  double objective = 0.0;
-  double bound = 0.0;
-  double gap = 0.0;
-  bool degraded = false;
-  bool warm = false;  ///< root LP warm-started from the previous basis
-  double solve_seconds = 0.0;
-
-  [[nodiscard]] obs::Json to_json() const;
-};
-
-struct Response {
-  std::string id;
+/// The outcome of one solve on the wire: the one record a response and each
+/// sweep scenario share, filled by the service's one Solution-to-outcome
+/// rule. Field names mirror ExplorationResult's accessors, so responses and
+/// library results diff in one vocabulary.
+struct Outcome {
   ResponseStatus status = ResponseStatus::Error;
   bool ok = false;  ///< Optimal or Degraded (a usable architecture came back)
 
@@ -144,6 +129,23 @@ struct Response {
   double gap = 0.0;    ///< |objective - bound|; 0 when proven optimal
 
   bool degraded = false;
+
+  /// Writes the outcome keys into `j` (objective/bound/gap only with an
+  /// objective).
+  void write(obs::Json& j) const;
+};
+
+/// Per-scenario outcome of a "sweep" response.
+struct ScenarioResult : Outcome {
+  std::string name;
+  bool warm = false;  ///< root LP warm-started from the previous basis
+  double solve_seconds = 0.0;
+
+  [[nodiscard]] obs::Json to_json() const;
+};
+
+struct Response : Outcome {
+  std::string id;
   std::int64_t degraded_nodes = 0;
   std::int64_t nodes = 0;
   int attempts = 0;    ///< solve attempts consumed (1 = no retries needed)

@@ -117,28 +117,63 @@ int severity(ResponseStatus s) {
   }
 }
 
-/// THE mapping from a solver outcome to a response status, shared by the
-/// explore path and every compiled scenario. Drain preemption is not a
-/// solver outcome: the explore path checks it first, a sweep reports it at
-/// sweep level.
-ResponseStatus response_status(const milp::Solution& sol) {
+/// THE options of a request's solves, shared by both paths: its thread
+/// count, its deadline as the budget, the service's cancel token and its
+/// node cap. The explore path adds its fault plan and checkpoint on top.
+milp::MilpOptions solver_options(const Request& req, Clock::time_point deadline,
+                                 const std::atomic<bool>* cancel) {
+  milp::MilpOptions o;
+  o.num_threads = req.threads;
+  o.budget = milp::Budget::until(deadline);
+  o.cancel = cancel;
+  if (req.max_nodes > 0) o.max_nodes = req.max_nodes;
+  return o;
+}
+
+/// THE rule from a solver outcome to the wire's outcome fields, shared by
+/// the explore path and every compiled scenario; it also charges the solve's
+/// work to the serve.solver.* counters. `preempted` is the explore path's
+/// drain override: a solve the cancel token stopped reports Preempted, never
+/// ok, and only the solver's own degraded flag, even with an incumbent.
+void record_outcome(const milp::Solution& sol, bool preempted, Outcome& out,
+                    obs::MetricsRegistry& reg) {
   switch (sol.status) {
     case milp::SolveStatus::Optimal:
-      return sol.degraded ? ResponseStatus::Degraded : ResponseStatus::Optimal;
+      out.status = sol.degraded ? ResponseStatus::Degraded
+                                : ResponseStatus::Optimal;
+      break;
     case milp::SolveStatus::TimeLimit:
     case milp::SolveStatus::NodeLimit:
     case milp::SolveStatus::IterationLimit:
       // With an incumbent, the anytime result.
-      return sol.has_incumbent ? ResponseStatus::Degraded
-                               : ResponseStatus::Timeout;
-    case milp::SolveStatus::Infeasible: return ResponseStatus::Infeasible;
-    case milp::SolveStatus::Unbounded: return ResponseStatus::Unbounded;
-    case milp::SolveStatus::NumericalError: return ResponseStatus::Error;
-    // An LP-level outcome of the node reoptimizations; unreachable as a
-    // MILP Solution::status.
-    case milp::SolveStatus::Cutoff: return ResponseStatus::Error;
+      out.status = sol.has_incumbent ? ResponseStatus::Degraded
+                                     : ResponseStatus::Timeout;
+      break;
+    case milp::SolveStatus::Infeasible:
+      out.status = ResponseStatus::Infeasible;
+      break;
+    case milp::SolveStatus::Unbounded:
+      out.status = ResponseStatus::Unbounded;
+      break;
+    // Cutoff is an LP-level outcome of the node reoptimizations, unreachable
+    // as a MILP Solution::status.
+    case milp::SolveStatus::NumericalError:
+    case milp::SolveStatus::Cutoff:
+      out.status = ResponseStatus::Error;
+      break;
   }
-  return ResponseStatus::Error;
+  if (preempted) out.status = ResponseStatus::Preempted;
+  out.ok = out.status == ResponseStatus::Optimal ||
+           out.status == ResponseStatus::Degraded;
+  out.has_objective = sol.has_incumbent;
+  if (sol.has_incumbent) {
+    out.objective = sol.objective;
+    out.bound = sol.best_bound;
+    out.gap = std::abs(sol.objective - sol.best_bound);
+  }
+  out.degraded = sol.degraded || out.status == ResponseStatus::Degraded;
+  reg.counter("serve.solver.nodes").add(sol.nodes_explored);
+  reg.counter("serve.solver.simplex_iterations").add(sol.simplex_iterations);
 }
 
 /// THE lint gate of both paths: when `model` has an error-severity finding,
@@ -273,68 +308,71 @@ void ExplorationService::worker_loop() {
   }
 }
 
+/// One request in flight: the response being built, the admission time its
+/// lifecycle marks count from, and its absolute deadline.
+struct ExplorationService::InFlight {
+  Response& r;
+  Clock::time_point admitted;
+  Clock::time_point deadline;
+
+  void mark(const char* state) {
+    r.lifecycle.push_back({state, ms_between(admitted, Clock::now())});
+  }
+};
+
 Response ExplorationService::execute(const Request& req,
                                      Clock::time_point admitted) {
-  if (!req.op.empty()) return execute_compiled(req, admitted);
-  const Clock::time_point t_start = Clock::now();
   Response r;
   r.id = req.id;
-  r.queue_ms = ms_between(admitted, t_start);
-  auto mark = [&](const char* state) {
-    r.lifecycle.push_back({state, ms_between(admitted, Clock::now())});
-  };
-  auto finalize = [&]() -> Response& {
-    r.total_ms = ms_between(admitted, Clock::now());
-    mark("done");
-    finish_metrics(r);
-    return r;
-  };
-  mark("start");
-
-  const Clock::time_point deadline = deadline_of(req, admitted);
+  r.queue_ms = ms_between(admitted, Clock::now());
+  InFlight job{r, admitted, deadline_of(req, admitted)};
+  job.mark("start");
   // A budget fully consumed by queue wait gets its answer without touching
   // the solver: there is no incumbent to report, so this is a timeout.
-  if (Clock::now() >= deadline) {
+  if (Clock::now() >= job.deadline) {
     r.status = ResponseStatus::Timeout;
     r.reason = "deadline expired before execution";
-    return finalize();
+  } else if (req.op.empty()) {
+    execute_explore(req, job);
+  } else {
+    execute_compiled(req, job);
   }
+  r.total_ms = ms_between(admitted, Clock::now());
+  job.mark("done");
+  finish_metrics(r);
+  return r;
+}
 
+void ExplorationService::execute_explore(const Request& req, InFlight& job) {
+  Response& r = job.r;
   // --- build (encode) ---
-  mark("build");
+  job.mark("build");
   BuiltModel built;
   try {
     built = build_model(req);
   } catch (const std::exception& e) {
     r.status = ResponseStatus::Error;
     r.reason = std::string("model build failed: ") + e.what();
-    return finalize();
+    return;
   }
 
   // --- lint gate ---
   if (req.lint) {
-    mark("lint");
-    if (lint_rejects(built.lint_target(), r, reg_)) return finalize();
+    job.mark("lint");
+    if (lint_rejects(built.lint_target(), r, reg_)) return;
   }
 
+  milp::MilpOptions base = solver_options(req, job.deadline, &cancel_);
   // --- per-request fault plan (isolation: each request owns its plan) ---
   milp::FaultPlan fault;
-  bool fault_armed = false;
   if (!req.inject.empty()) {
     if (!fault.arm_from_spec(req.inject)) {
       r.status = ResponseStatus::Error;
       r.reason = "bad inject spec '" + req.inject + "'";
-      return finalize();
+      return;
     }
-    fault_armed = true;
+    base.fault = &fault;
   }
-
-  milp::MilpOptions base;
-  base.num_threads = req.threads;
-  base.budget = milp::Budget::until(deadline);
-  base.cancel = &cancel_;
-  if (req.max_nodes > 0) base.max_nodes = req.max_nodes;
-  if (fault_armed) base.fault = &fault;
   std::string ck = req.checkpoint;
   if (ck.empty() && req.preemptible && !opts_.checkpoint_dir.empty()) {
     ck = opts_.checkpoint_dir + "/" + sanitize_id(req.id) + ".ck";
@@ -350,7 +388,7 @@ Response ExplorationService::execute(const Request& req,
   // --- solve, with the service-level NumericalError ladder on top of the
   // solver's own recovery: attempt 1 tightens tolerances, attempt 2 falls
   // back to the dense oracle kernel. ---
-  mark("solve");
+  job.mark("solve");
   milp::Solution sol;
   std::string solve_error;
   int attempt = 0;
@@ -386,66 +424,49 @@ Response ExplorationService::execute(const Request& req,
     }
     if (sol.status != milp::SolveStatus::NumericalError) break;
     if (attempt >= retries) break;
-    if (cancel_.load(std::memory_order_relaxed) || Clock::now() >= deadline) {
+    if (cancel_.load(std::memory_order_relaxed) ||
+        Clock::now() >= job.deadline) {
       break;  // no budget left to spend on another attempt
     }
     reg_.counter("serve.retries").add();
     const double delay =
         backoff_delay_ms(opts_.backoff_base_ms, backoff_seed, attempt);
     if (delay > 0) {
-      const double remaining_ms = ms_between(Clock::now(), deadline);
+      const double remaining_ms = ms_between(Clock::now(), job.deadline);
       const double capped = std::min(delay, std::max(remaining_ms, 0.0));
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(capped));
     }
     ++attempt;
-    mark("retry");
+    job.mark("retry");
   }
   r.solve_seconds =
       std::chrono::duration<double>(Clock::now() - t_solve).count();
   r.attempts = attempt + 1;
 
   // --- map the solution to a response ---
-  mark("extract");
+  job.mark("extract");
   r.nodes = sol.nodes_explored;
   r.degraded_nodes = sol.degraded_nodes;
-  if (sol.has_incumbent) {
-    r.has_objective = true;
-    r.objective = sol.objective;
-    r.bound = sol.best_bound;
-    r.gap = std::abs(sol.objective - sol.best_bound);
-  }
-  reg_.counter("serve.solver.nodes").add(sol.nodes_explored);
-  reg_.counter("serve.solver.simplex_iterations").add(sol.simplex_iterations);
-
   // A TimeLimit while the service-wide cancel token is set and the request's
   // own deadline has slack is a drain preemption, not a timeout.
   const bool preempted = cancel_.load(std::memory_order_relaxed) &&
                          sol.status == milp::SolveStatus::TimeLimit &&
-                         Clock::now() < deadline;
-  if (preempted) {
-    r.status = ResponseStatus::Preempted;
-    r.checkpoint = ck;
-    r.resumable = !ck.empty() && file_exists(ck);
-  } else {
-    r.status = response_status(sol);
-  }
+                         Clock::now() < job.deadline;
+  record_outcome(sol, preempted, r, reg_);
   if (sol.status == milp::SolveStatus::NumericalError) {
     r.reason = solve_error.empty()
                    ? "numerical error after " + std::to_string(attempt + 1) +
                          " attempt(s)"
                    : solve_error;
   }
-  r.ok = r.status == ResponseStatus::Optimal ||
-         r.status == ResponseStatus::Degraded;
-  r.degraded = sol.degraded || r.status == ResponseStatus::Degraded;
-
-  if (r.status == ResponseStatus::Preempted) {
+  if (preempted) {
+    r.checkpoint = ck;
+    r.resumable = !ck.empty() && file_exists(ck);
     std::lock_guard<std::mutex> lock(mu_);
     ++drain_preempted_;
     if (r.resumable) drained_checkpoints_.push_back(r.checkpoint);
   }
-  return finalize();
 }
 
 std::shared_ptr<const CompiledModel> ExplorationService::get_or_compile(
@@ -483,62 +504,35 @@ std::shared_ptr<const CompiledModel> ExplorationService::get_or_compile(
   return cm;
 }
 
-Response ExplorationService::execute_compiled(const Request& req,
-                                              Clock::time_point admitted) {
-  const Clock::time_point t_start = Clock::now();
-  Response r;
-  r.id = req.id;
-  r.queue_ms = ms_between(admitted, t_start);
-  auto mark = [&](const char* state) {
-    r.lifecycle.push_back({state, ms_between(admitted, Clock::now())});
-  };
-  auto finalize = [&]() -> Response& {
-    r.total_ms = ms_between(admitted, Clock::now());
-    mark("done");
-    finish_metrics(r);
-    return r;
-  };
-  mark("start");
-
-  const Clock::time_point deadline = deadline_of(req, admitted);
-  if (Clock::now() >= deadline) {
-    r.status = ResponseStatus::Timeout;
-    r.reason = "deadline expired before execution";
-    return finalize();
-  }
-
+void ExplorationService::execute_compiled(const Request& req, InFlight& job) {
+  Response& r = job.r;
   // --- stage 1+2: the compiled artifact, through the LRU ---
-  mark("compile");
+  job.mark("compile");
   std::shared_ptr<const CompiledModel> cm;
   try {
     cm = get_or_compile(req, &r.cache);
   } catch (const std::exception& e) {
     r.status = ResponseStatus::Error;
     r.reason = std::string("compile failed: ") + e.what();
-    return finalize();
+    return;
   }
   r.fingerprint = cm->fingerprint();
 
   // --- lint gate, against the compiled artifact's frozen matrix ---
   if (req.lint) {
-    mark("lint");
-    if (lint_rejects(cm->base_model(), r, reg_)) return finalize();
+    job.mark("lint");
+    if (lint_rejects(cm->base_model(), r, reg_)) return;
   }
 
   if (req.op == "compile") {
     r.status = ResponseStatus::Compiled;
     r.ok = true;
-    return finalize();
+    return;
   }
 
-  milp::MilpOptions base;
-  base.num_threads = req.threads;
-  base.budget = milp::Budget::until(deadline);
-  base.cancel = &cancel_;
-  if (req.max_nodes > 0) base.max_nodes = req.max_nodes;
-
   // --- stage 3: solve the scenario (or the sweep's scenario family) ---
-  mark("solve");
+  const milp::MilpOptions base = solver_options(req, job.deadline, &cancel_);
+  job.mark("solve");
   const Clock::time_point t_solve = Clock::now();
   const bool is_sweep = req.op == "sweep";
   const std::vector<ScenarioSpec> single{req.scenario};
@@ -559,23 +553,10 @@ Response ExplorationService::execute_compiled(const Request& req,
     sr.name = sc.name;
     try {
       const ExplorationResult er = archex::solve(*cm, sc, base, sweep_state);
-      const milp::Solution& sol = er.solution;
-      r.nodes += sol.nodes_explored;
-      r.degraded_nodes += sol.degraded_nodes;
-      reg_.counter("serve.solver.nodes").add(sol.nodes_explored);
-      reg_.counter("serve.solver.simplex_iterations")
-          .add(sol.simplex_iterations);
-      sr.status = response_status(sol);
-      sr.ok = sr.status == ResponseStatus::Optimal ||
-              sr.status == ResponseStatus::Degraded;
-      if (sol.has_incumbent) {
-        sr.has_objective = true;
-        sr.objective = er.objective();
-        sr.bound = er.bound();
-        sr.gap = er.gap();
-      }
-      sr.degraded = er.degraded();
-      sr.warm = sol.warm_started;
+      r.nodes += er.solution.nodes_explored;
+      r.degraded_nodes += er.solution.degraded_nodes;
+      record_outcome(er.solution, /*preempted=*/false, sr, reg_);
+      sr.warm = er.solution.warm_started;
       sr.solve_seconds = er.solver_seconds;
     } catch (const std::exception& e) {
       // Isolation: one bad scenario (e.g. an unknown component name) fails
@@ -589,45 +570,26 @@ Response ExplorationService::execute_compiled(const Request& req,
       std::chrono::duration<double>(Clock::now() - t_solve).count();
   r.attempts = 1;
 
-  mark("extract");
-  if (!is_sweep) {
-    const ScenarioResult& sr = results.front();
-    r.status = sr.status;
-    r.ok = sr.ok;
-    r.has_objective = sr.has_objective;
-    r.objective = sr.objective;
-    r.bound = sr.bound;
-    r.gap = sr.gap;
-    r.degraded = sr.degraded;
-    return finalize();
-  }
+  // The top level reports the last (for solve_compiled: the only)
+  // scenario's outcome, so a sweep response tail-diffs cleanly against the
+  // solve_compiled response for that scenario; a sweep then folds status,
+  // ok and degraded over all its scenarios.
+  job.mark("extract");
+  static_cast<Outcome&>(r) = results.back();
+  if (!is_sweep) return;
   r.scenarios = std::move(results);
   r.warm_solves = state.warm_solves;
   r.cold_solves = state.cold_solves;
-  r.ok = true;
-  r.degraded = false;
-  const ScenarioResult* worst = nullptr;
+  r.status = r.scenarios.front().status;  // the first of the worst wins
   for (const ScenarioResult& sr : r.scenarios) {
     r.ok = r.ok && sr.ok;
     r.degraded = r.degraded || sr.degraded;
-    if (worst == nullptr || severity(sr.status) > severity(worst->status)) {
-      worst = &sr;
-    }
+    if (severity(sr.status) > severity(r.status)) r.status = sr.status;
   }
-  r.status = worst != nullptr ? worst->status : ResponseStatus::Error;
-  // The top level mirrors the last scenario's objective, so a sweep response
-  // tail-diffs cleanly against the solve_compiled response for that
-  // scenario.
-  const ScenarioResult& last = r.scenarios.back();
-  r.has_objective = last.has_objective;
-  r.objective = last.objective;
-  r.bound = last.bound;
-  r.gap = last.gap;
   reg_.counter("serve.sweep.scenarios")
       .add(static_cast<std::int64_t>(r.scenarios.size()));
   reg_.counter("serve.sweep.warm").add(state.warm_solves);
   reg_.counter("serve.sweep.cold").add(state.cold_solves);
-  return finalize();
 }
 
 void ExplorationService::finish_metrics(const Response& r) {

@@ -115,15 +115,24 @@ class ExplorationService {
   };
 
   void worker_loop();
-  /// The full per-request lifecycle (build, lint, retry ladder, mapping).
-  /// Dispatches compiled-pipeline ops to execute_compiled.
+  /// One request in flight (service.cpp): its response, admission time and
+  /// deadline.
+  struct InFlight;
+  /// The one request lifecycle both paths share: builds the response, marks
+  /// "start", answers a deadline already spent in the queue as a timeout,
+  /// runs the explore or the compiled body by `op`, then marks "done" and
+  /// records the latency and outcome metrics.
   Response execute(const Request& req,
                    std::chrono::steady_clock::time_point admitted);
-  /// The compile/solve_compiled/sweep lifecycle: fetch-or-compile the
-  /// artifact through the LRU, then solve the request's scenarios against
-  /// it (sweeps warm-start each scenario from the previous basis).
-  Response execute_compiled(const Request& req,
-                            std::chrono::steady_clock::time_point admitted);
+  /// The explore body: build the model, lint, arm the fault plan and the
+  /// checkpoint, solve under the NumericalError retry ladder, and map the
+  /// solution (with the drain-preemption override) to the response.
+  void execute_explore(const Request& req, InFlight& job);
+  /// The compile/solve_compiled/sweep body: fetch-or-compile the artifact
+  /// through the LRU, then solve the request's scenarios against it (sweeps
+  /// warm-start each scenario from the previous basis). No retries, fault
+  /// plan or checkpoint: the request schema rejects those keys here.
+  void execute_compiled(const Request& req, InFlight& job);
   /// The compiled artifact for the request's spec: cache hit when the spec
   /// was compiled before (and survived eviction), fresh compile otherwise.
   /// Sets `*cache_state` to "hit"/"miss" and refreshes the serve.compile.*

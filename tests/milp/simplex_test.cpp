@@ -164,7 +164,7 @@ TEST(SimplexTest, ExpiredDeadlineStopsTheRelaxation) {
   opts.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
   const Solution s = solve_lp_relaxation(m, opts);
   EXPECT_EQ(s.status, SolveStatus::TimeLimit);
-  EXPECT_EQ(s.term_reason, TermReason::TimeLimit);
+  EXPECT_STREQ(to_string(s.status), "time-limit");
   EXPECT_FALSE(s.has_incumbent);
 }
 

@@ -56,14 +56,14 @@ Model hard_knapsack_fixture(int n, unsigned seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Termination reasons (satellite: Solution reports *why* it stopped)
+// Termination status (Solution::status says *why* the solve stopped)
 // ---------------------------------------------------------------------------
 
 TEST(TermReasonTest, OptimalSolve) {
   const Solution s = solve_milp(knapsack_fixture(12, 1));
   ASSERT_TRUE(s.optimal());
-  EXPECT_EQ(s.term_reason, TermReason::Optimal);
-  EXPECT_STREQ(to_string(TermReason::Optimal), "optimal");
+  EXPECT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_STREQ(to_string(s.status), "optimal");
 }
 
 TEST(TermReasonTest, InfeasibleModel) {
@@ -73,8 +73,7 @@ TEST(TermReasonTest, InfeasibleModel) {
   m.set_objective(LinExpr(x));
   const Solution s = solve_milp(m);
   EXPECT_EQ(s.status, SolveStatus::Infeasible);
-  EXPECT_EQ(s.term_reason, TermReason::Infeasible);
-  EXPECT_STREQ(to_string(s.term_reason), "infeasible");
+  EXPECT_STREQ(to_string(s.status), "infeasible");
 }
 
 TEST(TermReasonTest, UnboundedModel) {
@@ -83,7 +82,7 @@ TEST(TermReasonTest, UnboundedModel) {
   m.set_objective(-1.0 * x);  // min -x, x unbounded above
   const Solution s = solve_milp(m);
   EXPECT_EQ(s.status, SolveStatus::Unbounded);
-  EXPECT_EQ(s.term_reason, TermReason::Unbounded);
+  EXPECT_STREQ(to_string(s.status), "unbounded");
 }
 
 TEST(TermReasonTest, NodeLimit) {
@@ -92,8 +91,7 @@ TEST(TermReasonTest, NodeLimit) {
   o.max_nodes = 1;  // the fractional root alone exhausts the budget
   const Solution s = solve_milp(knapsack_fixture(22, 3), o);
   EXPECT_EQ(s.status, SolveStatus::NodeLimit);
-  EXPECT_EQ(s.term_reason, TermReason::NodeLimit);
-  EXPECT_STREQ(to_string(s.term_reason), "node-limit");
+  EXPECT_STREQ(to_string(s.status), "node-limit");
 }
 
 TEST(TermReasonTest, TimeLimit) {
@@ -102,24 +100,13 @@ TEST(TermReasonTest, TimeLimit) {
   o.budget = Budget::of_seconds(0.05);  // far below what the hard tree needs
   const Solution s = solve_milp(hard_knapsack_fixture(45, 7), o);
   EXPECT_EQ(s.status, SolveStatus::TimeLimit);
-  EXPECT_EQ(s.term_reason, TermReason::TimeLimit);
-  EXPECT_STREQ(to_string(s.term_reason), "time-limit");
-}
-
-TEST(TermReasonTest, MatchesStatusMapping) {
-  EXPECT_EQ(term_reason_from(SolveStatus::Optimal), TermReason::Optimal);
-  EXPECT_EQ(term_reason_from(SolveStatus::Infeasible), TermReason::Infeasible);
-  EXPECT_EQ(term_reason_from(SolveStatus::Unbounded), TermReason::Unbounded);
-  EXPECT_EQ(term_reason_from(SolveStatus::NodeLimit), TermReason::NodeLimit);
-  EXPECT_EQ(term_reason_from(SolveStatus::TimeLimit), TermReason::TimeLimit);
-  EXPECT_EQ(term_reason_from(SolveStatus::IterationLimit), TermReason::IterationLimit);
-  EXPECT_EQ(term_reason_from(SolveStatus::NumericalError), TermReason::Numerical);
+  EXPECT_STREQ(to_string(s.status), "time-limit");
 }
 
 TEST(TermReasonTest, LpRelaxationReportsReason) {
   const Solution s = solve_lp_relaxation(knapsack_fixture(12, 1));
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  EXPECT_EQ(s.term_reason, TermReason::Optimal);
+  EXPECT_STREQ(to_string(s.status), "optimal");
 }
 
 // ---------------------------------------------------------------------------

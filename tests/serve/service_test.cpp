@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "arch/compiled_model.hpp"
+#include "domains/epn.hpp"
 #include "milp/branch_bound.hpp"
 #include "milp/lp_format.hpp"
 #include "obs/json.hpp"
@@ -519,6 +521,11 @@ TEST(ServeServiceTest, DrainPreemptsCheckpointsAndResumeMatchesSolo) {
     const Response r = fut.get();
     ASSERT_EQ(r.status, ResponseStatus::Preempted) << r.reason;
     EXPECT_FALSE(r.ok);
+    // A preempted solve keeps its incumbent on the wire but is not degraded:
+    // `degraded` is the solver's own flag, not "incumbent, optimality
+    // unproven" as for a budget-stopped solve.
+    EXPECT_TRUE(r.has_objective);
+    EXPECT_FALSE(r.degraded);
     ASSERT_TRUE(r.resumable);
     ASSERT_FALSE(r.checkpoint.empty());
     ck_path = r.checkpoint;
@@ -676,6 +683,97 @@ TEST(ServeCompiledTest, BudgetBoundsACompiledRequest) {
   const Response out = svc.run(r);
   EXPECT_EQ(out.status, ResponseStatus::Timeout);
   EXPECT_FALSE(out.ok);
+}
+
+TEST(ServeCompiledTest, OutcomeKeysMatchDegradationJson) {
+  // ExplorationResult::degradation_json promises the response's outcome keys
+  // byte for byte: check it on a proven optimum and on a node-capped solve
+  // that stops with an incumbent (NodeLimit, the anytime case).
+  domains::epn::EpnConfig cfg = *domains::epn::scale_config("tiny");
+  cfg.reliability_eager = true;  // what the service builds for a non-lazy spec
+  const CompiledModel cm = compile(*domains::epn::make_problem(cfg));
+  ExplorationService svc(with_workers(1));
+  for (const std::int64_t cap : {std::int64_t{0}, std::int64_t{20}}) {
+    SCOPED_TRACE(cap);
+    Request req = compiled_request("d" + std::to_string(cap), "solve_compiled");
+    req.max_nodes = cap;
+    const Response r = svc.run(req);
+    milp::MilpOptions o;
+    if (cap > 0) o.max_nodes = cap;
+    const ExplorationResult er = archex::solve(cm, Scenario{}, o);
+    EXPECT_EQ(er.solution.status, cap > 0 ? milp::SolveStatus::NodeLimit
+                                          : milp::SolveStatus::Optimal);
+    EXPECT_TRUE(er.has_objective());
+    Json keys;
+    const Json wire = r.to_json();
+    for (const char* k :
+         {"objective", "bound", "gap", "degraded", "degraded_nodes"}) {
+      if (const Json* v = wire.find(k); v != nullptr) keys[k] = *v;
+    }
+    EXPECT_EQ(keys.dump(), er.degradation_json());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Wire pins: whole responses, byte for byte
+// ---------------------------------------------------------------------------
+
+/// `r.to_json().dump()` without its timing values (`queue_ms`,
+/// `solve_seconds`, `total_ms`, each scenario's `solve_seconds`, each
+/// lifecycle mark's `ms`). The lifecycle state names stay.
+std::string untimed_wire(const Response& r) {
+  Json j = r.to_json();
+  for (const char* k : {"queue_ms", "solve_seconds", "total_ms"}) j.obj().erase(k);
+  if (Json::Object& o = j.obj(); o.count("lifecycle") != 0) {
+    for (Json& ev : o["lifecycle"].arr()) ev.obj().erase("ms");
+  }
+  if (Json::Object& o = j.obj(); o.count("scenarios") != 0) {
+    for (Json& sc : o["scenarios"].arr()) sc.obj().erase("solve_seconds");
+  }
+  return j.dump();
+}
+
+TEST(ServeWireTest, EveryRequestPathKeepsItsWire) {
+  ExplorationService svc(with_workers(1));
+  EXPECT_EQ(untimed_wire(svc.run(lp_request("k20", knapsack_lp(20, 7)))),
+            R"w({"attempts":1,"bound":247.70000000000002,"degraded":false,"gap":0,"id":"k20","lifecycle":[{"state":"start"},{"state":"build"},{"state":"solve"},{"state":"extract"},{"state":"done"}],"nodes":1254,"objective":247.70000000000002,"ok":true,"status":"optimal"})w");
+
+  Request lint = lp_request(
+      "bad", "Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n 2 <= x <= 1\nEnd\n");
+  lint.lint = true;
+  EXPECT_EQ(untimed_wire(svc.run(lint)),
+            R"w({"degraded":false,"id":"bad","lifecycle":[{"state":"start"},{"state":"build"},{"state":"lint"},{"state":"done"}],"ok":false,"reason":"lint: bounds of 'x' cross: lb=2.000000 > ub=1.000000","status":"rejected"})w");
+
+  Request doomed = lp_request("doomed", knapsack_lp(20, 7));
+  doomed.inject = "nan-pivot:2:0:1000000000";
+  doomed.retries = 1;
+  EXPECT_EQ(untimed_wire(svc.run(doomed)),
+            R"w({"attempts":2,"degraded":false,"id":"doomed","lifecycle":[{"state":"start"},{"state":"build"},{"state":"solve"},{"state":"retry"},{"state":"extract"},{"state":"done"}],"nodes":1,"ok":false,"reason":"numerical error after 2 attempt(s)","status":"error"})w");
+
+  EXPECT_EQ(untimed_wire(svc.run(compiled_request("c1", "compile"))),
+            R"w({"cache":"miss","degraded":false,"fingerprint":"b7d4a81d06026d65","id":"c1","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"done"}],"ok":true,"status":"compiled"})w");
+  EXPECT_EQ(untimed_wire(svc.run(compiled_request("c2", "compile"))),
+            R"w({"cache":"hit","degraded":false,"fingerprint":"b7d4a81d06026d65","id":"c2","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"done"}],"ok":true,"status":"compiled"})w");
+  EXPECT_EQ(untimed_wire(svc.run(compiled_request("sc", "solve_compiled"))),
+            R"w({"attempts":1,"bound":30506,"cache":"hit","degraded":false,"fingerprint":"b7d4a81d06026d65","gap":0,"id":"sc","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"solve"},{"state":"extract"},{"state":"done"}],"nodes":216,"objective":30506,"ok":true,"status":"optimal"})w");
+
+  Request sweep = compiled_request("sw", "sweep");
+  for (int i = 0; i < 3; ++i) {
+    ScenarioSpec sc;
+    sc.name = "s" + std::to_string(i);
+    sc.edge_cost_scale = 1.0 + 0.02 * i;
+    sweep.sweep.push_back(sc);
+  }
+  EXPECT_EQ(untimed_wire(svc.run(sweep)),
+            R"w({"attempts":1,"bound":31166,"cache":"hit","cold_solves":1,"degraded":false,"fingerprint":"b7d4a81d06026d65","gap":0,"id":"sw","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"solve"},{"state":"extract"},{"state":"done"}],"nodes":490,"objective":31166,"ok":true,"scenarios":[{"bound":30506,"degraded":false,"gap":0,"name":"s0","objective":30506,"ok":true,"status":"optimal","warm":false},{"bound":30836,"degraded":false,"gap":0,"name":"s1","objective":30836,"ok":true,"status":"optimal","warm":true},{"bound":31166,"degraded":false,"gap":0,"name":"s2","objective":31166,"ok":true,"status":"optimal","warm":true}],"status":"optimal","warm_solves":2})w");
+
+  // The QueueWaitSpendsTheDeadline setup: the budget runs out in the queue.
+  auto blocker = svc.submit(lp_request("blocker", knapsack_lp(52, 7)));
+  Request starved = lp_request("starved", knapsack_lp(20, 7));
+  starved.budget_ms = 1;
+  EXPECT_EQ(untimed_wire(svc.submit(std::move(starved)).get()),
+            R"w({"degraded":false,"id":"starved","lifecycle":[{"state":"start"},{"state":"done"}],"ok":false,"reason":"deadline expired before execution","status":"timeout"})w");
+  blocker.get();
 }
 
 // ---------------------------------------------------------------------------

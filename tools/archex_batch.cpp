@@ -7,10 +7,10 @@
 /// "solve_compiled", "sweep" — docs/pipeline.md); the service routes by
 /// "op", so mixed batches work.
 ///
-///   archex_batch [--workers=N] [--queue=N] [--retries=N]
-///                [--checkpoint-dir=PATH] [--backoff-ms=X] requests.ndjson
+///   archex_batch [service flags] requests.ndjson
 ///
-/// "-" reads requests from stdin.
+/// "-" reads requests from stdin; the service flags are those of
+/// archex_serve (service_flags.hpp).
 
 #include <cstdio>
 #include <fstream>
@@ -20,26 +20,7 @@
 #include <vector>
 
 #include "serve/service.hpp"
-
-namespace {
-
-bool parse_flag(const std::string& arg, const char* name, std::string& out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: archex_batch [--workers=N] [--queue=N] [--retries=N]\n"
-               "                    [--checkpoint-dir=PATH] [--backoff-ms=X]\n"
-               "                    [--compiled-cache=N]\n"
-               "                    requests.ndjson  ('-' = stdin)\n");
-  return 2;
-}
-
-}  // namespace
+#include "service_flags.hpp"
 
 int main(int argc, char** argv) {
   using archex::serve::ExplorationService;
@@ -50,25 +31,14 @@ int main(int argc, char** argv) {
   using archex::serve::ServiceOptions;
 
   ServiceOptions opts;
-  std::string input;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    try {
-      if (parse_flag(arg, "workers", v)) opts.workers = std::stoi(v);
-      else if (parse_flag(arg, "queue", v)) opts.queue_capacity = std::stoul(v);
-      else if (parse_flag(arg, "retries", v)) opts.default_retries = std::stoi(v);
-      else if (parse_flag(arg, "checkpoint-dir", v)) opts.checkpoint_dir = v;
-      else if (parse_flag(arg, "backoff-ms", v)) opts.backoff_base_ms = std::stod(v);
-      else if (parse_flag(arg, "compiled-cache", v)) opts.compiled_cache_capacity = std::stoul(v);
-      else if (arg.rfind("--", 0) == 0) return usage();
-      else if (input.empty()) input = arg;
-      else return usage();
-    } catch (const std::exception&) {
-      return usage();
-    }
+  std::vector<std::string> args;
+  if (!archex::serve::parse_service_flags(argc, argv, opts, args) ||
+      args.size() != 1) {
+    return archex::serve::service_usage(
+        "archex_batch",
+        "                    requests.ndjson  ('-' = stdin)\n");
   }
-  if (input.empty()) return usage();
+  const std::string& input = args.front();
 
   std::ifstream file;
   std::istream* in = &std::cin;
@@ -82,7 +52,6 @@ int main(int argc, char** argv) {
   }
 
   ExplorationService service(opts);
-  std::vector<std::string> ids;
   std::vector<std::future<Response>> futures;
   std::string line;
   int line_no = 0;
@@ -100,7 +69,6 @@ int main(int argc, char** argv) {
       ++schema_errors;
       continue;
     }
-    ids.push_back(req->id);
     futures.push_back(service.submit(std::move(*req)));
   }
 

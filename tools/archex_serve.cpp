@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "serve/service.hpp"
+#include "service_flags.hpp"
 
 namespace {
 
@@ -52,23 +53,6 @@ void emit(const archex::obs::Json& j) {
   std::fflush(stdout);
 }
 
-bool parse_flag(const std::string& arg, const char* name, std::string& out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: archex_serve [--workers=N] [--queue=N] [--retries=N]\n"
-               "                    [--checkpoint-dir=PATH] [--backoff-ms=X]\n"
-               "                    [--compiled-cache=N]\n"
-               "reads NDJSON requests on stdin, writes NDJSON responses on "
-               "stdout\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,20 +63,12 @@ int main(int argc, char** argv) {
   using archex::serve::ServiceOptions;
 
   ServiceOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    try {
-      if (parse_flag(arg, "workers", v)) opts.workers = std::stoi(v);
-      else if (parse_flag(arg, "queue", v)) opts.queue_capacity = std::stoul(v);
-      else if (parse_flag(arg, "retries", v)) opts.default_retries = std::stoi(v);
-      else if (parse_flag(arg, "checkpoint-dir", v)) opts.checkpoint_dir = v;
-      else if (parse_flag(arg, "backoff-ms", v)) opts.backoff_base_ms = std::stod(v);
-      else if (parse_flag(arg, "compiled-cache", v)) opts.compiled_cache_capacity = std::stoul(v);
-      else return usage();
-    } catch (const std::exception&) {
-      return usage();
-    }
+  std::vector<std::string> args;
+  if (!archex::serve::parse_service_flags(argc, argv, opts, args) ||
+      !args.empty()) {
+    return archex::serve::service_usage(
+        "archex_serve",
+        "reads NDJSON requests on stdin, writes NDJSON responses on stdout\n");
   }
 
   // No SA_RESTART: SIGTERM must interrupt the blocking stdin read so the
