@@ -132,27 +132,6 @@ void BM_ColdResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdResolve)->Arg(50)->Arg(100)->Arg(200)->Unit(benchmark::kMicrosecond);
 
-void BM_MilpWarmVsCold(benchmark::State& state) {
-  const bool warm = state.range(1) != 0;
-  const Model m = random_milp(static_cast<int>(state.range(0)), 4, 11);
-  MilpOptions opts;
-  opts.warm_start = warm;
-  std::int64_t nodes = 0;
-  for (auto _ : state) {
-    Solution s = solve_milp(m, opts);
-    nodes = s.nodes_explored;
-    benchmark::DoNotOptimize(s.objective);
-  }
-  state.counters["nodes"] = static_cast<double>(nodes);
-  state.SetLabel(warm ? "warm-start" : "cold");
-}
-BENCHMARK(BM_MilpWarmVsCold)
-    ->Args({16, 1})
-    ->Args({16, 0})
-    ->Args({24, 1})
-    ->Args({24, 0})
-    ->Unit(benchmark::kMillisecond);
-
 /// Strongly correlated knapsack with fractional values: the objective has no
 /// usable granularity, so the tree reaches hundreds of thousands of nodes —
 /// large enough for the work-stealing pool to matter.

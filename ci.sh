@@ -187,6 +187,23 @@ print("trajectory gate: monolithic 64018 (1516 nodes / 50401 iterations); lazy "
       "30506 -> 47012 -> 64018 (784/7907, 284/12936, 4189/77246)")
 EOF
 
+echo "=== observability: a node-capped lazy iteration names its status ==="
+# An iteration whose solve stops at a limit can still leave an architecture;
+# its line must then say so (`iteration 1: node-limit, cost ...`) instead of
+# a bare cost that reads like a proven optimum. Optimal lines carry no status,
+# so the gate above keeps matching them. A 500-node cap stops iteration 1
+# (784 nodes uncapped) deterministically. About 2 s.
+python3 - build/examples/epn_explorer <<'EOF'
+import re, subprocess, sys
+out = subprocess.run([sys.argv[1], "--mode=lazy", "--scale=small", "--max-nodes=500"],
+                     check=True, capture_output=True, text=True).stdout
+limited = re.findall(r"^iteration (\d+): node-limit, cost \d+, ", out, re.M)
+if not limited:
+    sys.exit("FAIL: no node-capped lazy iteration line names its status:\n" + out)
+print("status check: node-capped lazy iterations " + ", ".join(limited) +
+      " print node-limit")
+EOF
+
 echo "=== bench: Release-provenance smoke (BM_LpSolve/1000) ==="
 # One 1000-row LP solve through the guarded bench runner: the runner refuses
 # results from non-Release builds (the BENCH_*.json provenance gate), and the

@@ -232,10 +232,15 @@ int main(int argc, char** argv) {
     double solve = 0.0, analyze = 0.0, learn = 0.0;
     for (const IterativeStep& it : res.iterations) {
       std::cout << "iteration " << it.index << ": ";
+      // A solve that did not prove optimality says so, even when it left an
+      // architecture (a node- or time-limited solve's incumbent).
+      if (it.status != milp::SolveStatus::Optimal || it.architecture.nodes.empty()) {
+        std::cout << milp::to_string(it.status) << ", ";
+      }
       if (it.architecture.nodes.empty()) {
         // The solve failed (budget spent, or learning made it infeasible)
         // and was never analyzed: the step carries no metrics.
-        std::cout << milp::to_string(it.status) << ", no architecture, ";
+        std::cout << "no architecture, ";
       } else {
         std::cout << "cost " << it.cost << ", r = (" << it.metrics.at("worst_hv") << ", "
                   << it.metrics.at("worst_lv") << "), ";

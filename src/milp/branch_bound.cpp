@@ -12,6 +12,7 @@
 #include <mutex>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -78,25 +79,20 @@ obs::SpanBuffer* recorder_buffer(const MilpOptions& o, int t) {
   return b != nullptr && b->enabled() ? b : nullptr;
 }
 
-/// Telemetry context for one run of the numerical-recovery ladder.
-struct RecoverHooks {
-  obs::MetricsRegistry* reg;  ///< never null inside solve_milp
-  obs::SpanBuffer* rec;       ///< the worker's recorder buffer; nullable
-  std::int64_t node_id;
-};
-
 /// The first two rungs of the bounded numerical-recovery ladder, shared by
 /// the root LP and the pool workers:
 /// (1) tightened-tolerance refactorization + warm reoptimize, (2) cold
 /// primal restart. Returns the first non-NumericalError status; callers
 /// escalate further (quarantine/re-enqueue, then abandon) when both fail.
-/// `cutoff` reaches the warm rung (SimplexSolver::recover_resolve).
-SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h,
+/// `cutoff` reaches the warm rung (SimplexSolver::recover_resolve); each rung
+/// is counted in `reg` and traced on `rec` (the worker's buffer; nullable).
+SolveStatus run_recovery_ladder(SimplexSolver& lp, obs::MetricsRegistry& reg,
+                                obs::SpanBuffer* rec, std::int64_t node_id,
                                 double cutoff = kInf) {
-  h.reg->counter("milp.recover.tighten").add();
-  if (h.rec != nullptr) {
-    h.rec->emit(obs::EventType::Recover, h.node_id, 0.0,
-                static_cast<std::uint8_t>(obs::RecoverRung::Tighten));
+  reg.counter("milp.recover.tighten").add();
+  if (rec != nullptr) {
+    rec->emit(obs::EventType::Recover, node_id, 0.0,
+              static_cast<std::uint8_t>(obs::RecoverRung::Tighten));
   }
   SolveStatus st = SolveStatus::NumericalError;
   try {
@@ -106,10 +102,10 @@ SolveStatus run_recovery_ladder(SimplexSolver& lp, const RecoverHooks& h,
   }
   if (st != SolveStatus::NumericalError) return st;
 
-  h.reg->counter("milp.recover.cold").add();
-  if (h.rec != nullptr) {
-    h.rec->emit(obs::EventType::Recover, h.node_id, 0.0,
-                static_cast<std::uint8_t>(obs::RecoverRung::Cold));
+  reg.counter("milp.recover.cold").add();
+  if (rec != nullptr) {
+    rec->emit(obs::EventType::Recover, node_id, 0.0,
+              static_cast<std::uint8_t>(obs::RecoverRung::Cold));
   }
   try {
     st = lp.solve_primal();
@@ -135,13 +131,69 @@ void fold_solver_counters(const SimplexSolver& lp, Solution& sol,
   reg.counter("milp.lp_cutoff").add(s.cutoffs);
 }
 
+/// The frame of one solve, shared by its stages: the caller's model and
+/// options, the clock and its deadline, the telemetry handles, and the
+/// Solution being filled. The presolve stage adds the model the search runs
+/// on, its column map back to the caller's model, the loaded checkpoint and
+/// the usable part of the warm hint.
+struct SolveFrame {
+  const Model& model;  ///< the caller's model
+  const MilpOptions& opts;
+  Solution& sol;
+  const Clock::time_point t0 = Clock::now();  ///< solve entry
+  /// The one conversion point of the solve's budget (milp/budget.hpp): the
+  /// relative allowance measured from solve entry, capped by its absolute end.
+  const Clock::time_point deadline;
+  const int threads;
+  obs::MetricsRegistry local_registry;
+  obs::MetricsRegistry* const reg;
+  /// Bounds this solve's share of a recording that may span several solves.
+  obs::SpanProfiler::Mark solve_mark;
+  /// The calling thread's recorder buffer 0: phase spans, root events, the
+  /// root solver's kernel spans. Null when no recorder is attached.
+  obs::SpanBuffer* root_rec = nullptr;
+  obs::NodeLogger logger;  ///< due() is never true when the node log is off
+
+  // Set by the presolve stage.
+  /// Without presolve, only its column map is set: the identity.
+  PresolveResult pre;
+  const Model* work = nullptr;  ///< the model the search runs on
+  const PseudoCostTable* pc_seed = nullptr;
+  /// The warm hint's basis and x, or null when absent or unusable (presolve).
+  const WarmStartHint* hint = nullptr;
+  std::uint64_t ck_fingerprint = 0;
+  CheckpointData ckdata;  ///< the checkpoint resumed from
+
+  SolveFrame(const Model& m, const MilpOptions& o, Solution& s)
+      : model(m), opts(o), sol(s), deadline(o.budget.deadline_from(t0)),
+        threads(resolve_threads(o.num_threads)),
+        reg(o.metrics != nullptr ? o.metrics : &local_registry),
+        logger(o.log_interval, o.log_sink, t0) {
+    // Worker buffers are armed here, before any thread spawns.
+    if (o.profiler != nullptr) {
+      o.profiler->arm_workers(std::max(threads, 1));
+      solve_mark = o.profiler->mark();
+    }
+    root_rec = recorder_buffer(o, 0);
+    if (root_rec != nullptr) {
+      root_rec->emit(obs::EventType::SolveStart, -1, static_cast<double>(threads));
+    }
+  }
+};
+
 /// The search state of one solve, shared by the root phase, the probe run
 /// and the main run: the incumbent, the node ledger (count and trace-id
 /// sequence), the degradation record and the pseudo-cost table. A NodePool
 /// holds only what belongs to one run.
 struct SearchCtx {
+  /// The solve's options, clock, telemetry, and the Solution that receives
+  /// the incumbent trajectory and the pool runs' worker statistics.
+  SolveFrame& frame;
   const Model& model;  // reduced model
-  const MilpOptions& opts;
+  /// The LP settings of every solver of the solve: MilpOptions::lp with the
+  /// run-control fields (`deadline`, `cancel`, `spans`, `fault`) set from
+  /// the solve's own.
+  SimplexOptions lp_opts;
   /// The root solver. It solves the root LP, and worker 0 of every pool run
   /// dives on it, so a one-thread solve never builds a second solver.
   SimplexSolver lp;
@@ -152,24 +204,21 @@ struct SearchCtx {
   /// (the lazy loop does, from each re-solve to the next).
   PseudoCosts pseudocosts;
   double granularity = 0.0;  ///< objective step size, see objective_granularity
+  SolveStatus root_status = SolveStatus::NumericalError;  ///< the root LP's outcome
   double root_bound = -kInf;
   /// Root-optimal basis, captured before any dive: pool runs seed their root
   /// node with it, so the fixed root warm-starts from the root optimum.
   std::shared_ptr<const Basis> root_basis;
-  Clock::time_point deadline;
   SolveStatus stop_reason = SolveStatus::Optimal;  // set on limit hits
   bool stopped = false;  ///< a limit ended the search
   double sense_flip = 1.0;
-  obs::NodeLogger* logger = nullptr;  ///< null when the node log is off
-  obs::MetricsRegistry* reg = nullptr;  ///< always set by solve_milp
-  std::uint64_t ck_fingerprint = 0;
   const CheckpointData* resume = nullptr;  ///< frontier for the main run
 
   // Node ledger, charged by the workers of every run: the nodes explored so
-  // far (root included; checked against opts.max_nodes) and the last trace
-  // node id handed out, so ids stay unique across the solve.
-  std::atomic<std::int64_t> nodes{0};
-  std::atomic<std::uint64_t> next_id{0};
+  // far (the root included; checked against max_nodes) and the last trace
+  // node id handed out (the root's is 1), so ids stay unique across the solve.
+  std::atomic<std::int64_t> nodes{1};
+  std::atomic<std::uint64_t> next_id{1};
 
   // Written under `mu`: the incumbent, whose objective (minimize sense,
   // kInf if none) is mirrored into an atomic so the pruning cutoff reads it
@@ -183,16 +232,28 @@ struct SearchCtx {
   std::int64_t degraded_nodes = 0;
   double degraded_bound = kInf;
 
-  SearchCtx(const Model& m, const MilpOptions& o)
-      : model(m), opts(o), lp(m, o.lp), pseudocosts(m.num_vars()) {
-    for (std::size_t j = 0; j < m.num_vars(); ++j) {
-      if (m.vars()[j].is_integral()) int_vars.push_back(static_cast<std::int32_t>(j));
+  /// The search over the presolved model `f.work`.
+  explicit SearchCtx(SolveFrame& f)
+      : frame(f), model(*f.work), lp_opts(run_control(f)), lp(model, lp_opts),
+        pseudocosts(model.num_vars()), granularity(objective_granularity(model)) {
+    for (std::size_t j = 0; j < model.num_vars(); ++j) {
+      if (model.vars()[j].is_integral()) int_vars.push_back(static_cast<std::int32_t>(j));
     }
-    obj_coef.assign(m.num_vars(), 0.0);
-    for (const Term& t : m.objective().terms()) {
+    obj_coef.assign(model.num_vars(), 0.0);
+    for (const Term& t : model.objective().terms()) {
       obj_coef[static_cast<std::size_t>(t.var.index)] = std::abs(t.coef);
     }
-    sense_flip = m.objective_sense() == ObjectiveSense::Maximize ? -1.0 : 1.0;
+    sense_flip = model.objective_sense() == ObjectiveSense::Maximize ? -1.0 : 1.0;
+  }
+
+  /// MilpOptions::lp with its run-control fields set from the solve's own.
+  static SimplexOptions run_control(const SolveFrame& f) {
+    SimplexOptions o = f.opts.lp;
+    o.deadline = f.deadline;
+    o.cancel = f.opts.cancel;
+    o.spans = f.root_rec;
+    o.fault = f.opts.fault;
+    return o;
   }
 
   /// Current incumbent objective (minimize sense, kInf if none). Lock-free.
@@ -209,6 +270,8 @@ struct SearchCtx {
   }
 
   /// Integer-snap, validate against the true model, and install if better.
+  /// Every improvement — warm hint, root, probe or pool worker — lands in
+  /// Solution::incumbent_trajectory, serialized by the incumbent lock.
   /// Returns true when the incumbent improved (callers emit trace events).
   bool try_incumbent(std::vector<double> x, double obj) {
     for (std::int32_t j : int_vars) {
@@ -219,24 +282,24 @@ struct SearchCtx {
     if (obj < incumbent() - 1e-12) {
       incumbent_obj.store(obj, std::memory_order_relaxed);
       incumbent_x = std::move(x);
-      if (opts.on_incumbent) opts.on_incumbent(sense_flip * obj);
+      frame.sol.incumbent_trajectory.push_back(
+          {std::chrono::duration<double>(Clock::now() - frame.t0).count(), sense_flip * obj,
+           sense_flip * root_bound});
+      frame.reg->counter("milp.incumbents").add();
       return true;
     }
     return false;
   }
 
-  /// Charges one node against opts.max_nodes; false when the budget is
-  /// already spent (the count is then left unchanged).
+  /// Charges one node against MilpOptions::max_nodes; false when the budget
+  /// is already spent (the count is then left unchanged).
   [[nodiscard]] bool count_node() {
     std::int64_t n = nodes.load(std::memory_order_relaxed);
-    while (n < opts.max_nodes) {
+    while (n < frame.opts.max_nodes) {
       if (nodes.compare_exchange_weak(n, n + 1, std::memory_order_relaxed)) return true;
     }
     return false;
   }
-
-  /// The next trace node id.
-  std::uint64_t new_id() { return next_id.fetch_add(1, std::memory_order_relaxed) + 1; }
 
   /// Records one subtree abandoned by the recovery ladder.
   void mark_abandoned(double bound) {
@@ -284,13 +347,13 @@ class NodePool {
   /// checkpointed. `root_bound` starts the node log's bound estimate.
   NodePool(SearchCtx& ctx, int num_workers, bool probe, double root_bound)
       : ctx_(ctx), probe_(probe),
-        checkpointing_(!probe && !ctx.opts.checkpoint_file.empty()),
+        checkpointing_(!probe && !ctx.frame.opts.checkpoint_file.empty()),
         queues_(static_cast<std::size_t>(num_workers)),
         inflight_bound_(static_cast<std::size_t>(num_workers), kInf),
         inflight_node_(static_cast<std::size_t>(num_workers)),
         best_known_bound_(root_bound) {
     if (checkpointing_) {
-      const double interval_s = ctx.opts.checkpoint_interval_s;
+      const double interval_s = ctx.frame.opts.checkpoint_interval_s;
       ck_epoch_ = Clock::now();
       ck_interval_ns_ =
           interval_s <= 0.0 ? 0 : static_cast<std::int64_t>(interval_s * 1e9);
@@ -305,7 +368,7 @@ class NodePool {
     bool wake;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      node->id = ctx_.new_id();
+      node->id = ctx_.next_id.fetch_add(1, std::memory_order_relaxed) + 1;
       queues_[static_cast<std::size_t>(worker)].push_back(std::move(node));
       ++queued_;
       wake = waiters_ > 0;
@@ -401,12 +464,7 @@ class NodePool {
   /// final checkpoint records, and a resume would silently lose it. No-op
   /// when checkpointing is off (the pool is torn down anyway).
   void keep_for_checkpoint(int worker, const BBNode& node) {
-    if (!checkpointing_) return;
-    auto copy = std::make_shared<BBNode>(node);
-    std::lock_guard<std::mutex> lk(mu_);
-    copy->id = ctx_.new_id();
-    queues_[static_cast<std::size_t>(worker)].push_back(std::move(copy));
-    ++queued_;
+    if (checkpointing_) push(worker, std::make_shared<BBNode>(node));
   }
 
   /// Writes a checkpoint when one is due. Called by workers between nodes;
@@ -425,13 +483,6 @@ class NodePool {
       ck_next_ns_.store(now_ns + ck_interval_ns_, std::memory_order_relaxed);
     }
     ck_writing_.store(false, std::memory_order_release);
-  }
-
-  /// Unconditional checkpoint after the workers joined, so interrupted
-  /// (node/time-limited) solves resume from their final frontier and
-  /// completed solves leave an empty frontier that resumes trivially.
-  void write_final_checkpoint(obs::SpanBuffer* rec) {
-    if (checkpointing_) write_checkpoint(rec);
   }
 
   /// Emits one node-log line from the pool's current state, and a Bound
@@ -463,7 +514,24 @@ class NodePool {
     line.has_incumbent = inc < kInf;
     line.incumbent = flip * inc;
     line.best_bound = flip * est;
-    ctx_.logger->log(line);
+    ctx_.frame.logger.log(line);
+  }
+
+  /// Writes a checkpoint now; a no-op unless checkpointing is armed. Also
+  /// called once after the workers joined, so interrupted (node/time-limited)
+  /// solves resume from their final frontier and completed solves leave an
+  /// empty frontier that resumes trivially.
+  void write_checkpoint(obs::SpanBuffer* rec) {
+    if (!checkpointing_) return;
+    const CheckpointData d = snapshot();
+    const bool ok = save_checkpoint(ctx_.frame.opts.checkpoint_file, d);
+    ctx_.frame.reg->counter(ok ? "milp.checkpoint.writes"
+                               : "milp.checkpoint.write_failures").add();
+    ctx_.frame.reg->gauge("milp.checkpoint.frontier")
+        .set(static_cast<double>(d.frontier.size()));
+    if (rec != nullptr) {
+      rec->emit(obs::EventType::Checkpoint, -1, static_cast<double>(d.frontier.size()));
+    }
   }
 
  private:
@@ -475,7 +543,7 @@ class NodePool {
   /// same incumbent checks).
   CheckpointData snapshot() {
     CheckpointData d;
-    d.fingerprint = ctx_.ck_fingerprint;
+    d.fingerprint = ctx_.frame.ck_fingerprint;
     {
       std::lock_guard<std::mutex> lk(mu_);
       d.nodes = ctx_.nodes.load(std::memory_order_relaxed);
@@ -498,18 +566,6 @@ class NodePool {
       }
     }
     return d;
-  }
-
-  void write_checkpoint(obs::SpanBuffer* rec) {
-    const CheckpointData d = snapshot();
-    const bool ok = save_checkpoint(ctx_.opts.checkpoint_file, d);
-    ctx_.reg->counter(ok ? "milp.checkpoint.writes"
-                         : "milp.checkpoint.write_failures").add();
-    ctx_.reg->gauge("milp.checkpoint.frontier")
-        .set(static_cast<double>(d.frontier.size()));
-    if (rec != nullptr) {
-      rec->emit(obs::EventType::Checkpoint, -1, static_cast<double>(d.frontier.size()));
-    }
   }
 
   SearchCtx& ctx_;
@@ -548,11 +604,11 @@ class Worker {
   /// reduced-cost fixes, so node paths share that frame. Each private solver
   /// writes its *own* recorder buffer, keeping every buffer single-writer.
   Worker(int id, SearchCtx& ctx, NodePool& pool)
-      : id_(id), ctx_(ctx), pool_(pool), rec_(recorder_buffer(ctx.opts, id)),
+      : id_(id), ctx_(ctx), pool_(pool), rec_(recorder_buffer(ctx.frame.opts, id)),
         lp_(&ctx.lp) {
     const Model& model = ctx.model;
     if (id != 0) {
-      SimplexOptions lp_opts = ctx.opts.lp;
+      SimplexOptions lp_opts = ctx.lp_opts;
       lp_opts.spans = rec_;
       own_lp_ = std::make_unique<SimplexSolver>(model, std::move(lp_opts));
       lp_ = own_lp_.get();
@@ -595,7 +651,7 @@ class Worker {
       process(*node);
       pool_.done(id_);
       pool_.maybe_checkpoint(rec_);
-      if (ctx_.logger != nullptr && ctx_.logger->due()) pool_.log_line(rec_);
+      if (ctx_.frame.logger.due()) pool_.log_line(rec_);
     }
     rewind();  // a borrowed root solver goes back to the fixed-root frame
     busy_seconds_ = thread_cpu_seconds() - cpu0;
@@ -645,7 +701,7 @@ class Worker {
   }
 
   void process(const BBNode& node) {
-    const MilpOptions& opts = ctx_.opts;
+    const MilpOptions& opts = ctx_.frame.opts;
     const auto nid = static_cast<std::int64_t>(node.id);
     const double flip = ctx_.sense_flip;
     if (opts.fault != nullptr && opts.fault->fire(FaultSite::WorkerStall)) {
@@ -659,16 +715,12 @@ class Worker {
       pool_.keep_for_checkpoint(id_, node);
       return;
     }
-    if (Clock::now() >= ctx_.deadline ||
-        (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed))) {
-      // Expired budget and cooperative cancel stop identically: the node is
-      // parked for the final checkpoint so a drain leaves a resumable file.
-      pool_.request_stop(SolveStatus::TimeLimit);
-      pool_.keep_for_checkpoint(id_, node);
-      return;
-    }
-    if (!ctx_.count_node()) {
-      pool_.request_stop(SolveStatus::NodeLimit);
+    // Expired budget and cooperative cancel stop identically; a limit stop
+    // parks the node for the final checkpoint so a drain leaves a resumable file.
+    const bool expired = Clock::now() >= ctx_.frame.deadline ||
+                         (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed));
+    if (expired || !ctx_.count_node()) {
+      pool_.request_stop(expired ? SolveStatus::TimeLimit : SolveStatus::NodeLimit);
       pool_.keep_for_checkpoint(id_, node);
       return;
     }
@@ -689,7 +741,7 @@ class Worker {
     const double cutoff = ctx_.cutoff();
     SolveStatus st = SolveStatus::NumericalError;
     try {
-      st = opts.warm_start ? lp_->reoptimize_dual(cutoff) : lp_->solve_primal();
+      st = lp_->reoptimize_dual(cutoff);
       if (st == SolveStatus::Optimal && opts.fault != nullptr &&
           opts.fault->fire(FaultSite::BadAlloc)) {
         throw std::bad_alloc{};
@@ -698,33 +750,10 @@ class Worker {
       st = SolveStatus::NumericalError;  // enter the ladder below
     }
     if (st == SolveStatus::NumericalError) {
-      st = run_recovery_ladder(*lp_, {ctx_.reg, rec_, nid}, cutoff);
+      st = run_recovery_ladder(*lp_, *ctx_.frame.reg, rec_, nid, cutoff);
     }
     if (st == SolveStatus::NumericalError) {
-      // Both in-place rungs failed. Quarantine: re-enqueue the node for a
-      // bounded number of fresh cold attempts (possibly on another worker's
-      // solver, whose numerical state differs), then abandon the subtree —
-      // its parent bound is folded into the global bound, never pruned away.
-      if (node.retries < kRecoverMaxRetries) {
-        auto retry = std::make_shared<BBNode>(node);
-        retry->basis.reset();  // force a cold start on the next attempt
-        retry->retries = node.retries + 1;
-        ctx_.reg->counter("milp.recover.requeue").add();
-        if (rec_ != nullptr) {
-          rec_->emit(obs::EventType::Recover, nid, 0.0,
-                     static_cast<std::uint8_t>(obs::RecoverRung::Requeue));
-        }
-        close(nid, obs::NodeOutcome::Requeued, flip * node.bound);
-        pool_.push(id_, std::move(retry));
-        return;
-      }
-      ctx_.mark_abandoned(node.bound);
-      ctx_.reg->counter("milp.recover.abandoned").add();
-      if (rec_ != nullptr) {
-        rec_->emit(obs::EventType::Recover, nid, 0.0,
-                   static_cast<std::uint8_t>(obs::RecoverRung::Abandon));
-      }
-      close(nid, obs::NodeOutcome::Abandoned, flip * node.bound);
+      quarantine(node);
       return;
     }
     if (st == SolveStatus::Infeasible) {
@@ -769,8 +798,44 @@ class Worker {
       return;
     }
     close(nid, obs::NodeOutcome::Branched, flip * obj);
+    branch(node, bv, x[static_cast<std::size_t>(bv)], obj,
+           lp_->reopt_stats().refactors != refactors0);
+  }
 
-    const double v = x[static_cast<std::size_t>(bv)];
+  /// A node whose LP failed both in-place rungs of the recovery ladder.
+  /// Quarantine: re-enqueue it for a bounded number of fresh cold attempts
+  /// (possibly on another worker's solver, whose numerical state differs),
+  /// then abandon the subtree — its parent bound is folded into the global
+  /// bound, never pruned away.
+  void quarantine(const BBNode& node) {
+    const auto nid = static_cast<std::int64_t>(node.id);
+    const double bound = ctx_.sense_flip * node.bound;
+    if (node.retries < kRecoverMaxRetries) {
+      auto retry = std::make_shared<BBNode>(node);
+      retry->basis.reset();  // force a cold start on the next attempt
+      retry->retries = node.retries + 1;
+      ctx_.frame.reg->counter("milp.recover.requeue").add();
+      if (rec_ != nullptr) {
+        rec_->emit(obs::EventType::Recover, nid, 0.0,
+                   static_cast<std::uint8_t>(obs::RecoverRung::Requeue));
+      }
+      close(nid, obs::NodeOutcome::Requeued, bound);
+      pool_.push(id_, std::move(retry));
+      return;
+    }
+    ctx_.mark_abandoned(node.bound);
+    ctx_.frame.reg->counter("milp.recover.abandoned").add();
+    if (rec_ != nullptr) {
+      rec_->emit(obs::EventType::Recover, nid, 0.0,
+                 static_cast<std::uint8_t>(obs::RecoverRung::Abandon));
+    }
+    close(nid, obs::NodeOutcome::Abandoned, bound);
+  }
+
+  /// Pushes the children of `node`, branched on column `bv` at its LP value
+  /// `v`; `obj` is the node's LP objective, the children's parent bound.
+  /// `refactored`: the node's LP refactorized the basis.
+  void branch(const BBNode& node, std::int32_t bv, double v, double obj, bool refactored) {
     const double lb0 = lp_->lower_bound(bv);
     const double ub0 = lp_->upper_bound(bv);
     const double down_ub = std::floor(v + kIntTol);
@@ -782,18 +847,15 @@ class Worker {
     const double f = v - std::floor(v);
     const bool down_first = f < up_threshold;
 
-    std::shared_ptr<const Basis> basis;
-    if (opts.warm_start) {
-      Basis b = lp_->export_basis();
-      // Ship the factorization only when this node did not refactorize: it
-      // then extends the one its parent's snapshot already holds, so the
-      // open siblings of a dive share one LU and one eta prefix. After a
-      // refactorization, pinning the new LU per level would cost memory for
-      // little gain — the kernel is refactorizing at node rate anyway — so
-      // the children refactorize on load instead.
-      if (lp_->reopt_stats().refactors != refactors0) b.factor = nullptr;
-      basis = std::make_shared<const Basis>(std::move(b));
-    }
+    Basis b = lp_->export_basis();
+    // Ship the factorization only when this node did not refactorize: it
+    // then extends the one its parent's snapshot already holds, so the
+    // open siblings of a dive share one LU and one eta prefix. After a
+    // refactorization, pinning the new LU per level would cost memory for
+    // little gain — the kernel is refactorizing at node rate anyway — so
+    // the children refactorize on load instead.
+    if (refactored) b.factor = nullptr;
+    const auto basis = std::make_shared<const Basis>(std::move(b));
     auto make_child = [&](double clb, double cub, PseudoCosts::Dir dir) {
       auto child = std::make_shared<BBNode>();
       child->parent_id = node.id;
@@ -840,9 +902,9 @@ class Worker {
 /// the main search: checkpointed when armed, and seeded from `ctx.resume`'s
 /// frontier when resuming. Every run charges the solve's node ledger and
 /// incumbent in `ctx` directly; the per-worker statistics and the private
-/// solvers' counters land in `sol`. Returns true when the probe stopped at
-/// an incumbent, i.e. the search goes on.
-bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
+/// solvers' counters land in `ctx.sol`. Returns true when the probe stopped
+/// at an incumbent, i.e. the search goes on.
+bool run_pool(SearchCtx& ctx, int threads, bool probe) {
   const CheckpointData* resume = probe ? nullptr : ctx.resume;
   if (resume != nullptr) {
     // Nodes charged by the interrupted run count against max_nodes too, so
@@ -891,13 +953,14 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
   // Final snapshot after all workers drained: an interrupted run's last
   // checkpoint then carries the exact surviving frontier, and a finished
   // run's carries an empty one (resume returns the incumbent immediately).
-  pool.write_final_checkpoint(recorder_buffer(ctx.opts, 0));
+  pool.write_checkpoint(ctx.frame.root_rec);
 
   const bool hit_incumbent = pool.stopped() && pool.stop_reason() == SolveStatus::Optimal;
   if (pool.stopped() && !hit_incumbent) {
     ctx.stopped = true;
     ctx.stop_reason = pool.stop_reason();
   }
+  Solution& sol = ctx.frame.sol;
   sol.threads_used = threads;
   sol.nodes_per_worker.resize(workers.size());
   for (std::size_t t = 0; t < workers.size(); ++t) {
@@ -905,445 +968,339 @@ bool run_pool(SearchCtx& ctx, Solution& sol, int threads, bool probe) {
     sol.nodes_per_worker[t] += w.nodes();
     sol.steals += w.steals();
     sol.cpu_seconds += w.busy_seconds();
-    // The root solver's counters are folded once, at the end of solve_milp.
-    if (w.own_solver() != nullptr) fold_solver_counters(*w.own_solver(), sol, *ctx.reg);
+    // The root solver's counters are folded once, by the finish stage.
+    if (w.own_solver() != nullptr) fold_solver_counters(*w.own_solver(), sol, *ctx.frame.reg);
   }
   return hit_incumbent;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// The stages of one solve, in order: presolve, root LP, root heuristics,
+// tree, finish. Each owns its span, its phase timer and its SolvePhases field.
+// ---------------------------------------------------------------------------
 
-Solution solve_milp(const Model& model, const MilpOptions& options) {
-  const auto t0 = Clock::now();
-  Solution sol;
-
-  // --- telemetry setup (all optional; null/disabled hooks cost nothing) ---
-  const int threads_req = resolve_threads(options.num_threads);
-  obs::MetricsRegistry local_registry;
-  obs::MetricsRegistry* reg = options.metrics != nullptr ? options.metrics
-                                                         : &local_registry;
-  // The recorder: buffer 0 is the calling thread's (phase spans, root
-  // events, the root solver's kernel spans); workers get their own buffers,
-  // armed here, before any thread spawns. The mark bounds this solve's
-  // share of a recording that may span several solves.
-  obs::SpanProfiler* const profiler = options.profiler;
-  obs::SpanProfiler::Mark solve_mark;
-  if (profiler != nullptr) {
-    profiler->arm_workers(std::max(threads_req, 1));
-    solve_mark = profiler->mark();
-  }
-  obs::SpanBuffer* const root_rec = recorder_buffer(options, 0);
-  if (root_rec != nullptr) {
-    root_rec->emit(obs::EventType::SolveStart, -1, static_cast<double>(threads_req));
-  }
-  obs::NodeLogger logger(options.log_interval, options.log_sink, t0);
-  // Final bookkeeping, shared by every return path. Expects `solve_seconds`
-  // (and the threads==1 cpu_seconds mirror) to be set already — finish()
-  // must not move the clock, callers pin cpu_seconds == solve_seconds.
-  auto finish = [&](Solution& s) {
-    reg->counter("milp.nodes").add(s.nodes_explored);
-    reg->counter("milp.simplex_iterations").add(s.simplex_iterations);
-    reg->counter("milp.steals").add(s.steals);
-    reg->counter("milp.warm_dual").add(s.warm_dual_nodes);
-    reg->counter("milp.warm_repair").add(s.warm_repair_nodes);
-    reg->counter("milp.cold_restarts").add(s.cold_nodes);
-    reg->gauge("milp.threads").set(static_cast<double>(s.threads_used));
-    if (s.degraded_nodes > 0) {
-      reg->gauge("milp.degraded_nodes")
-          .set(static_cast<double>(s.degraded_nodes));
-    }
-    if (s.has_incumbent) {
-      reg->gauge("milp.objective").set(s.objective);
-      reg->gauge("milp.gap_abs").set(std::abs(s.objective - s.best_bound));
-    }
-    if (root_rec != nullptr) {
-      root_rec->emit(obs::EventType::SolveEnd, -1, s.has_incumbent ? s.objective : kNan);
-    }
-    if (profiler != nullptr) {
-      s.trace = profiler->trace_since(solve_mark);
-      s.trace.dropped = profiler->take_dropped();
-      reg->counter("milp.records_dropped").add(s.trace.dropped);
-    }
-    s.metrics = reg->snapshot();
-  };
-
-  // The one conversion point of the solve's budget (milp/budget.hpp): the
-  // relative allowance measured from solve entry, capped by its absolute
-  // end. A budget already spent at entry — an allowance <= 0, an end the
-  // lazy loop or an admission queue has already passed — returns before
-  // presolve touches the model: TimeLimit with zero nodes, not a presolve
-  // bill the caller can no longer afford.
-  const Clock::time_point deadline = options.budget.deadline_from(t0);
-  if (Clock::now() >= deadline) {
-    sol.status = SolveStatus::TimeLimit;
-    sol.solve_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (threads_req == 1) sol.cpu_seconds = sol.solve_seconds;
-    finish(sol);
-    return sol;
-  }
-
-  // --- presolve ---
-  PresolveResult pre;
-  const Model* work = &model;
+/// The presolve stage: presolves the caller's model (unless
+/// MilpOptions::use_presolve is off), builds the search over the result in
+/// `ctx`, loads the checkpoint to resume from (one written for this model
+/// that fits it, else the solve starts fresh), and seeds the search with the
+/// checkpointed incumbent and the warm hint mapped onto its columns. Returns
+/// false, leaving `ctx` empty, when presolve proves the model infeasible.
+bool presolve_stage(SolveFrame& f, std::optional<SearchCtx>& ctx) {
+  const MilpOptions& options = f.opts;
+  obs::MetricsRegistry* const reg = f.reg;
+  f.work = &f.model;
   if (options.use_presolve) {
-    obs::ScopedSpan presolve_span(root_rec,
-                                  obs::span_id(obs::SpanName::Presolve));
-    obs::ScopedTimer presolve_timer(&reg->timer("milp.phase.presolve"),
-                                    &sol.phases.presolve);
-    pre = presolve(model);
-    presolve_timer.stop();
-    presolve_span.stop();
+    {
+      obs::ScopedSpan span(f.root_rec, obs::span_id(obs::SpanName::Presolve));
+      obs::ScopedTimer timer(&reg->timer("milp.phase.presolve"), &f.sol.phases.presolve);
+      f.pre = presolve(f.model);
+    }
     // Caller-space row indices: `model` is the caller's model, so these feed
     // arch-level per-pattern attribution directly.
-    sol.presolve_removed_rows = pre.removed_rows;
-    reg->counter("milp.presolve.rows_removed").add(
-        static_cast<std::int64_t>(pre.rows_removed));
-    reg->counter("milp.presolve.vars_fixed").add(
-        static_cast<std::int64_t>(pre.vars_fixed));
-    reg->counter("milp.presolve.bounds_tightened").add(
-        static_cast<std::int64_t>(pre.bounds_tightened));
-    reg->counter("milp.presolve.strengthen_tightened").add(
-        static_cast<std::int64_t>(pre.strengthen_tightened));
-    reg->counter("milp.presolve.strengthen_fixed").add(
-        static_cast<std::int64_t>(pre.strengthen_fixed));
-    reg->counter("milp.presolve.rhs_strengthened").add(
-        static_cast<std::int64_t>(pre.rhs_strengthened));
-    if (pre.infeasible) {
-      sol.status = SolveStatus::Infeasible;
-      sol.solve_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-      finish(sol);
-      return sol;
+    f.sol.presolve_removed_rows = f.pre.removed_rows;
+    auto count = [reg](const char* name, std::size_t n) {
+      reg->counter(name).add(static_cast<std::int64_t>(n));
+    };
+    count("milp.presolve.rows_removed", f.pre.rows_removed);
+    count("milp.presolve.vars_fixed", f.pre.vars_fixed);
+    count("milp.presolve.bounds_tightened", f.pre.bounds_tightened);
+    count("milp.presolve.strengthen_tightened", f.pre.strengthen_tightened);
+    count("milp.presolve.strengthen_fixed", f.pre.strengthen_fixed);
+    count("milp.presolve.rhs_strengthened", f.pre.rhs_strengthened);
+    if (f.pre.infeasible) {
+      f.sol.status = SolveStatus::Infeasible;
+      return false;
     }
-    work = &pre.reduced;
+    f.work = &f.pre.reduced;
+  } else {
+    f.pre.orig_of_reduced.resize(f.model.num_vars());
+    std::iota(f.pre.orig_of_reduced.begin(), f.pre.orig_of_reduced.end(), 0);
   }
 
-  // --- checkpoint / resume ---
-  const bool ck_enabled = !options.checkpoint_file.empty();
-  std::uint64_t ck_fp = 0;
-  CheckpointData ckdata;
-  bool resume_ok = false;
-  if (ck_enabled) {
-    ck_fp = model_fingerprint(*work);
-    if (options.resume) {
-      CheckpointData loaded;
-      bool ok = load_checkpoint(options.checkpoint_file, loaded);
-      if (ok) ok = loaded.fingerprint == ck_fp;
-      if (ok && loaded.has_incumbent) {
-        // Distrust the file: the vector must fit the reduced model and
-        // actually be feasible before it may prune this run's search.
-        ok = loaded.incumbent_x.size() == work->num_vars() &&
-             work->feasible(loaded.incumbent_x);
-      }
-      for (std::size_t i = 0; ok && i < loaded.frontier.size(); ++i) {
-        for (const BoundDelta& d : loaded.frontier[i].path) {
-          if (d.col < 0 ||
-              static_cast<std::size_t>(d.col) >= work->num_vars()) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (ok) {
-        resume_ok = true;
-        ckdata = std::move(loaded);
-        reg->gauge("milp.checkpoint.loaded").set(1.0);
-        reg->gauge("milp.checkpoint.frontier_loaded")
-            .set(static_cast<double>(ckdata.frontier.size()));
-      } else {
-        // Missing, corrupt, or from a different model: start fresh.
-        reg->gauge("milp.checkpoint.rejected").set(1.0);
+  SearchCtx& c = ctx.emplace(f);
+  if (!options.checkpoint_file.empty()) f.ck_fingerprint = model_fingerprint(*f.work);
+  if (!options.checkpoint_file.empty() && options.resume) {
+    CheckpointData& loaded = f.ckdata;
+    bool ok = load_checkpoint(options.checkpoint_file, loaded);
+    if (ok) ok = loaded.fingerprint == f.ck_fingerprint;
+    if (ok && loaded.has_incumbent) {
+      // Distrust the file: the vector must fit the reduced model and
+      // actually be feasible before it may prune this run's search.
+      ok = loaded.incumbent_x.size() == f.work->num_vars() &&
+           f.work->feasible(loaded.incumbent_x);
+    }
+    for (const CheckpointNode& n : loaded.frontier) {
+      for (const BoundDelta& d : n.path) {
+        ok = ok && d.col >= 0 && static_cast<std::size_t>(d.col) < f.work->num_vars();
       }
     }
+    if (ok) {
+      c.resume = &loaded;
+      reg->gauge("milp.checkpoint.loaded").set(1.0);
+      reg->gauge("milp.checkpoint.frontier_loaded")
+          .set(static_cast<double>(loaded.frontier.size()));
+    } else {
+      // Missing, corrupt, or from a different model: start fresh.
+      reg->gauge("milp.checkpoint.rejected").set(1.0);
+    }
   }
-
-  MilpOptions node_options = options;
-  // The run-control fields of the LP options come from the solve's own.
-  node_options.lp.deadline = deadline;
-  node_options.lp.cancel = options.cancel;
-  node_options.lp.spans = root_rec;
-  node_options.lp.fault = options.fault;
-  SearchCtx ctx(*work, node_options);
-  ctx.granularity = objective_granularity(*work);
-  ctx.deadline = deadline;
-  ctx.logger = logger.enabled() ? &logger : nullptr;
-  ctx.reg = reg;
-  ctx.ck_fingerprint = ck_fp;
-  if (resume_ok) {
+  if (c.resume != nullptr) {
     // Carry the checkpointed degradation record: subtrees the interrupted
     // run abandoned stay folded into this run's bound (and Solution flags),
     // even if the tree phase never starts again.
-    ctx.resume = &ckdata;
-    ctx.degraded_nodes = ckdata.degraded_nodes;
-    ctx.degraded_bound = std::min(ctx.degraded_bound, ckdata.degraded_bound);
+    c.degraded_nodes = f.ckdata.degraded_nodes;
+    c.degraded_bound = std::min(c.degraded_bound, f.ckdata.degraded_bound);
+    if (f.ckdata.has_incumbent) {
+      // Seed the checkpointed incumbent (internal minimize sense) past
+      // try_incumbent: it is not a new find, so the trajectory skips it.
+      c.incumbent_obj.store(f.ckdata.incumbent_obj, std::memory_order_relaxed);
+      c.incumbent_x = f.ckdata.incumbent_x;
+    }
   }
-  if (resume_ok && ckdata.has_incumbent) {
-    // Seed the checkpointed incumbent (internal minimize sense) without
-    // firing on_incumbent — it is not a new find.
-    ctx.incumbent_obj.store(ckdata.incumbent_obj, std::memory_order_relaxed);
-    ctx.incumbent_x = ckdata.incumbent_x;
-  }
-
-  // Every incumbent improvement — root heuristic, probe, or pool worker
-  // (serialized under the incumbent lock) — lands in
-  // the trajectory before the user callback fires. Installed after the ctx
-  // exists so it can read the current root bound.
-  node_options.on_incumbent = [&](double obj) {
-    sol.incumbent_trajectory.push_back(
-        {std::chrono::duration<double>(Clock::now() - t0).count(), obj,
-         ctx.sense_flip * ctx.root_bound});
-    reg->counter("milp.incumbents").add();
-    if (options.on_incumbent) options.on_incumbent(obj);
-  };
 
   // Cross-solve warm start (milp/warm_start.hpp). The pseudo-cost table is
   // read column by column through the presolve map, so it seeds the tree
   // with or without presolve. The basis and x only line up with the model
   // the caller sees, so they are unusable under presolve (the reduced
   // column space differs per call) — gate, count, and drop them.
-  std::vector<std::int32_t> identity;
-  if (!options.use_presolve) {
-    identity.resize(work->num_vars());
-    std::iota(identity.begin(), identity.end(), 0);
-  }
-  const std::vector<std::int32_t>& orig_of =
-      options.use_presolve ? pre.orig_of_reduced : identity;
-  const PseudoCostTable* pc_seed =
-      options.warm_hint != nullptr ? options.warm_hint->pseudocosts.get() : nullptr;
-  reg->counter("milp.pseudocost.seeded")
-      .add(pc_seed != nullptr ? ctx.pseudocosts.seed(*pc_seed, orig_of) : 0);
   const WarmStartHint* hint = options.warm_hint;
+  f.pc_seed = hint != nullptr ? hint->pseudocosts.get() : nullptr;
+  reg->counter("milp.pseudocost.seeded")
+      .add(f.pc_seed != nullptr ? c.pseudocosts.seed(*f.pc_seed, f.pre.orig_of_reduced) : 0);
   if (hint != nullptr && options.use_presolve) {
     if (hint->basis != nullptr || !hint->x.empty()) {
       reg->counter("milp.warm_hint.skipped_presolve").add();
     }
     hint = nullptr;
   }
-  if (hint != nullptr && !hint->x.empty() && hint->x.size() == work->num_vars()) {
+  f.hint = hint;
+  if (hint != nullptr && !hint->x.empty() && hint->x.size() == f.work->num_vars()) {
     // Seed the previous scenario's optimum through the ordinary incumbent
     // channel: try_incumbent snaps integers and re-validates feasibility, so
     // a vector the scenario delta made infeasible is simply rejected.
-    double hint_obj = work->objective().constant();
-    for (const Term& t : work->objective().terms()) {
-      hint_obj += t.coef * hint->x[static_cast<std::size_t>(t.var.index)];
-    }
-    if (ctx.try_incumbent(hint->x, ctx.sense_flip * hint_obj)) {
+    const double hint_obj = f.work->objective().evaluate(hint->x);
+    if (c.try_incumbent(hint->x, c.sense_flip * hint_obj)) {
       reg->counter("milp.warm_hint.incumbent_seeded").add();
     }
   }
+  return true;
+}
 
-  // --- root solve ---
-  obs::ScopedSpan root_span(root_rec, obs::span_id(obs::SpanName::RootLp));
-  obs::ScopedTimer root_timer(&reg->timer("milp.phase.root_lp"),
-                              &sol.phases.root_lp);
-  if (root_rec != nullptr) root_rec->emit(obs::EventType::NodeOpen, 1, kNan);
-  // A hinted basis warm-starts the root with the dual simplex (bound/RHS
-  // deltas preserve dual feasibility; objective deltas are repaired or fall
-  // cold inside reoptimize_dual). A basis that no longer fits the model is
-  // rejected by load_basis and the root solves cold — deterministically.
-  bool warm_root = false;
-  if (hint != nullptr && hint->basis != nullptr) {
-    if (ctx.lp.load_basis(*hint->basis)) {
-      warm_root = true;
-      reg->counter("milp.warm_hint.basis_loaded").add();
-    } else {
-      reg->counter("milp.warm_hint.basis_rejected").add();
+/// The root node as the stages after the root LP see it: its optimal point
+/// (rounded by the heuristics), and its reduced costs and column statuses
+/// (read by reduced-cost fixing), captured before any dive disturbs them.
+struct RootRecord {
+  std::vector<double> x;
+  std::vector<double> d;  ///< reduced costs, model sense
+  std::vector<SimplexSolver::BoundStatus> status;
+};
+
+/// The root LP stage: solves the root relaxation, with the dual simplex from
+/// the warm hint's basis when it loads, and through the first two rungs of
+/// the recovery ladder when numerics fail. At an optimum it snapshots the
+/// root basis; an integral one becomes the incumbent. Closes the root node
+/// either way. Returns true when the optimum is fractional, i.e. the search
+/// goes on from `root`.
+bool root_lp_stage(SolveFrame& f, SearchCtx& ctx, RootRecord& root) {
+  Solution& sol = f.sol;
+  obs::MetricsRegistry* const reg = f.reg;
+  obs::SpanBuffer* const rec = f.root_rec;
+  SolveStatus st = SolveStatus::NumericalError;
+  {
+    obs::ScopedSpan span(rec, obs::span_id(obs::SpanName::RootLp));
+    obs::ScopedTimer timer(&reg->timer("milp.phase.root_lp"), &sol.phases.root_lp);
+    if (rec != nullptr) rec->emit(obs::EventType::NodeOpen, 1, kNan);
+    // A hinted basis warm-starts the root with the dual simplex (bound/RHS
+    // deltas preserve dual feasibility; objective deltas are repaired or fall
+    // cold inside reoptimize_dual). A basis that no longer fits the model is
+    // rejected by load_basis and the root solves cold — deterministically.
+    bool warm_root = false;
+    if (f.hint != nullptr && f.hint->basis != nullptr) {
+      if (ctx.lp.load_basis(*f.hint->basis)) {
+        warm_root = true;
+        reg->counter("milp.warm_hint.basis_loaded").add();
+      } else {
+        reg->counter("milp.warm_hint.basis_rejected").add();
+      }
+    }
+    st = warm_root ? ctx.lp.reoptimize_dual() : ctx.lp.solve_primal();
+    if (warm_root && st == SolveStatus::NumericalError) {
+      reg->counter("milp.warm_hint.cold_fallback").add();
+      warm_root = false;
+      st = ctx.lp.solve_primal();
+    }
+    sol.warm_started = warm_root;
+    if (st == SolveStatus::NumericalError) {
+      // The initial root solve gets the same first two ladder rungs as every
+      // node LP; there is no parent bound to abandon into, so if both rungs
+      // fail the error surfaces as the solve status.
+      st = run_recovery_ladder(ctx.lp, *reg, rec, 1);
     }
   }
-  SolveStatus st = warm_root ? ctx.lp.reoptimize_dual() : ctx.lp.solve_primal();
-  if (warm_root && st == SolveStatus::NumericalError) {
-    reg->counter("milp.warm_hint.cold_fallback").add();
-    warm_root = false;
-    st = ctx.lp.solve_primal();
-  }
-  sol.warm_started = warm_root;
-  ctx.nodes = 1;
-  ctx.next_id = 1;
-  if (st == SolveStatus::NumericalError) {
-    // The initial root solve gets the same first two ladder rungs as every
-    // node LP; there is no parent bound to abandon into, so if both rungs
-    // fail the error surfaces as the solve status below.
-    st = run_recovery_ladder(ctx.lp, {reg, root_rec, 1});
-  }
-  root_timer.stop();
-  root_span.stop();
+  ctx.root_status = st;
+  bool fractional = false;
+  double bound = kNan;
+  auto outcome = st == SolveStatus::Infeasible ? obs::NodeOutcome::Infeasible
+                                               : obs::NodeOutcome::Limit;
   if (st == SolveStatus::Optimal) {
     ctx.root_bound = ctx.lp.objective_value();
-    if (root_rec != nullptr) {
-      root_rec->emit(obs::EventType::Bound, 1, ctx.sense_flip * ctx.root_bound);
-    }
-    reg->gauge("milp.root_bound").set(ctx.sense_flip * ctx.root_bound);
-    if (options.export_basis || options.warm_start) {
-      // Snapshot *now*, before reduced-cost fixing or the probe mutate
-      // bounds/basis: the pool's root node warm-starts from it, and it is the
-      // handle the next scenario of a sweep loads (Solution::final_basis).
-      ctx.root_basis = std::make_shared<const Basis>(ctx.lp.export_basis());
-      if (options.export_basis) sol.final_basis = ctx.root_basis;
-    }
-    const std::vector<double> x = ctx.lp.primal_solution();
-
-    // Root reduced-cost fixing (applied lazily once an incumbent exists):
-    // a nonbasic integer column whose root reduced cost alone pushes the
-    // root bound past the cutoff can be fixed at its root bound for the
-    // whole search. Root data is captured *now*, before any probe dive
-    // disturbs the basis.
-    const std::vector<double> root_d = ctx.lp.reduced_costs();
-    std::vector<SimplexSolver::BoundStatus> root_status(work->num_vars());
-    for (std::size_t j = 0; j < work->num_vars(); ++j) {
-      root_status[j] = ctx.lp.column_status(static_cast<std::int32_t>(j));
-    }
-    auto fix_by_reduced_cost = [&] {
-      if (!ctx.has_incumbent()) return;
-      const double cutoff = ctx.incumbent() - std::max(kGapAbs, ctx.granularity - 1e-6);
-      for (std::int32_t j : ctx.int_vars) {
-        const double lb = ctx.lp.lower_bound(j);
-        const double ub = ctx.lp.upper_bound(j);
-        if (ub - lb < 0.5) continue;  // already fixed
-        // reduced_costs() reports model sense; the fixing math is in the
-        // engine's minimize sense.
-        const double dj = ctx.sense_flip * root_d[static_cast<std::size_t>(j)];
-        if (root_status[static_cast<std::size_t>(j)] == SimplexSolver::BoundStatus::AtLower &&
-            dj > 0 && ctx.root_bound + dj > cutoff + 1e-9) {
-          ctx.lp.set_bounds(j, lb, lb);
-        } else if (root_status[static_cast<std::size_t>(j)] ==
-                       SimplexSolver::BoundStatus::AtUpper &&
-                   dj < 0 && ctx.root_bound - dj > cutoff + 1e-9) {
-          ctx.lp.set_bounds(j, ub, ub);
-        }
+    bound = ctx.sense_flip * ctx.root_bound;
+    if (rec != nullptr) rec->emit(obs::EventType::Bound, 1, bound);
+    reg->gauge("milp.root_bound").set(bound);
+    // Snapshot *now*, before reduced-cost fixing or the probe mutate
+    // bounds/basis: the pool's root node warm-starts from it, and it is the
+    // handle the next scenario of a sweep loads (Solution::final_basis).
+    ctx.root_basis = std::make_shared<const Basis>(ctx.lp.export_basis());
+    if (f.opts.export_basis) sol.final_basis = ctx.root_basis;
+    root.x = ctx.lp.primal_solution();
+    fractional = cost_weighted_branch_var(root.x, ctx.int_vars, ctx.obj_coef, kIntTol) >= 0;
+    if (fractional) {
+      root.d = ctx.lp.reduced_costs();
+      root.status.resize(ctx.model.num_vars());
+      for (std::size_t j = 0; j < root.status.size(); ++j) {
+        root.status[j] = ctx.lp.column_status(static_cast<std::int32_t>(j));
       }
-    };
-
-    if (cost_weighted_branch_var(x, ctx.int_vars, ctx.obj_coef, kIntTol) < 0) {
-      const bool improved = ctx.try_incumbent(x, ctx.lp.objective_value());
-      if (root_rec != nullptr) {
-        if (improved) {
-          root_rec->emit(obs::EventType::Incumbent, 1, ctx.sense_flip * ctx.incumbent());
-        }
-        root_rec->emit(obs::EventType::NodeClose, 1, ctx.sense_flip * ctx.root_bound,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Integer));
-      }
-    } else {
-      if (root_rec != nullptr) {
-        root_rec->emit(obs::EventType::NodeClose, 1, ctx.sense_flip * ctx.root_bound,
-                       static_cast<std::uint8_t>(obs::NodeOutcome::Branched));
-      }
-      bool search_left = true;
-      {
-        obs::ScopedSpan heur_span(root_rec,
-                                  obs::span_id(obs::SpanName::Heuristic));
-        obs::ScopedTimer heur_timer(&reg->timer("milp.phase.heuristic"),
-                                    &sol.phases.heuristic);
-        // Root rounding heuristic: snap and test.
-        std::vector<double> xr = x;
-        double obj = work->objective().constant();
-        for (std::int32_t j : ctx.int_vars) {
-          xr[static_cast<std::size_t>(j)] = std::round(xr[static_cast<std::size_t>(j)]);
-        }
-        for (const Term& t : work->objective().terms()) {
-          obj += t.coef * xr[static_cast<std::size_t>(t.var.index)];
-        }
-        // try_incumbent takes the minimize-sense objective.
-        if (ctx.try_incumbent(std::move(xr), ctx.sense_flip * obj) && root_rec != nullptr) {
-          root_rec->emit(obs::EventType::Incumbent, -1, ctx.sense_flip * ctx.incumbent());
-        }
-        // Probe: a pool run that stops at its first incumbent, so reduced-
-        // cost fixing can prune the main search below. A probe that ends
-        // without one has exhausted the tree or hit a limit.
-        if (!ctx.has_incumbent()) search_left = run_pool(ctx, sol, 1, /*probe=*/true);
-      }
-      obs::ScopedSpan tree_span(root_rec, obs::span_id(obs::SpanName::Tree));
-      obs::ScopedTimer tree_timer(&reg->timer("milp.phase.tree"),
-                                  &sol.phases.tree);
-      if (search_left) {
-        fix_by_reduced_cost();
-        run_pool(ctx, sol, threads_req, /*probe=*/false);
-      }
-      tree_timer.stop();
-      tree_span.stop();
+    } else if (ctx.try_incumbent(std::move(root.x), ctx.root_bound) && rec != nullptr) {
+      rec->emit(obs::EventType::Incumbent, 1, ctx.sense_flip * ctx.incumbent());
     }
-  } else if (st == SolveStatus::Infeasible) {
-    sol.status = SolveStatus::Infeasible;
-    if (root_rec != nullptr) {
-      root_rec->emit(obs::EventType::NodeClose, 1, kNan,
-                     static_cast<std::uint8_t>(obs::NodeOutcome::Infeasible));
-    }
-  } else if (st == SolveStatus::Unbounded) {
-    sol.status = SolveStatus::Unbounded;
-    if (root_rec != nullptr) {
-      root_rec->emit(obs::EventType::NodeClose, 1, kNan,
-                     static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
-    }
+    outcome = fractional ? obs::NodeOutcome::Branched : obs::NodeOutcome::Integer;
   } else {
     sol.status = st;
-    if (root_rec != nullptr) {
-      root_rec->emit(obs::EventType::NodeClose, 1, kNan,
-                     static_cast<std::uint8_t>(obs::NodeOutcome::Limit));
+  }
+  if (rec != nullptr) {
+    rec->emit(obs::EventType::NodeClose, 1, bound, static_cast<std::uint8_t>(outcome));
+  }
+  return fractional;
+}
+
+/// The root heuristics stage: rounds the fractional root optimum, then, when
+/// no incumbent exists yet, runs the probe — a one-worker pool run that
+/// stops at its first incumbent, so reduced-cost fixing can prune the main
+/// search. Returns false when the probe ended without one: it exhausted the
+/// tree or hit a limit, and no search is left.
+bool root_heuristics_stage(SolveFrame& f, SearchCtx& ctx, RootRecord& root) {
+  obs::ScopedSpan span(f.root_rec, obs::span_id(obs::SpanName::Heuristic));
+  obs::ScopedTimer timer(&f.reg->timer("milp.phase.heuristic"), &f.sol.phases.heuristic);
+  // Rounding: snap and test. No stage reads the root point after it.
+  std::vector<double> xr = std::move(root.x);
+  for (std::int32_t j : ctx.int_vars) {
+    xr[static_cast<std::size_t>(j)] = std::round(xr[static_cast<std::size_t>(j)]);
+  }
+  const double obj = ctx.model.objective().evaluate(xr);
+  // try_incumbent takes the minimize-sense objective.
+  if (ctx.try_incumbent(std::move(xr), ctx.sense_flip * obj) && f.root_rec != nullptr) {
+    f.root_rec->emit(obs::EventType::Incumbent, -1, ctx.sense_flip * ctx.incumbent());
+  }
+  return ctx.has_incumbent() || run_pool(ctx, 1, /*probe=*/true);
+}
+
+/// Root reduced-cost fixing, once an incumbent exists: a nonbasic integer
+/// column whose root reduced cost alone pushes the root bound past the
+/// cutoff is fixed at its root bound for the whole search.
+void fix_by_reduced_cost(SearchCtx& ctx, const RootRecord& root) {
+  if (!ctx.has_incumbent()) return;
+  const double cutoff = ctx.incumbent() - std::max(kGapAbs, ctx.granularity - 1e-6);
+  for (std::int32_t j : ctx.int_vars) {
+    const double lb = ctx.lp.lower_bound(j);
+    const double ub = ctx.lp.upper_bound(j);
+    if (ub - lb < 0.5) continue;  // already fixed
+    // reduced_costs() reports model sense; the fixing math is in the
+    // engine's minimize sense.
+    const auto col = static_cast<std::size_t>(j);
+    const double dj = ctx.sense_flip * root.d[col];
+    if (root.status[col] == SimplexSolver::BoundStatus::AtLower && dj > 0 &&
+        ctx.root_bound + dj > cutoff + 1e-9) {
+      ctx.lp.set_bounds(j, lb, lb);
+    } else if (root.status[col] == SimplexSolver::BoundStatus::AtUpper && dj < 0 &&
+               ctx.root_bound - dj > cutoff + 1e-9) {
+      ctx.lp.set_bounds(j, ub, ub);
     }
   }
+}
 
-  // Pool runs folded their private solvers' counters into `sol`; the root
-  // solver, shared by worker 0 of every run, is counted once, here.
-  fold_solver_counters(ctx.lp, sol, *reg);
-  const std::int64_t nodes = ctx.nodes.load(std::memory_order_relaxed);
-  sol.nodes_explored = nodes;
-  sol.solve_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  reg->counter("milp.pseudocost.updates").add(ctx.pseudocosts.updates());
-  reg->counter("milp.branch.fallback").add(ctx.pseudocosts.fallbacks());
-  if (pc_seed != nullptr || ctx.pseudocosts.updates() > 0) {
-    sol.pseudocosts = std::make_shared<const PseudoCostTable>(
-        ctx.pseudocosts.export_table(pc_seed, orig_of, model.num_vars()));
+/// The tree stage: reduced-cost fixing, then the main pool run on
+/// `f.threads` workers — unless the probe left no search (`search_left`).
+void tree_stage(SolveFrame& f, SearchCtx& ctx, const RootRecord& root, bool search_left) {
+  obs::ScopedSpan span(f.root_rec, obs::span_id(obs::SpanName::Tree));
+  obs::ScopedTimer timer(&f.reg->timer("milp.phase.tree"), &f.sol.phases.tree);
+  if (!search_left) return;
+  fix_by_reduced_cost(ctx, root);
+  run_pool(ctx, f.threads, /*probe=*/false);
+}
+
+/// The finish stage's extraction, when the root LP solved: the search's
+/// status, objective and bound, and its incumbent postsolved into the
+/// caller's column space.
+void extract(SolveFrame& f, const SearchCtx& ctx) {
+  obs::ScopedSpan span(f.root_rec, obs::span_id(obs::SpanName::MilpExtract));
+  obs::ScopedTimer timer(&f.reg->timer("milp.phase.extract"), &f.sol.phases.extract);
+  Solution& sol = f.sol;
+  // Abandoned subtrees (ladder exhausted) cap the proven bound at their
+  // parents' bounds — the min below keeps the reported gap sound.
+  sol.degraded_nodes = ctx.degraded_nodes;
+  sol.degraded = ctx.degraded_nodes > 0;
+  if (ctx.has_incumbent()) {
+    sol.status = ctx.stopped ? ctx.stop_reason : SolveStatus::Optimal;
+    sol.has_incumbent = true;
+    sol.objective = ctx.sense_flip * ctx.incumbent();
+    sol.best_bound =
+        ctx.sense_flip *
+        std::min(ctx.stopped ? ctx.root_bound : ctx.incumbent(), ctx.degraded_bound);
+    std::vector<double> x = ctx.incumbent_x;
+    sol.x = f.opts.use_presolve ? f.pre.postsolve(x) : std::move(x);
+  } else {
+    // Degraded and empty-handed: the abandoned subtrees may hide feasible
+    // points, so "Infeasible" would be an unsound claim.
+    sol.status = ctx.stopped ? ctx.stop_reason
+                 : sol.degraded ? SolveStatus::NumericalError
+                                : SolveStatus::Infeasible;
+    sol.best_bound = ctx.sense_flip * std::min(ctx.root_bound, ctx.degraded_bound);
   }
+}
+
+/// The finish stage, every exit's: folds the root solver's counters, stamps
+/// the clock and the one-worker statistics, extracts the outcome when the
+/// root LP solved, certifies it, logs the final line, and reports the
+/// metrics and the trace. `ctx` is null when the solve ended before the
+/// search was built (budget spent at entry, presolve infeasible).
+void finish_stage(SolveFrame& f, const SearchCtx* ctx) {
+  Solution& sol = f.sol;
+  obs::MetricsRegistry* const reg = f.reg;
+  if (ctx != nullptr) {
+    // Pool runs folded their private solvers' counters into `sol`; the root
+    // solver, shared by worker 0 of every run, is counted once, here.
+    fold_solver_counters(ctx->lp, sol, *reg);
+    sol.nodes_explored = ctx->nodes.load(std::memory_order_relaxed);
+    reg->counter("milp.pseudocost.updates").add(ctx->pseudocosts.updates());
+    reg->counter("milp.branch.fallback").add(ctx->pseudocosts.fallbacks());
+    if (f.pc_seed != nullptr || ctx->pseudocosts.updates() > 0) {
+      sol.pseudocosts = std::make_shared<const PseudoCostTable>(
+          ctx->pseudocosts.export_table(f.pc_seed, f.pre.orig_of_reduced, f.model.num_vars()));
+    }
+  }
+  sol.solve_seconds = std::chrono::duration<double>(Clock::now() - f.t0).count();
+  // A one-worker solve, the pool never run included, is its own worker.
   if (sol.threads_used == 1) {
-    sol.nodes_per_worker.assign(1, nodes);
+    sol.nodes_per_worker.assign(1, sol.nodes_explored);
     sol.cpu_seconds = sol.solve_seconds;
   }
-
-  if (st == SolveStatus::Optimal) {
-    obs::ScopedSpan extract_span(root_rec,
-                                 obs::span_id(obs::SpanName::MilpExtract));
-    obs::ScopedTimer extract_timer(&reg->timer("milp.phase.extract"),
-                                   &sol.phases.extract);
-    // Abandoned subtrees (ladder exhausted) cap the proven bound at their
-    // parents' bounds — the min below keeps the reported gap sound.
-    sol.degraded_nodes = ctx.degraded_nodes;
-    sol.degraded = ctx.degraded_nodes > 0;
-    if (ctx.has_incumbent()) {
-      sol.status = ctx.stopped ? ctx.stop_reason : SolveStatus::Optimal;
-      sol.has_incumbent = true;
-      sol.objective = ctx.sense_flip * ctx.incumbent();
-      sol.best_bound =
-          ctx.sense_flip *
-          std::min(ctx.stopped ? ctx.root_bound : ctx.incumbent(), ctx.degraded_bound);
-      std::vector<double> x = ctx.incumbent_x;
-      sol.x = options.use_presolve ? pre.postsolve(x) : std::move(x);
-    } else {
-      // Degraded and empty-handed: the abandoned subtrees may hide feasible
-      // points, so "Infeasible" would be an unsound claim.
-      sol.status = ctx.stopped ? ctx.stop_reason
-                   : sol.degraded ? SolveStatus::NumericalError
-                                  : SolveStatus::Infeasible;
-      sol.best_bound =
-          ctx.sense_flip * std::min(ctx.root_bound, ctx.degraded_bound);
-    }
-    extract_timer.stop();
-  }
-
-  // Independent certification of the answer we are about to return: primal
-  // residuals against the original (pre-presolve) model always; dual
-  // feasibility + complementary slackness when this was a pure LP solved
-  // without presolve (row indices then match the engine's duals).
-  if (options.certify && sol.has_incumbent) {
+  if (ctx != nullptr && ctx->root_status == SolveStatus::Optimal) extract(f, *ctx);
+  if (f.opts.certify && sol.has_incumbent) {
+    // Independent certification of the answer about to be returned: primal
+    // residuals against the original (pre-presolve) model always; dual
+    // feasibility + complementary slackness when this was a pure LP solved
+    // without presolve (row indices then match the engine's duals).
     check::CertifyOptions copts;
     copts.feas_tol = kCertifyTol;
     copts.int_tol = std::max(kIntTol, kCertifyTol);
     copts.obj_tol = kCertifyTol;
     copts.dual_tol = kCertifyTol;
     check::Certificate cert;
-    if (ctx.int_vars.empty() && !options.use_presolve &&
-        sol.status == SolveStatus::Optimal) {
-      cert = check::certify_lp(model, sol.x, sol.objective, ctx.lp.dual_values(),
-                               ctx.lp.reduced_costs(), copts);
+    if (ctx->int_vars.empty() && !f.opts.use_presolve && sol.status == SolveStatus::Optimal) {
+      cert = check::certify_lp(f.model, sol.x, sol.objective, ctx->lp.dual_values(),
+                               ctx->lp.reduced_costs(), copts);
     } else {
-      cert = check::certify(model, sol.x, sol.objective, copts);
+      cert = check::certify(f.model, sol.x, sol.objective, copts);
     }
     reg->gauge("check.certify.ok").set(cert.ok() ? 1.0 : 0.0);
     reg->gauge("check.certify.max_row_violation").set(cert.max_row_violation);
@@ -1352,11 +1309,10 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     reg->gauge("check.certify.objective_error").set(cert.objective_error);
     if (cert.duals_checked) {
       reg->gauge("check.certify.max_dual_violation").set(cert.max_dual_violation);
-      reg->gauge("check.certify.max_slackness_violation")
-          .set(cert.max_slackness_violation);
+      reg->gauge("check.certify.max_slackness_violation").set(cert.max_slackness_violation);
     }
   }
-  if (logger.enabled()) {
+  if (f.logger.enabled()) {
     obs::NodeLogger::Line line;
     line.nodes = sol.nodes_explored;
     line.open = 0;
@@ -1364,9 +1320,52 @@ Solution solve_milp(const Model& model, const MilpOptions& options) {
     line.incumbent = sol.objective;
     line.best_bound = sol.best_bound;
     line.steals = sol.steals;
-    logger.log_final(line);
+    f.logger.log_final(line);
   }
-  finish(sol);
+
+  reg->counter("milp.nodes").add(sol.nodes_explored);
+  reg->counter("milp.simplex_iterations").add(sol.simplex_iterations);
+  reg->counter("milp.steals").add(sol.steals);
+  reg->counter("milp.warm_dual").add(sol.warm_dual_nodes);
+  reg->counter("milp.warm_repair").add(sol.warm_repair_nodes);
+  reg->counter("milp.cold_restarts").add(sol.cold_nodes);
+  reg->gauge("milp.threads").set(static_cast<double>(sol.threads_used));
+  if (sol.degraded_nodes > 0) {
+    reg->gauge("milp.degraded_nodes").set(static_cast<double>(sol.degraded_nodes));
+  }
+  if (sol.has_incumbent) {
+    reg->gauge("milp.objective").set(sol.objective);
+    reg->gauge("milp.gap_abs").set(std::abs(sol.objective - sol.best_bound));
+  }
+  if (f.root_rec != nullptr) {
+    f.root_rec->emit(obs::EventType::SolveEnd, -1, sol.has_incumbent ? sol.objective : kNan);
+  }
+  if (obs::SpanProfiler* const profiler = f.opts.profiler; profiler != nullptr) {
+    sol.trace = profiler->trace_since(f.solve_mark);
+    sol.trace.dropped = profiler->take_dropped();
+    reg->counter("milp.records_dropped").add(sol.trace.dropped);
+  }
+  sol.metrics = reg->snapshot();
+}
+
+}  // namespace
+
+Solution solve_milp(const Model& model, const MilpOptions& options) {
+  Solution sol;
+  SolveFrame f(model, options, sol);
+  std::optional<SearchCtx> ctx;
+  RootRecord root;
+  if (Clock::now() >= f.deadline) {
+    // A budget already spent at entry — an allowance <= 0, an end the lazy
+    // loop or an admission queue has already passed — returns before
+    // presolve touches the model: TimeLimit with zero nodes, not a presolve
+    // bill the caller can no longer afford.
+    sol.status = SolveStatus::TimeLimit;
+  } else if (presolve_stage(f, ctx) && root_lp_stage(f, *ctx, root)) {
+    const bool search_left = root_heuristics_stage(f, *ctx, root);
+    tree_stage(f, *ctx, root, search_left);
+  }
+  finish_stage(f, ctx ? &*ctx : nullptr);
   return sol;
 }
 

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -43,9 +42,6 @@ struct MilpOptions {
   /// (the default) costs one pointer test per poll site.
   const std::atomic<bool>* cancel = nullptr;
   bool use_presolve = true;
-  /// Warm-start node LPs with the dual simplex (false = cold primal solve at
-  /// every node; exposed for the `bench_milp` warm-start ablation).
-  bool warm_start = true;
   /// Optional cross-solve warm start (milp/warm_start.hpp): a previous
   /// solve's root basis and/or incumbent vector, typically from the prior
   /// scenario of a compiled-model sweep, and/or its pseudo-cost table,
@@ -78,10 +74,6 @@ struct MilpOptions {
   /// run-control fields (`deadline`, `cancel`, `spans`, `fault`) from
   /// `budget`, `cancel`, `profiler` and `fault`, overwriting any value here.
   SimplexOptions lp{};
-  /// Optional per-improvement callback (incumbent objective in model sense).
-  /// With num_threads != 1 it may fire from worker threads; calls are
-  /// serialized under the incumbent lock.
-  std::function<void(double)> on_incumbent{};
   /// CPLEX-style live node log: a progress line roughly every
   /// `log_interval` seconds to `log_sink`. Both must be set (interval > 0,
   /// sink non-null) to enable; off by default.

@@ -192,9 +192,8 @@ struct Solution {
   std::int64_t degraded_nodes = 0;  ///< subtrees abandoned by the ladder
   /// Wall-clock phase breakdown (MILP only; zeros for plain LP solves).
   SolvePhases phases;
-  /// Time-stamped incumbent improvements, oldest first (model sense). Fed by
-  /// the same path as MilpOptions::on_incumbent, so it is populated even
-  /// when no callback is installed.
+  /// Time-stamped incumbent improvements, oldest first (model sense), one
+  /// per `milp.incumbents` count.
   std::vector<IncumbentPoint> incumbent_trajectory;
   /// This solve's search events, time-sorted; empty unless a recorder was
   /// attached (MilpOptions::profiler).

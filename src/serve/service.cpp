@@ -132,9 +132,10 @@ milp::MilpOptions solver_options(const Request& req, Clock::time_point deadline,
 
 /// THE rule from a solver outcome to the wire's outcome fields, shared by
 /// the explore path and every compiled scenario; it also charges the solve's
-/// work to the serve.solver.* counters. `preempted` is the explore path's
-/// drain override: a solve the cancel token stopped reports Preempted, never
-/// ok, and only the solver's own degraded flag, even with an incumbent.
+/// work to the serve.solver.* counters. `preempted` is the drain override
+/// (ExplorationService::drain_preempted): a solve the cancel token stopped
+/// reports Preempted, never ok, and only the solver's own degraded flag,
+/// even with an incumbent.
 void record_outcome(const milp::Solution& sol, bool preempted, Outcome& out,
                     obs::MetricsRegistry& reg) {
   switch (sol.status) {
@@ -448,11 +449,7 @@ void ExplorationService::execute_explore(const Request& req, InFlight& job) {
   job.mark("extract");
   r.nodes = sol.nodes_explored;
   r.degraded_nodes = sol.degraded_nodes;
-  // A TimeLimit while the service-wide cancel token is set and the request's
-  // own deadline has slack is a drain preemption, not a timeout.
-  const bool preempted = cancel_.load(std::memory_order_relaxed) &&
-                         sol.status == milp::SolveStatus::TimeLimit &&
-                         Clock::now() < job.deadline;
+  const bool preempted = drain_preempted(sol, job);
   record_outcome(sol, preempted, r, reg_);
   if (sol.status == milp::SolveStatus::NumericalError) {
     r.reason = solve_error.empty()
@@ -541,6 +538,7 @@ void ExplorationService::execute_compiled(const Request& req, InFlight& job) {
   SweepState* sweep_state = is_sweep ? &state : nullptr;
   std::vector<ScenarioResult> results;
   results.reserve(specs.size());
+  bool preempted = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ScenarioSpec& spec = specs[i];
     Scenario sc;
@@ -555,7 +553,9 @@ void ExplorationService::execute_compiled(const Request& req, InFlight& job) {
       const ExplorationResult er = archex::solve(*cm, sc, base, sweep_state);
       r.nodes += er.solution.nodes_explored;
       r.degraded_nodes += er.solution.degraded_nodes;
-      record_outcome(er.solution, /*preempted=*/false, sr, reg_);
+      const bool stopped_by_drain = drain_preempted(er.solution, job);
+      preempted = preempted || stopped_by_drain;
+      record_outcome(er.solution, stopped_by_drain, sr, reg_);
       sr.warm = er.solution.warm_started;
       sr.solve_seconds = er.solver_seconds;
     } catch (const std::exception& e) {
@@ -569,6 +569,10 @@ void ExplorationService::execute_compiled(const Request& req, InFlight& job) {
   r.solve_seconds =
       std::chrono::duration<double>(Clock::now() - t_solve).count();
   r.attempts = 1;
+  if (preempted) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++drain_preempted_;
+  }
 
   // The top level reports the last (for solve_compiled: the only)
   // scenario's outcome, so a sweep response tail-diffs cleanly against the
@@ -590,6 +594,13 @@ void ExplorationService::execute_compiled(const Request& req, InFlight& job) {
       .add(static_cast<std::int64_t>(r.scenarios.size()));
   reg_.counter("serve.sweep.warm").add(state.warm_solves);
   reg_.counter("serve.sweep.cold").add(state.cold_solves);
+}
+
+bool ExplorationService::drain_preempted(const milp::Solution& sol,
+                                         const InFlight& job) const {
+  return cancel_.load(std::memory_order_relaxed) &&
+         sol.status == milp::SolveStatus::TimeLimit &&
+         Clock::now() < job.deadline;
 }
 
 void ExplorationService::finish_metrics(const Response& r) {

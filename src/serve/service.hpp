@@ -130,9 +130,15 @@ class ExplorationService {
   void execute_explore(const Request& req, InFlight& job);
   /// The compile/solve_compiled/sweep body: fetch-or-compile the artifact
   /// through the LRU, then solve the request's scenarios against it (sweeps
-  /// warm-start each scenario from the previous basis). No retries, fault
-  /// plan or checkpoint: the request schema rejects those keys here.
+  /// warm-start each scenario from the previous basis), with the same
+  /// drain-preemption override. No retries, fault plan or checkpoint: the
+  /// request schema rejects those keys here.
   void execute_compiled(const Request& req, InFlight& job);
+  /// The drain predicate of both paths: a solve that stopped on its time
+  /// limit while the cancel token is set and the request's own deadline
+  /// still has slack was preempted by drain(), not timed out.
+  [[nodiscard]] bool drain_preempted(const milp::Solution& sol,
+                                     const InFlight& job) const;
   /// The compiled artifact for the request's spec: cache hit when the spec
   /// was compiled before (and survived eviction), fresh compile otherwise.
   /// Sets `*cache_state` to "hit"/"miss" and refreshes the serve.compile.*

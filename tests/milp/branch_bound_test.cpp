@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <vector>
 
 namespace archex::milp {
 namespace {
@@ -85,25 +87,29 @@ TEST(BranchBoundTest, EqualityWithBinaries) {
   EXPECT_NEAR(s.objective, 3.0, 1e-7);
 }
 
-TEST(BranchBoundTest, WarmStartAndColdStartAgree) {
+TEST(BranchBoundTest, KnapsackMatchesExhaustiveEnumeration) {
   Model m;
   std::mt19937 rng(7);
   std::uniform_int_distribution<int> wd(1, 9);
-  std::vector<VarId> xs;
   LinExpr tw, tv;
   for (int i = 0; i < 12; ++i) {
     VarId v = m.add_binary();
-    xs.push_back(v);
     tw += static_cast<double>(wd(rng)) * v;
     tv += static_cast<double>(wd(rng)) * v;
   }
   m.add_constraint(tw <= LinExpr(25.0));
   m.set_objective(tv, ObjectiveSense::Maximize);
-  Solution warm = solve_milp(m, {.warm_start = true});
-  Solution cold = solve_milp(m, {.warm_start = false});
-  ASSERT_TRUE(warm.optimal());
-  ASSERT_TRUE(cold.optimal());
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
+  // All 4,096 points of the 12 binaries: the best feasible one is the optimum.
+  double best = -1.0;
+  std::vector<double> x(12);
+  for (unsigned bits = 0; bits < (1u << 12); ++bits) {
+    for (std::size_t j = 0; j < x.size(); ++j) x[j] = (bits >> j) & 1u ? 1.0 : 0.0;
+    if (m.feasible(x, 1e-9)) best = std::max(best, tv.evaluate(x));
+  }
+  const Solution s = solve_milp(m);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_NEAR(s.objective, best, 1e-6);
+  EXPECT_TRUE(m.feasible(s.x, 1e-6));
 }
 
 TEST(BranchBoundTest, NodeLimitReportsIncumbent) {

@@ -210,16 +210,37 @@ TEST(ParallelBBTest, EpnSameOptimumAcrossThreadCounts) {
 }
 
 TEST(ParallelBBTest, SequentialPathReportsSingleWorkerStats) {
-  const Model m = knapsack_fixture(16, 5);
+  // Every exit of a one-thread solve reports its one worker: the full
+  // search, presolve proving infeasibility, and a budget spent at entry.
+  Model infeasible;
+  const VarId a = infeasible.add_binary();
+  const VarId b = infeasible.add_binary();
+  infeasible.add_constraint(LinExpr(a) + LinExpr(b) >= LinExpr(3.0));
+  infeasible.set_objective(LinExpr(a) + LinExpr(b));
+  MilpOptions spent;
+  spent.num_threads = 1;
+  spent.budget = Budget::of_seconds(0.0);
   MilpOptions o;
   o.num_threads = 1;
-  const Solution s = solve_milp(m, o);
-  ASSERT_TRUE(s.optimal());
-  EXPECT_EQ(s.threads_used, 1);
-  EXPECT_EQ(s.steals, 0);
-  ASSERT_EQ(s.nodes_per_worker.size(), 1u);
-  EXPECT_EQ(s.nodes_per_worker[0], s.nodes_explored);
-  EXPECT_NEAR(s.cpu_seconds, s.solve_seconds, 1e-9);
+  const struct {
+    const char* what;
+    Model model;
+    MilpOptions opts;
+    SolveStatus status;
+  } cases[] = {
+      {"search", knapsack_fixture(16, 5), o, SolveStatus::Optimal},
+      {"presolve infeasible", infeasible, o, SolveStatus::Infeasible},
+      {"budget spent at entry", knapsack_fixture(16, 5), spent, SolveStatus::TimeLimit},
+  };
+  for (const auto& c : cases) {
+    const Solution s = solve_milp(c.model, c.opts);
+    EXPECT_EQ(s.status, c.status) << c.what;
+    EXPECT_EQ(s.threads_used, 1) << c.what;
+    EXPECT_EQ(s.steals, 0) << c.what;
+    ASSERT_EQ(s.nodes_per_worker.size(), 1u) << c.what;
+    EXPECT_EQ(s.nodes_per_worker[0], s.nodes_explored) << c.what;
+    EXPECT_NEAR(s.cpu_seconds, s.solve_seconds, 1e-9) << c.what;
+  }
 }
 
 TEST(ParallelBBTest, PropertySweepMatchesSequential) {

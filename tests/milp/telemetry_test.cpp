@@ -129,14 +129,14 @@ TEST(TelemetryTest, IncumbentTrajectoryIsMonotoneInModelSense) {
   EXPECT_NEAR(s.incumbent_trajectory.back().objective, s.objective, 1e-9);
 }
 
-TEST(TelemetryTest, TrajectoryChainsUserCallback) {
-  int calls = 0;
+TEST(TelemetryTest, TrajectoryLengthMatchesIncumbentCounter) {
   MilpOptions o;
   o.num_threads = 1;
-  o.on_incumbent = [&calls](double) { ++calls; };
   const Solution s = solve_milp(knapsack_fixture(18, 5), o);
   ASSERT_TRUE(s.optimal());
-  EXPECT_EQ(static_cast<std::size_t>(calls), s.incumbent_trajectory.size());
+  ASSERT_FALSE(s.incumbent_trajectory.empty());
+  EXPECT_EQ(s.metrics.at("milp.incumbents"),
+            static_cast<double>(s.incumbent_trajectory.size()));
 }
 
 // ---------------------------------------------------------------------------

@@ -685,6 +685,26 @@ TEST(ServeCompiledTest, BudgetBoundsACompiledRequest) {
   EXPECT_FALSE(out.ok);
 }
 
+TEST(ServeServiceTest, DrainPreemptsCompiledSolve) {
+  // The paper-scale Fig. 2b model runs far past the drain: its root LP alone
+  // takes most of a second, and the search after it does not close. Drain
+  // stops the solve through the cancel token, so the response reports the
+  // preemption (never ok) and the drain report counts it.
+  ExplorationService svc(with_workers(1));
+  Request req = compiled_request("paper", "solve_compiled");
+  req.scale = "paper";
+  auto fut = svc.submit(req);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const ExplorationService::DrainReport rep = svc.drain();
+  const Response r = fut.get();
+  EXPECT_EQ(r.status, ResponseStatus::Preempted) << r.reason;
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.resumable);  // compiled requests carry no checkpoint
+  EXPECT_EQ(rep.preempted, 1u);
+  EXPECT_TRUE(rep.checkpoints.empty());
+  EXPECT_EQ(svc.metrics().counter("serve.preempted").value(), 1);
+}
+
 TEST(ServeCompiledTest, OutcomeKeysMatchDegradationJson) {
   // ExplorationResult::degradation_json promises the response's outcome keys
   // byte for byte: check it on a proven optimum and on a node-capped solve
