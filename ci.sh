@@ -161,7 +161,12 @@ echo "=== determinism: small-EPN search-trajectory gate ==="
 # iterations, and each lazy iteration's cost, nodes and iterations. A
 # refactoring that reorders the tree, shifts an incumbent or changes a
 # pivot fails here. A change that alters the search on purpose updates
-# these pins together with the EPN tables in EXPERIMENTS.md. About 4.5 s.
+# these pins together with the EPN tables in EXPERIMENTS.md. The monolithic
+# run also guards the kernel's refactorization policy: Forrest–Tomlin
+# updates refactorize on the interval or on U growth, about once per 95
+# pivots here, so more than one refactorization per 75 pivots means the
+# kernel fell back to refactorizing at fill rate (the product-form eta file
+# did, once per ~49 pivots on perfbench's epn_eager). About 5 s.
 python3 - build/examples/epn_explorer <<'EOF'
 import re, subprocess, sys
 exe = sys.argv[1]
@@ -173,31 +178,36 @@ m = re.search(r"^status: optimal, solver time \S+, (\d+) nodes, (\d+) simplex it
               mono, re.M)
 cost = re.search(r"^cost: (\d+)$", mono, re.M)
 got = (int(cost.group(1)), int(m.group(1)), int(m.group(2))) if m and cost else None
-if got != (64018, 1516, 50401):
+if got != (64018, 2139, 55599):
     sys.exit(f"FAIL: monolithic small EPN (cost, nodes, iterations) = {got}, "
-             "pinned (64018, 1516, 50401)")
+             "pinned (64018, 2139, 55599)")
+refactors = re.search(r"^simplex: \d+ pivots .*, (\d+) refactorizations$", mono, re.M)
+if refactors is None or int(refactors.group(1)) > got[2] // 75:
+    sys.exit(f"FAIL: monolithic small EPN refactorizations "
+             f"{refactors.group(1) if refactors else '?'} > {got[2]} iterations / 75")
 lazy = [tuple(int(v) for v in t) for t in re.findall(
     r"^iteration \d+: cost (\d+), .*?, (\d+) nodes, (\d+) simplex iterations,",
     run("lazy"), re.M)]
-pinned = [(30506, 784, 7907), (47012, 284, 12936), (64018, 4189, 77246)]
+pinned = [(30506, 974, 11130), (47012, 629, 28169), (64018, 4244, 73953)]
 if lazy != pinned:
     sys.exit(f"FAIL: lazy small EPN (cost, nodes, iterations) per iteration = "
              f"{lazy}, pinned {pinned}")
-print("trajectory gate: monolithic 64018 (1516 nodes / 50401 iterations); lazy "
-      "30506 -> 47012 -> 64018 (784/7907, 284/12936, 4189/77246)")
+print(f"trajectory gate: monolithic 64018 (2139 nodes / 55599 iterations, "
+      f"{refactors.group(1)} refactorizations); lazy "
+      "30506 -> 47012 -> 64018 (974/11130, 629/28169, 4244/73953)")
 EOF
 
 echo "=== observability: a node-capped lazy iteration names its status ==="
 # An iteration whose solve stops at a limit can still leave an architecture;
-# its line must then say so (`iteration 1: node-limit, cost ...`) instead of
-# a bare cost that reads like a proven optimum. Optimal lines carry no status,
-# so the gate above keeps matching them. A 500-node cap stops iteration 1
-# (784 nodes uncapped) deterministically. About 2 s.
+# its line must then say so (`iteration 1: node-limit, cost ..., gap ...`)
+# instead of a bare cost that reads like a proven optimum. Optimal lines
+# carry no status, so the gate above keeps matching them. A 500-node cap
+# stops iteration 1 (974 nodes uncapped) deterministically. About 2 s.
 python3 - build/examples/epn_explorer <<'EOF'
 import re, subprocess, sys
 out = subprocess.run([sys.argv[1], "--mode=lazy", "--scale=small", "--max-nodes=500"],
                      check=True, capture_output=True, text=True).stdout
-limited = re.findall(r"^iteration (\d+): node-limit, cost \d+, ", out, re.M)
+limited = re.findall(r"^iteration (\d+): node-limit, cost \d+, gap \S+, ", out, re.M)
 if not limited:
     sys.exit("FAIL: no node-capped lazy iteration line names its status:\n" + out)
 print("status check: node-capped lazy iterations " + ", ".join(limited) +

@@ -15,8 +15,10 @@
 /// optimal basis.
 ///
 /// `lazy` runs the iterative MILP-modulo-reliability algorithm (Fig. 3) and
-/// prints each iteration's solve/analyze/learn split, then one `lazy loop:`
-/// line whose `unaccounted` term is the wall time none of them covers;
+/// prints each iteration's solve/analyze/learn split (a solve that did not
+/// prove optimality also names its status and gap), then one `lazy loop:`
+/// line whose `unaccounted` term is the wall time none of them covers, and
+/// at the end the solver phase split summed over the iterations;
 /// `monolithic` encodes the reliability requirements eagerly (Fig. 2b).
 /// `--scale=paper` uses the Table 2 template sizes (the monolithic run at
 /// paper scale is expensive by design — the paper reports hours on CPLEX).
@@ -213,6 +215,15 @@ int main(int argc, char** argv) {
     std::cout << "status: " << milp::to_string(res.solution.status) << ", solver time "
               << res.solver_seconds << "s, " << res.solution.nodes_explored << " nodes, "
               << res.solution.simplex_iterations << " simplex iterations\n";
+    // The simplex kernel's work (milp.* counters of the solve's registry).
+    auto counter = [&](const char* name) {
+      const auto it = res.solution.metrics.find(name);
+      return it == res.solution.metrics.end() ? 0 : static_cast<std::int64_t>(it->second);
+    };
+    std::cout << "simplex: " << counter("milp.lp.pivots") << " pivots ("
+              << counter("milp.lp.degenerate_pivots") << " primal-degenerate, "
+              << counter("milp.lp.dual_degenerate") << " dual-degenerate), "
+              << counter("milp.refactors") << " refactorizations\n";
     res.print_degradation(std::cout);
     if (res.degraded()) {
       std::cout << "degradation: " << res.degradation_json() << "\n";
@@ -230,6 +241,7 @@ int main(int argc, char** argv) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     double solve = 0.0, analyze = 0.0, learn = 0.0;
+    milp::SolvePhases phases;  // summed over the iterations' solves
     for (const IterativeStep& it : res.iterations) {
       std::cout << "iteration " << it.index << ": ";
       // A solve that did not prove optimality says so, even when it left an
@@ -242,8 +254,12 @@ int main(int argc, char** argv) {
         // and was never analyzed: the step carries no metrics.
         std::cout << "no architecture, ";
       } else {
-        std::cout << "cost " << it.cost << ", r = (" << it.metrics.at("worst_hv") << ", "
-                  << it.metrics.at("worst_lv") << "), ";
+        std::cout << "cost " << it.cost << ", ";
+        if (it.status != milp::SolveStatus::Optimal) {
+          std::cout << "gap " << std::abs(it.cost - it.best_bound) << ", ";
+        }
+        std::cout << "r = (" << it.metrics.at("worst_hv") << ", " << it.metrics.at("worst_lv")
+                  << "), ";
       }
       std::cout << it.stats.num_constraints << " constraints, " << it.stats.num_vars
                 << " variables, " << it.nodes << " nodes, " << it.simplex_iterations
@@ -253,6 +269,11 @@ int main(int argc, char** argv) {
       solve += it.solve_seconds;
       analyze += it.analyze_seconds;
       learn += it.learn_seconds;
+      phases.presolve += it.phases.presolve;
+      phases.root_lp += it.phases.root_lp;
+      phases.heuristic += it.phases.heuristic;
+      phases.tree += it.phases.tree;
+      phases.extract += it.phases.extract;
     }
     std::cout << "lazy loop: wall " << seconds(wall) << " = solve " << seconds(solve)
               << " + analyze " << seconds(analyze) << " + learn " << seconds(learn)
@@ -263,7 +284,7 @@ int main(int argc, char** argv) {
     if (!res.final_result.feasible()) return 1;
     res.final_result.architecture.print(std::cout);
     report_links(*problem, res.final_result.architecture);
-    res.final_result.print_timing(std::cout);
+    print_solver_phases(std::cout, "solver phases, all iterations", phases);
     if (args.dot) std::cout << res.final_result.architecture.to_dot();
   }
   return 0;

@@ -147,6 +147,8 @@ IterativeResult solve_iteratively(Problem& p, const AnalysisFn& analyze, const L
     step.stats = er.stats;
     step.nodes = er.solution.nodes_explored;
     step.simplex_iterations = er.solution.simplex_iterations;
+    step.phases = er.solution.phases;
+    step.best_bound = er.solution.best_bound;
     step.solve_seconds = seconds(Clock::now() - t0);
 
     if (!er.feasible()) {

@@ -95,6 +95,10 @@ struct IterativeStep {
   /// over the loop).
   std::int64_t nodes = 0;
   std::int64_t simplex_iterations = 0;
+  /// The step's solve phase split (Solution::phases) and proven bound
+  /// (Solution::best_bound, model sense).
+  milp::SolvePhases phases;
+  double best_bound = 0.0;
   /// The step's solve/analyze/learn split. Learning runs only after a
   /// rejected candidate, so an accepted or unanalyzed step has 0 there.
   double solve_seconds = 0.0;

@@ -202,9 +202,14 @@ void ExplorationResult::print_timing(std::ostream& os) const {
   line("formulate", formulation_seconds);
   line("solve", solver_seconds);
   line("extract", extract_seconds);
-  const milp::SolvePhases& p = solution.phases;
-  fmt.str("");
-  fmt << "  solver phases: presolve " << p.presolve << "s, root LP " << p.root_lp
+  print_solver_phases(os, "solver phases", solution.phases);
+}
+
+void print_solver_phases(std::ostream& os, const char* label, const milp::SolvePhases& p) {
+  std::ostringstream fmt;
+  fmt.setf(std::ios::fixed);
+  fmt.precision(3);
+  fmt << "  " << label << ": presolve " << p.presolve << "s, root LP " << p.root_lp
       << "s, heuristic " << p.heuristic << "s, tree " << p.tree << "s, extract "
       << p.extract << "s\n";
   os << fmt.str();

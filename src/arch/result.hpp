@@ -136,4 +136,9 @@ struct ExplorationResult {
   void print_timing(std::ostream& os) const;
 };
 
+/// Prints one `  <label>: presolve …s, root LP …s, heuristic …s, tree …s,
+/// extract …s` line: print_timing's phase line, and the lazy explorers'
+/// phase split summed over a loop's solves.
+void print_solver_phases(std::ostream& os, const char* label, const milp::SolvePhases& p);
+
 }  // namespace archex

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 namespace archex::milp {
@@ -82,8 +83,8 @@ class DenseBasis final : public BasisRep {
     std::copy(y.begin(), y.end(), x.begin());
   }
 
-  void btran(std::vector<double>& x,
-             const std::vector<std::int32_t>* /*nz*/) const override {
+  void btran(std::vector<double>& x, const std::vector<std::int32_t>* /*nz*/,
+             std::vector<std::int32_t>* out_nz) const override {
     std::vector<double>& y = scratch_;
     std::fill(y.begin(), y.end(), 0.0);
     for (std::size_t i = 0; i < m_; ++i) {
@@ -93,9 +94,16 @@ class DenseBasis final : public BasisRep {
       for (std::size_t j = 0; j < m_; ++j) y[j] += ci * row[j];
     }
     std::copy(y.begin(), y.end(), x.begin());
+    if (out_nz != nullptr) gather_nonzeros(x, *out_nz);
   }
 
-  void update(const std::vector<double>& w, std::size_t r,
+  void ftran_entering(std::vector<double>& x, const std::vector<std::int32_t>& nz,
+                      std::vector<std::int32_t>& out_nz) override {
+    ftran(x, &nz);
+    gather_nonzeros(x, out_nz);
+  }
+
+  bool update(const std::vector<double>& w, std::size_t r,
               const std::vector<std::int32_t>& wnz) override {
     // Binv <- E * Binv with E the elementary matrix mapping w to e_r.
     const double piv = w[r];
@@ -109,9 +117,9 @@ class DenseBasis final : public BasisRep {
       double* rowi = binv_.data() + i * m_;
       for (std::size_t j = 0; j < m_; ++j) rowi[j] -= f * rowr[j];
     }
+    return true;
   }
 
-  [[nodiscard]] bool fill_heavy() const override { return false; }
   [[nodiscard]] std::shared_ptr<const FactorState> snapshot() const override {
     return nullptr;
   }
@@ -130,111 +138,150 @@ class DenseBasis final : public BasisRep {
 // Sparse LU kernel.
 // ---------------------------------------------------------------------------
 
-/// x := E_k^-1 ... E_1^-1 x over one eta chunk, oldest eta first.
-void eta_ftran(const EtaFile& f, std::vector<double>& x) {
-  for (int k = 0; k < f.count(); ++k) {
-    const std::size_t r = static_cast<std::size_t>(f.pos[static_cast<std::size_t>(k)]);
-    const double t = x[r] * f.inv_pivot[static_cast<std::size_t>(k)];
-    x[r] = t;
-    if (t == 0.0) continue;
-    const std::int32_t b = f.start[static_cast<std::size_t>(k)];
-    const std::int32_t e = f.start[static_cast<std::size_t>(k) + 1];
-    for (std::int32_t s = b; s < e; ++s) {
-      const auto es = static_cast<std::size_t>(s);
-      x[static_cast<std::size_t>(f.ent_pos[es])] -= f.ent_val[es] * t;
-    }
-  }
-}
-
-/// x := E_1^-T ... E_k^-T x over one eta chunk, newest eta first; `count`
-/// limits it to the chunk's oldest etas.
-void eta_btran(const EtaFile& f, std::vector<double>& x, int count) {
-  for (int k = count; k-- > 0;) {
-    const std::size_t r = static_cast<std::size_t>(f.pos[static_cast<std::size_t>(k)]);
-    double s = x[r];
-    const std::int32_t b = f.start[static_cast<std::size_t>(k)];
-    const std::int32_t e = f.start[static_cast<std::size_t>(k) + 1];
-    for (std::int32_t t = b; t < e; ++t) {
-      const auto et = static_cast<std::size_t>(t);
-      s -= f.ent_val[et] * x[static_cast<std::size_t>(f.ent_pos[et])];
-    }
-    x[r] = s * f.inv_pivot[static_cast<std::size_t>(k)];
-  }
-}
+// Forrest–Tomlin stability test: the updated U diagonal must match the one
+// the pivot element predicts (old diagonal × w_r: det U scales by w_r and no
+// other diagonal changes) to this relative tolerance, or the update is
+// declined and the caller refactorizes.
+constexpr double kFtStabilityTol = 1e-8;
+// U growth bound: an update is declined once the working U plus its row
+// etas would hold more than this multiple of the fresh factorization's U
+// nonzeros (diagonal included). Both cost every later solve.
+constexpr double kUGrowthFactor = 2.0;
+// Spike and row-eta entries at or below this magnitude are rounding noise
+// of cancelled sums; the update drops them.
+constexpr double kDropTol = 1e-14;
+// Spare room per working U row and column list at a (re)build: most rows
+// gain an entry or two from spikes before the next refactorization.
+constexpr std::int32_t kListSlack = 2;
 
 void set_bit(std::uint64_t* bits, std::size_t k) {
   bits[k >> 6] |= std::uint64_t{1} << (k & 63);
 }
 
-/// Sets bit to_pivot[i] in `todo` for every listed i with x[i] != 0.
+/// Sets bit to_bit[i] in `todo` for every listed i with x[i] != 0.
 void mark_nonzeros(const std::vector<double>& x, const std::vector<std::int32_t>& idx,
-                   const std::vector<std::int32_t>& to_pivot, std::uint64_t* todo) {
+                   const std::vector<std::int32_t>& to_bit, std::uint64_t* todo) {
   for (const std::int32_t i : idx) {
     if (x[static_cast<std::size_t>(i)] != 0.0) {
-      set_bit(todo, static_cast<std::size_t>(to_pivot[static_cast<std::size_t>(i)]));
+      set_bit(todo, static_cast<std::size_t>(to_bit[static_cast<std::size_t>(i)]));
     }
   }
 }
 
+/// Lists of (index, value) entries in one growable pool: list i is the
+/// entries [start[i], start[i] + len[i]) of the pooled arrays, with room up
+/// to start[i] + cap[i]. A list that outgrows its room moves to the end of
+/// the pool (its old room stays unused until the next reset).
+struct ListPool {
+  std::vector<std::int32_t> start, len, cap;
+  std::vector<std::int32_t> idx;
+  std::vector<double> val;
+
+  /// Empty lists, list i with room for lens[i] + slack entries.
+  void reset(const std::vector<std::int32_t>& lens, std::int32_t slack) {
+    const std::size_t n = lens.size();
+    start.resize(n);
+    len.assign(n, 0);
+    cap.resize(n);
+    std::int32_t at = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      start[i] = at;
+      cap[i] = lens[i] + slack;
+      at += cap[i];
+    }
+    idx.resize(static_cast<std::size_t>(at));
+    val.resize(static_cast<std::size_t>(at));
+  }
+  [[nodiscard]] std::int32_t begin(std::size_t i) const { return start[i]; }
+  [[nodiscard]] std::int32_t end(std::size_t i) const { return start[i] + len[i]; }
+
+  void push(std::size_t i, std::int32_t id, double v) {
+    if (len[i] == cap[i]) {
+      const std::int32_t moved = static_cast<std::int32_t>(idx.size());
+      const std::int32_t room = 2 * cap[i] + 4;
+      idx.resize(idx.size() + static_cast<std::size_t>(room));
+      val.resize(idx.size());
+      std::copy_n(idx.begin() + start[i], len[i], idx.begin() + moved);
+      std::copy_n(val.begin() + start[i], len[i], val.begin() + moved);
+      start[i] = moved;
+      cap[i] = room;
+    }
+    const auto at = static_cast<std::size_t>(start[i] + len[i]++);
+    idx[at] = id;
+    val[at] = v;
+  }
+  /// Removes the entry with index `id` (if any); the last entry takes its
+  /// place.
+  void erase(std::size_t i, std::int32_t id) {
+    const auto last = static_cast<std::size_t>(end(i) - 1);
+    for (auto t = static_cast<std::size_t>(start[i]); t <= last && len[i] > 0; ++t) {
+      if (idx[t] != id) continue;
+      idx[t] = idx[last];
+      val[t] = val[last];
+      --len[i];
+      return;
+    }
+  }
+};
+
+/// Sparse LU with Forrest–Tomlin updates. The factorization (LuData) stays
+/// immutable; the kernel solves with a private working copy of U that the
+/// updates rewrite, and with the row etas of its update log.
+///
+/// Working U: row k of pivot k holds (position, value) entries off the
+/// diagonal, `diag_inv_[k]` the inverse diagonal, and column p holds the
+/// same entries as (original row of the pivot, value). The pivot order is a
+/// rank per pivot: an update moves its pivot to a fresh rank past every
+/// other, so ranks grow by one per update and the moved pivot's old rank
+/// stays empty. Installing record k (see UpdateLog) for pivot t at position
+/// r removes column r's entries from their rows and clears row t, sets t's
+/// diagonal, adds each spike entry (r, s_j) to row j and column r, and gives
+/// t the next rank. Refactorizing rebuilds the working copy from the new
+/// LuData; adopting a snapshot rebuilds it from the snapshot's LuData and
+/// installs its records, so an adopted kernel holds the same U as its
+/// donor, entry order included. (Entry order never changes a sum: each
+/// entry of a row or column writes a different target.)
 class SparseLuBasis final : public BasisRep {
  public:
-  SparseLuBasis(std::size_t m, double markowitz_tol, double eta_fill_factor)
+  SparseLuBasis(std::size_t m, double markowitz_tol)
       : m_(m),
         markowitz_tol_(markowitz_tol),
-        eta_fill_factor_(eta_fill_factor),
         lu_(std::make_shared<const LuData>()),
         solve_scratch_(m, 0.0),
-        todo_((m + 63) / 64, 0),
-        eta_head_(m, -1) {}
+        work_(m, 0.0),
+        spike_dense_(m, 0.0) {}
 
   bool factorize(const std::int32_t* col_start, const ColEntry* col_ent,
                  const std::vector<std::int32_t>& basic) override;
-  void ftran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const override;
-  void btran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const override;
-
-  void update(const std::vector<double>& w, std::size_t r,
-              const std::vector<std::int32_t>& wnz) override {
-    etas_.pos.push_back(static_cast<std::int32_t>(r));
-    etas_.inv_pivot.push_back(1.0 / w[r]);
-    for (const std::int32_t i : wnz) {
-      if (static_cast<std::size_t>(i) != r) {
-        etas_.ent_pos.push_back(i);
-        etas_.ent_val.push_back(w[static_cast<std::size_t>(i)]);
-      }
-    }
-    etas_.start.push_back(static_cast<std::int32_t>(etas_.ent_pos.size()));
-    index_eta(etas_, etas_.count() - 1);
+  void ftran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const override {
+    forward(x, nz, nullptr, nullptr);
   }
-
-  [[nodiscard]] bool fill_heavy() const override {
-    // Refactorize early once the eta file dwarfs the factors themselves:
-    // each eta is applied to every subsequent ftran/btran, so past this
-    // point replaying updates costs more than a fresh factorization.
-    return (head_ != nullptr || etas_.count() > 0) &&
-           static_cast<double>(frozen_nnz_ + etas_.nnz()) >
-               eta_fill_factor_ * static_cast<double>(lu_->nnz());
+  void btran(std::vector<double>& x, const std::vector<std::int32_t>* nz,
+             std::vector<std::int32_t>* out_nz) const override;
+  void ftran_entering(std::vector<double>& x, const std::vector<std::int32_t>& nz,
+                      std::vector<std::int32_t>& out_nz) override {
+    spike_.clear();
+    forward(x, &nz, &spike_, &out_nz);
+    has_spike_ = true;
   }
+  bool update(const std::vector<double>& w, std::size_t r,
+              const std::vector<std::int32_t>& wnz) override;
 
   [[nodiscard]] std::shared_ptr<const FactorState> snapshot() const override {
     // Freeze the tail into a chunk: the snapshot and the live kernel then
     // share the same immutable prefix instead of holding two copies of it.
-    if (etas_.count() > 0) {
-      auto c = std::make_shared<EtaChunk>();
-      c->etas = etas_;
-      for (std::size_t g = eta_file_.size() - static_cast<std::size_t>(etas_.count());
-           g < eta_file_.size(); ++g) {
-        eta_file_[g] = &c->etas;
-      }
+    if (log_.count() > 0) {
+      auto c = std::make_shared<UpdateChunk>();
+      c->log = log_;
       c->prev = head_;
-      c->total = (head_ ? head_->total : 0) + etas_.count();
+      c->total = (head_ ? head_->total : 0) + log_.count();
       frozen_.push_back(c.get());
-      frozen_nnz_ += etas_.nnz();
       head_ = std::move(c);
-      etas_.clear();
+      log_.clear();
     }
     auto s = std::make_shared<FactorState>();
     s->lu = lu_;
-    s->etas = head_;
+    s->updates = head_;
     return s;
   }
 
@@ -243,18 +290,17 @@ class SparseLuBasis final : public BasisRep {
       return false;
     }
     lu_ = state->lu;
-    head_ = state->etas;
+    head_ = state->updates;
     frozen_.clear();
-    frozen_nnz_ = 0;
-    for (const EtaChunk* c = head_.get(); c != nullptr; c = c->prev.get()) {
+    for (const UpdateChunk* c = head_.get(); c != nullptr; c = c->prev.get()) {
       frozen_.push_back(c);
-      frozen_nnz_ += c->etas.nnz();
     }
     std::reverse(frozen_.begin(), frozen_.end());
-    etas_.clear();
-    clear_eta_index();
-    for (const EtaChunk* c : frozen_) {
-      for (int k = 0; k < c->etas.count(); ++k) index_eta(c->etas, k);
+    log_.clear();
+    has_spike_ = false;
+    load_working();
+    for (const UpdateChunk* c : frozen_) {
+      for (int k = 0; k < c->log.count(); ++k) install(c->log, k);
     }
     return true;
   }
@@ -262,67 +308,90 @@ class SparseLuBasis final : public BasisRep {
   [[nodiscard]] const char* name() const override { return "sparse-lu"; }
 
  private:
+  /// ftran; with `spike` non-null it also collects the spike, the nonzero
+  /// (pivot, value) inputs of the U pass, and with `out_nz` non-null the
+  /// result's nonzero positions, ascending.
+  void forward(std::vector<double>& x, const std::vector<std::int32_t>* nz,
+               std::vector<ColEntry>* spike, std::vector<std::int32_t>* out_nz) const;
+  /// Moves the marks of `out_bits_` to `out_nz`, ascending, keeping the
+  /// indices whose entry of `v` is nonzero.
+  void take_pattern(const std::vector<double>& v, std::vector<std::int32_t>& out_nz) const;
+  /// The row-eta pass of ftran over the vector the L pass left, marking
+  /// the rows it writes with `mark_u`; `nz` and l_written_ list rows
+  /// holding every nonzero of the vector.
+  template <typename Mark>
+  void row_etas_forward(std::vector<double>& x, const std::vector<std::int32_t>& nz,
+                        Mark& mark_u) const;
+  /// Resets the working U to lu_'s U, in pivot order.
+  void load_working();
+  /// Applies record k of `log` to the working U.
+  void install(const UpdateLog& log, int k);
+
   std::size_t m_;
   double markowitz_tol_;
-  double eta_fill_factor_;
   std::shared_ptr<const LuData> lu_;
-  // The eta file: the chunk chain ending at `head_` (shared with
+  // The update log: the chunk chain ending at `head_` (shared with
   // snapshots; `frozen_` lists it oldest first), then the live tail.
-  // snapshot() moves the tail into a chunk — the represented file does not
+  // snapshot() moves the tail into a chunk — the represented log does not
   // change, so it stays a const operation.
-  mutable std::shared_ptr<const EtaChunk> head_;
-  mutable std::vector<const EtaChunk*> frozen_;
-  mutable std::size_t frozen_nnz_ = 0;
-  mutable EtaFile etas_;
+  mutable std::shared_ptr<const UpdateChunk> head_;
+  mutable std::vector<const UpdateChunk*> frozen_;
+  mutable UpdateLog log_;
+
+  // Working U (see the class comment).
+  ListPool rows_;   ///< per pivot: off-diagonal (position, value)
+  ListPool cols_;   ///< per position: the same entries as (row, value)
+  /// Per original row: its pivot's U column is empty, so ftran defers it
+  /// (nothing reads its result) instead of ordering it.
+  std::vector<char> sink_;
+  /// Bitset over rows: the sinks a solve has reached. Zero between solves.
+  mutable std::vector<std::uint64_t> sink_todo_;
+  /// Bitset over result indices a solve wrote, when its caller asked for
+  /// the pattern. Zero between solves.
+  mutable std::vector<std::uint64_t> out_bits_;
+  std::vector<double> diag_inv_;
+  std::vector<std::int32_t> rank_;      ///< per pivot: its place in the order
+  std::vector<std::int32_t> order_;     ///< per rank: its pivot, -1 once moved
+  std::vector<std::int32_t> row_rank_;  ///< per original row: its pivot's rank
+  std::vector<std::int32_t> pos_rank_;  ///< per position: its pivot's rank
+  std::size_t u_nnz_ = 0;    ///< off-diagonal working U plus row-eta entries
+  std::size_t u_limit_ = 0;  ///< u_nnz_ past which updates are declined
+  // Row etas of the installed records, oldest first, by original row: eta g
+  // writes row eta_row_[g] and reads rows eta_ent_row_[e] with values
+  // eta_ent_val_[e] for e in [eta_start_[g], eta_start_[g+1]). `eta_reads_`
+  // lists per row the etas reading it, ascending, so a sparse ftran runs
+  // only the etas a nonzero reaches.
+  std::vector<std::int32_t> eta_row_;
+  std::vector<std::int32_t> eta_start_;
+  std::vector<std::int32_t> eta_ent_row_;
+  std::vector<double> eta_ent_val_;
+  ListPool eta_reads_;  ///< per row: (eta reading it, its eta value)
+  std::vector<std::int32_t> eta_next_;   ///< per eta: next eta writing its row
+  std::vector<std::int32_t> first_eta_;  ///< per row: first eta writing it
+  std::vector<std::int32_t> last_eta_;   ///< per row: last eta writing it
+  static constexpr std::int32_t kNoEta = std::numeric_limits<std::int32_t>::max();
+  mutable std::vector<std::uint64_t> eta_todo_;  ///< etas left to run; zero between solves
+  mutable std::vector<double> eta_acc_;          ///< per eta: pushed sum; zero between solves
+  mutable std::vector<std::int32_t> eta_src_;    ///< a solve's input rows, sorted
+  mutable std::vector<std::int32_t> l_written_;  ///< rows a solve's L pass wrote
+  std::vector<std::int32_t> lens_;  ///< list lengths at a rebuild
+
+  /// The spike of the last ftran_entering as (pivot, value), and whether
+  /// update() may still use it.
+  std::vector<ColEntry> spike_;
+  bool has_spike_ = false;
+  std::vector<ColEntry> eta_;  ///< update(): the row eta being built
 
   /// U-solve / L^T-solve output, all zero (+-0) between solves: each
   /// triangular pass zeroes the input entries it consumes, then the solve
   /// swaps this buffer with the caller's vector.
   mutable std::vector<double> solve_scratch_;
-  /// Bitset over pivots: the triangular steps left to run in the current
+  /// Bitset over ranks: the triangular steps left to run in the current
   /// solve. All zero between solves (each pass clears a bit as it runs it).
   mutable std::vector<std::uint64_t> todo_;
   mutable std::vector<std::int32_t> dense_nz_;  ///< pattern of a solve's dense input
-
-  // Transposed view of the whole eta file, so a btran of a sparse input
-  // runs only the etas that can see a nonzero. Eta g (numbered oldest first
-  // across chunks and tail) is entry eta_local_[g] of *eta_file_[g]. The
-  // etas that pivot at position p or read it form a list, newest first:
-  // eta_head_[p] is its first node (-1: none) in the pooled eta_node_.
-  struct EtaNode {
-    std::int32_t eta;
-    std::int32_t next;
-  };
-  mutable std::vector<const EtaFile*> eta_file_;
-  std::vector<std::int32_t> eta_local_;
-  std::vector<std::int32_t> eta_head_;
-  std::vector<EtaNode> eta_node_;
-  mutable std::vector<std::uint64_t> eta_todo_;    ///< etas left to run; zero between solves
-  mutable std::vector<std::int32_t> eta_written_;  ///< positions the sparse pass wrote
-
-  void index_eta(const EtaFile& f, int k) {
-    const auto g = static_cast<std::int32_t>(eta_file_.size());
-    eta_file_.push_back(&f);
-    eta_local_.push_back(k);
-    auto link = [&](std::int32_t p) {
-      std::int32_t& head = eta_head_[static_cast<std::size_t>(p)];
-      eta_node_.push_back({g, head});
-      head = static_cast<std::int32_t>(eta_node_.size() - 1);
-    };
-    const auto kk = static_cast<std::size_t>(k);
-    link(f.pos[kk]);
-    for (std::int32_t t = f.start[kk]; t < f.start[kk + 1]; ++t) {
-      link(f.ent_pos[static_cast<std::size_t>(t)]);
-    }
-  }
-  void clear_eta_index() {
-    eta_file_.clear();
-    eta_local_.clear();
-    std::fill(eta_head_.begin(), eta_head_.end(), -1);
-    eta_node_.clear();
-  }
-  void eta_btran_sparse(std::vector<double>& x, const std::vector<std::int32_t>& nz) const;
-  void eta_btran_through(std::vector<double>& x, std::size_t g) const;
+  std::vector<double> work_;         ///< update(): the row being eliminated, by position
+  std::vector<double> spike_dense_;  ///< update(): the spike by pivot; zero outside
 
   // Factorization workspace (reused across refactorizations).
   std::vector<std::vector<ColEntry>> wcols_;      ///< working columns (active rows)
@@ -361,17 +430,18 @@ class SparseLuBasis final : public BasisRep {
   }
 };
 
+
 bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col_ent,
                               const std::vector<std::int32_t>& basic) {
   head_.reset();
   frozen_.clear();
-  frozen_nnz_ = 0;
-  etas_.clear();
-  clear_eta_index();
+  log_.clear();
+  has_spike_ = false;
   auto lu = std::make_shared<LuData>();
   lu->m = m_;
   if (m_ == 0) {
     lu_ = std::move(lu);
+    load_working();
     return true;
   }
   // Size the fresh factor arrays off the previous factorization so the
@@ -580,211 +650,409 @@ bool SparseLuBasis::factorize(const std::int32_t* col_start, const ColEntry* col
     rpat_[prow].clear();
     if (!lrows.empty()) lu->l_steps.push_back(static_cast<std::int32_t>(k));
   }
-
-  // Inverse permutations, then the reverse U index: bucket every U entry's
-  // row k under the pivot that writes the entry's position (counting sort).
-  const std::vector<std::int32_t>& pos_pivot = lu->pos_pivot;
+  // Inverse permutations.
   lu->row_pivot.resize(m_);
   lu->pos_pivot.resize(m_);
   for (std::size_t k = 0; k < m_; ++k) {
     lu->row_pivot[static_cast<std::size_t>(lu->pivot_row[k])] = static_cast<std::int32_t>(k);
     lu->pos_pivot[static_cast<std::size_t>(lu->pivot_pos[k])] = static_cast<std::int32_t>(k);
   }
-  lu->ut_start.assign(m_ + 1, 0);
-  for (const std::int32_t p : lu->u_pos) {
-    ++lu->ut_start[static_cast<std::size_t>(pos_pivot[static_cast<std::size_t>(p)]) + 1];
-  }
-  for (std::size_t s = 0; s < m_; ++s) lu->ut_start[s + 1] += lu->ut_start[s];
-  lu->ut_row.resize(lu->u_pos.size());
-  std::vector<std::int32_t> cursor(lu->ut_start.begin(), lu->ut_start.end() - 1);
-  for (std::size_t k = 0; k < m_; ++k) {
-    for (std::int32_t t = lu->u_start[k]; t < lu->u_start[k + 1]; ++t) {
-      const std::size_t s = static_cast<std::size_t>(
-          pos_pivot[static_cast<std::size_t>(lu->u_pos[static_cast<std::size_t>(t)])]);
-      lu->ut_row[static_cast<std::size_t>(cursor[s]++)] = static_cast<std::int32_t>(k);
-    }
-  }
-
   lu_ = std::move(lu);
+  load_working();
   return true;
 }
 
-void SparseLuBasis::ftran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const {
+void SparseLuBasis::load_working() {
   const LuData& lu = *lu_;
-  std::uint64_t* const todo = todo_.data();
-  // L pass, in pivot order, on the row-indexed input. Steps with an empty L
-  // column change nothing, so only `l_steps` are walked. Rows the pass
-  // writes are marked for the U pass: they are outside the caller's `nz`.
-  for (const std::int32_t k32 : lu.l_steps) {
-    const std::size_t k = static_cast<std::size_t>(k32);
-    const double xk = x[static_cast<std::size_t>(lu.pivot_row[k])];
-    if (xk == 0.0) continue;
-    const std::int32_t b = lu.l_start[k];
-    const std::int32_t e = lu.l_start[k + 1];
-    for (std::int32_t t = b; t < e; ++t) {
-      const ColEntry& en = lu.l_ent[static_cast<std::size_t>(t)];
-      x[static_cast<std::size_t>(en.row)] -= en.val * xk;
-      set_bit(todo, static_cast<std::size_t>(lu.row_pivot[static_cast<std::size_t>(en.row)]));
+  lens_.resize(m_);
+  for (std::size_t k = 0; k < m_; ++k) lens_[k] = lu.u_start[k + 1] - lu.u_start[k];
+  rows_.reset(lens_, kListSlack);
+  std::fill(lens_.begin(), lens_.end(), 0);
+  for (const std::int32_t p : lu.u_pos) ++lens_[static_cast<std::size_t>(p)];
+  cols_.reset(lens_, kListSlack);
+  for (std::size_t k = 0; k < m_; ++k) {
+    for (std::int32_t t = lu.u_start[k]; t < lu.u_start[k + 1]; ++t) {
+      const auto ut = static_cast<std::size_t>(t);
+      rows_.push(k, lu.u_pos[ut], lu.u_val[ut]);
+      cols_.push(static_cast<std::size_t>(lu.u_pos[ut]), lu.pivot_row[k], lu.u_val[ut]);
     }
   }
-  // U back-substitution, row-oriented, producing the position-indexed
-  // result. A row runs only when its input is nonzero or the reverse index
-  // marks it as reading a nonzero result; any other row would compute a
-  // zero from zeros. Rows run in descending pivot order, highest bit first.
-  std::vector<double>& y = solve_scratch_;
-  if (nz == nullptr) {
-    gather_nonzeros(x, dense_nz_);
-    nz = &dense_nz_;
+  diag_inv_ = lu.u_diag_inv;
+  sink_.resize(m_);
+  for (std::size_t k = 0; k < m_; ++k) {
+    sink_[static_cast<std::size_t>(lu.pivot_row[k])] =
+        cols_.len[static_cast<std::size_t>(lu.pivot_pos[k])] == 0 ? 1 : 0;
   }
-  mark_nonzeros(x, *nz, lu.row_pivot, todo);
-  for (std::size_t wd = todo_.size(); wd-- > 0;) {
-    while (todo[wd] != 0) {
-      const int bit = 63 - std::countl_zero(todo[wd]);
-      todo[wd] &= ~(std::uint64_t{1} << bit);
-      const std::size_t kk = wd * 64 + static_cast<std::size_t>(bit);
-      double& in = x[static_cast<std::size_t>(lu.pivot_row[kk])];
-      double t = in;
-      in = 0.0;
-      const std::int32_t b = lu.u_start[kk];
-      const std::int32_t e = lu.u_start[kk + 1];
-      for (std::int32_t s = b; s < e; ++s) {
-        const auto us = static_cast<std::size_t>(s);
-        t -= lu.u_val[us] * y[static_cast<std::size_t>(lu.u_pos[us])];
-      }
-      const double v = t * lu.u_diag_inv[kk];
-      y[static_cast<std::size_t>(lu.pivot_pos[kk])] = v;
-      if (v == 0.0) continue;
-      // Readers of this result are earlier pivots: lower bits, still ahead.
-      for (std::int32_t s = lu.ut_start[kk]; s < lu.ut_start[kk + 1]; ++s) {
-        set_bit(todo, static_cast<std::size_t>(lu.ut_row[static_cast<std::size_t>(s)]));
-      }
-    }
+  sink_todo_.resize((m_ + 63) / 64);
+  out_bits_.resize((m_ + 63) / 64);
+  rank_.resize(m_);
+  order_.resize(m_);
+  for (std::size_t k = 0; k < m_; ++k) {
+    rank_[k] = static_cast<std::int32_t>(k);
+    order_[k] = static_cast<std::int32_t>(k);
   }
-  x.swap(y);
-  // Eta replay, oldest first: x := E_k^-1 ... E_1^-1 x.
-  for (const EtaChunk* c : frozen_) eta_ftran(c->etas, x);
-  eta_ftran(etas_, x);
+  row_rank_ = lu.row_pivot;
+  pos_rank_ = lu.pos_pivot;
+  u_nnz_ = lu.u_pos.size();
+  u_limit_ = static_cast<std::size_t>(kUGrowthFactor * static_cast<double>(u_nnz_ + m_)) - m_;
+  eta_row_.clear();
+  eta_start_.assign(1, 0);
+  eta_ent_row_.clear();
+  eta_ent_val_.clear();
+  std::fill(lens_.begin(), lens_.end(), 0);
+  eta_reads_.reset(lens_, kListSlack);
+  eta_next_.clear();
+  first_eta_.assign(m_, kNoEta);
+  last_eta_.assign(m_, -1);
+  todo_.resize((m_ + 63) / 64);  // zero between solves, so only the size changes
 }
 
-void SparseLuBasis::eta_btran_sparse(std::vector<double>& x,
-                                     const std::vector<std::int32_t>& nz) const {
-  // Same steps as eta_btran over the chain, newest first, but an eta runs
-  // only once a position it pivots at or reads holds a nonzero; any other
-  // eta would rewrite a zero with a zero. Etas run highest bit first, and a
-  // position a run turns nonzero marks the older etas touching it. Once
-  // more than half of the older etas are marked anyway, plain replay of
-  // all of them is cheaper than chasing marks.
-  eta_written_.clear();
-  eta_todo_.resize((eta_file_.size() + 63) / 64, 0);
-  std::uint64_t* const run = eta_todo_.data();
-  std::size_t pending = 0;  // marked etas not yet run
-  auto touch = [&](std::size_t p, std::int32_t below) {
-    for (std::int32_t n = eta_head_[p]; n >= 0;) {
-      const EtaNode& node = eta_node_[static_cast<std::size_t>(n)];
-      const auto g = static_cast<std::size_t>(node.eta);
-      const std::uint64_t bit = std::uint64_t{1} << (g & 63);
-      if (node.eta < below && (run[g >> 6] & bit) == 0) {
-        run[g >> 6] |= bit;
-        ++pending;
-      }
-      n = node.next;
-    }
-  };
-  // Runs eta g; true when it turned its position from zero to nonzero.
-  auto run_eta = [&](std::size_t g) {
-    const EtaFile& f = *eta_file_[g];
-    const auto k = static_cast<std::size_t>(eta_local_[g]);
-    const auto r = static_cast<std::size_t>(f.pos[k]);
-    const bool was_zero = x[r] == 0.0;
-    double s = x[r];
-    for (std::int32_t t = f.start[k]; t < f.start[k + 1]; ++t) {
-      const auto et = static_cast<std::size_t>(t);
-      s -= f.ent_val[et] * x[static_cast<std::size_t>(f.ent_pos[et])];
-    }
-    x[r] = s * f.inv_pivot[k];
-    eta_written_.push_back(f.pos[k]);
-    return was_zero && x[r] != 0.0;
-  };
-  for (const std::int32_t i : nz) {
-    if (x[static_cast<std::size_t>(i)] != 0.0) {
-      touch(static_cast<std::size_t>(i), static_cast<std::int32_t>(eta_file_.size()));
-    }
-  }
-  for (std::size_t wd = eta_todo_.size(); wd-- > 0;) {
-    while (run[wd] != 0) {
-      const int bit = 63 - std::countl_zero(run[wd]);
-      run[wd] &= ~(std::uint64_t{1} << bit);
-      --pending;
-      const std::size_t g = wd * 64 + static_cast<std::size_t>(bit);
-      if (2 * pending > g) {
-        std::fill(run, run + wd + 1, std::uint64_t{0});
-        eta_btran_through(x, g);
-        return;
-      }
-      if (run_eta(g)) touch(static_cast<std::size_t>(eta_written_.back()), static_cast<std::int32_t>(g));
-    }
-  }
-}
-
-void SparseLuBasis::eta_btran_through(std::vector<double>& x, std::size_t g) const {
-  // Plain replay of etas g .. 0, newest first: the rest of g's chunk, then
-  // the older chunks.
-  const EtaFile* f = eta_file_[g];
-  eta_btran(*f, x, eta_local_[g] + 1);
-  eta_written_.insert(eta_written_.end(), f->pos.begin(), f->pos.begin() + eta_local_[g] + 1);
-  auto c = frozen_.rbegin();
-  if (f != &etas_) {
-    while (&(*c)->etas != f) ++c;
-    ++c;
-  }
-  for (; c != frozen_.rend(); ++c) {
-    eta_btran((*c)->etas, x, (*c)->etas.count());
-    eta_written_.insert(eta_written_.end(), (*c)->etas.pos.begin(), (*c)->etas.pos.end());
-  }
-}
-
-void SparseLuBasis::btran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const {
+void SparseLuBasis::install(const UpdateLog& log, int k) {
   const LuData& lu = *lu_;
+  const auto kk = static_cast<std::size_t>(k);
+  const std::int32_t t32 = log.slot[kk];
+  const auto t = static_cast<std::size_t>(t32);
+  const std::int32_t r32 = lu.pivot_pos[t];
+  const auto r = static_cast<std::size_t>(r32);
+  const std::int32_t trow = lu.pivot_row[t];
+  // The spike replaces column r, and the row eta eliminated row t.
+  for (std::int32_t s = cols_.begin(r); s < cols_.end(r); ++s) {
+    const auto row = static_cast<std::size_t>(cols_.idx[static_cast<std::size_t>(s)]);
+    rows_.erase(static_cast<std::size_t>(lu.row_pivot[row]), r32);
+  }
+  for (std::int32_t s = rows_.begin(t); s < rows_.end(t); ++s) {
+    const auto p = static_cast<std::size_t>(rows_.idx[static_cast<std::size_t>(s)]);
+    cols_.erase(p, trow);
+    if (cols_.len[p] == 0) sink_[static_cast<std::size_t>(lu.pivot_row[static_cast<std::size_t>(lu.pos_pivot[p])])] = 1;
+  }
+  u_nnz_ -= static_cast<std::size_t>(cols_.len[r] + rows_.len[t]);
+  cols_.len[r] = 0;
+  rows_.len[t] = 0;
+  diag_inv_[t] = 1.0 / log.diag[kk];
+  for (std::int32_t s = log.spike_start[kk]; s < log.spike_start[kk + 1]; ++s) {
+    const auto us = static_cast<std::size_t>(s);
+    const std::int32_t j = log.spike_slot[us];
+    rows_.push(static_cast<std::size_t>(j), r32, log.spike_val[us]);
+    cols_.push(r, lu.pivot_row[static_cast<std::size_t>(j)], log.spike_val[us]);
+  }
+  sink_[static_cast<std::size_t>(trow)] = cols_.len[r] == 0 ? 1 : 0;
+  u_nnz_ += static_cast<std::size_t>(log.spike_start[kk + 1] - log.spike_start[kk] +
+                                     log.eta_start[kk + 1] - log.eta_start[kk]);
+  const auto g = static_cast<std::int32_t>(eta_row_.size());
+  eta_row_.push_back(trow);
+  eta_next_.push_back(kNoEta);
+  std::int32_t& last = last_eta_[static_cast<std::size_t>(trow)];
+  if (last >= 0) {
+    eta_next_[static_cast<std::size_t>(last)] = g;
+  } else {
+    first_eta_[static_cast<std::size_t>(trow)] = g;
+  }
+  last = g;
+  for (std::int32_t s = log.eta_start[kk]; s < log.eta_start[kk + 1]; ++s) {
+    const auto us = static_cast<std::size_t>(s);
+    const std::int32_t row = lu.pivot_row[static_cast<std::size_t>(log.eta_slot[us])];
+    eta_ent_row_.push_back(row);
+    eta_ent_val_.push_back(log.eta_val[us]);
+    eta_reads_.push(static_cast<std::size_t>(row), g, log.eta_val[us]);
+  }
+  eta_start_.push_back(static_cast<std::int32_t>(eta_ent_row_.size()));
+  eta_todo_.resize((eta_row_.size() + 63) / 64, 0);
+  eta_acc_.resize(eta_row_.size(), 0.0);
+  // Pivot t moves past every other.
+  const auto rank = static_cast<std::int32_t>(order_.size());
+  order_[static_cast<std::size_t>(rank_[t])] = -1;
+  order_.push_back(t32);
+  rank_[t] = rank;
+  row_rank_[static_cast<std::size_t>(lu.pivot_row[t])] = rank;
+  pos_rank_[r] = rank;
+  todo_.resize((order_.size() + 63) / 64, 0);
+}
+
+bool SparseLuBasis::update(const std::vector<double>& w, std::size_t r,
+                           const std::vector<std::int32_t>& /*wnz*/) {
+  if (!has_spike_) return false;
+  has_spike_ = false;
+  const LuData& lu = *lu_;
+  const auto t = static_cast<std::size_t>(lu.pos_pivot[r]);
+  // Row eta: eliminate row t against the rows of the pivots after it — the
+  // btran U^T pass, run on row t from its first entry — while the new
+  // diagonal s_t collects -eta_j * s_j for each pivot j eliminated.
+  for (const ColEntry& e : spike_) spike_dense_[static_cast<std::size_t>(e.row)] = e.val;
+  double diag = spike_dense_[t];
   std::uint64_t* const todo = todo_.data();
-  // Eta transposes, newest first: x := E_1^-T ... E_k^-T x.
-  if (nz != nullptr) {
-    eta_btran_sparse(x, *nz);
-    // The etas wrote only the positions they ran at: those and `nz` cover x.
-    mark_nonzeros(x, eta_written_, lu.pos_pivot, todo);
-  } else if (!eta_file_.empty()) {
-    eta_written_.clear();
-    eta_btran_through(x, eta_file_.size() - 1);
+  for (std::int32_t s = rows_.begin(t); s < rows_.end(t); ++s) {
+    const auto us = static_cast<std::size_t>(s);
+    const auto p = static_cast<std::size_t>(rows_.idx[us]);
+    work_[p] = rows_.val[us];
+    set_bit(todo, static_cast<std::size_t>(pos_rank_[p]));
   }
-  // U^T forward solve on the position-indexed input, column-oriented. A
-  // pivot runs only when its input is nonzero (an input the scatter touches
-  // is marked as it goes); the rest would yield zeros and scatter nothing.
-  // Pivots run in ascending order, lowest bit first. Each value goes
-  // straight to its row of the result: that is where the L^T pass starts.
-  std::vector<double>& y = solve_scratch_;
-  if (nz == nullptr) {
-    gather_nonzeros(x, dense_nz_);
-    nz = &dense_nz_;
-  }
-  mark_nonzeros(x, *nz, lu.pos_pivot, todo);
+  eta_.clear();
   for (std::size_t wd = 0; wd < todo_.size(); ++wd) {
     while (todo[wd] != 0) {
       const int bit = std::countr_zero(todo[wd]);
       todo[wd] &= todo[wd] - 1;
-      const std::size_t k = wd * 64 + static_cast<std::size_t>(bit);
-      double& in = x[static_cast<std::size_t>(lu.pivot_pos[k])];
-      const double t = in * lu.u_diag_inv[k];
+      const auto j = static_cast<std::size_t>(order_[wd * 64 + static_cast<std::size_t>(bit)]);
+      double& in = work_[static_cast<std::size_t>(lu.pivot_pos[j])];
+      const double eta = in * diag_inv_[j];
       in = 0.0;
+      if (std::abs(eta) <= kDropTol) continue;
+      eta_.push_back({static_cast<std::int32_t>(j), eta});
+      diag -= eta * spike_dense_[j];
+      for (std::int32_t s = rows_.begin(j); s < rows_.end(j); ++s) {
+        const auto us = static_cast<std::size_t>(s);
+        const auto p = static_cast<std::size_t>(rows_.idx[us]);
+        work_[p] -= rows_.val[us] * eta;
+        set_bit(todo, static_cast<std::size_t>(pos_rank_[p]));
+      }
+    }
+  }
+  for (const ColEntry& e : spike_) spike_dense_[static_cast<std::size_t>(e.row)] = 0.0;
+
+  // Decline an unstable update, or one that grows U too far; the caller
+  // refactorizes instead.
+  const double predicted = w[r] / diag_inv_[t];
+  if (!(std::abs(diag - predicted) <= kFtStabilityTol * std::abs(predicted)) ||
+      std::abs(diag) < kSingularTol) {
+    return false;
+  }
+  if (u_nnz_ + spike_.size() + eta_.size() > u_limit_) return false;
+
+  log_.slot.push_back(static_cast<std::int32_t>(t));
+  log_.diag.push_back(diag);
+  for (const ColEntry& e : eta_) {
+    log_.eta_slot.push_back(e.row);
+    log_.eta_val.push_back(e.val);
+  }
+  log_.eta_start.push_back(static_cast<std::int32_t>(log_.eta_slot.size()));
+  for (const ColEntry& e : spike_) {
+    if (static_cast<std::size_t>(e.row) == t || std::abs(e.val) <= kDropTol) continue;
+    log_.spike_slot.push_back(e.row);
+    log_.spike_val.push_back(e.val);
+  }
+  log_.spike_start.push_back(static_cast<std::int32_t>(log_.spike_slot.size()));
+  install(log_, log_.count() - 1);
+  return true;
+}
+
+void SparseLuBasis::take_pattern(const std::vector<double>& v,
+                                 std::vector<std::int32_t>& out_nz) const {
+  out_nz.resize(m_);
+  std::size_t n = 0;
+  for (std::size_t wd = 0; wd < out_bits_.size(); ++wd) {
+    for (std::uint64_t bits = out_bits_[wd]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      out_nz[n] = static_cast<std::int32_t>(i);
+      n += v[i] != 0.0 ? 1 : 0;
+    }
+    out_bits_[wd] = 0;
+  }
+  out_nz.resize(n);
+}
+
+void SparseLuBasis::forward(std::vector<double>& x, const std::vector<std::int32_t>* nz,
+                            std::vector<ColEntry>* spike, std::vector<std::int32_t>* out_nz) const {
+  const LuData& lu = *lu_;
+  std::uint64_t* const todo = todo_.data();
+  // Marks row i's pivot for the U pass: by rank in `todo`, or by row in
+  // `sinks` for a sink.
+  std::uint64_t* const sinks = sink_todo_.data();
+  auto mark_u = [&](std::size_t i) {
+    if (sink_[i] == 0) {
+      set_bit(todo, static_cast<std::size_t>(row_rank_[i]));
+    } else {
+      set_bit(sinks, i);
+    }
+  };
+  // L pass, in pivot order, on the row-indexed input. Steps with an empty L
+  // column change nothing, so only `l_steps` are walked. Rows the pass
+  // writes are marked for the U pass and listed for the row etas: they are
+  // outside the caller's `nz`.
+  l_written_.clear();
+  for (const std::int32_t k32 : lu.l_steps) {
+    const std::size_t k = static_cast<std::size_t>(k32);
+    const double xk = x[static_cast<std::size_t>(lu.pivot_row[k])];
+    if (xk == 0.0) continue;
+    const std::int32_t e = lu.l_start[k + 1];
+    for (std::int32_t t = lu.l_start[k]; t < e; ++t) {
+      const ColEntry& en = lu.l_ent[static_cast<std::size_t>(t)];
+      x[static_cast<std::size_t>(en.row)] -= en.val * xk;
+      mark_u(static_cast<std::size_t>(en.row));
+      l_written_.push_back(en.row);
+    }
+  }
+  if (nz == nullptr) {
+    gather_nonzeros(x, dense_nz_);
+    nz = &dense_nz_;
+  }
+  row_etas_forward(x, *nz, mark_u);
+  // The U pass's input is the spike of an entering column.
+  std::vector<double>& y = solve_scratch_;
+  for (const std::int32_t i : *nz) {
+    if (x[static_cast<std::size_t>(i)] != 0.0) mark_u(static_cast<std::size_t>(i));
+  }
+  if (spike != nullptr) {
+    for (std::size_t wd = todo_.size(); wd-- > 0;) {
+      for (std::uint64_t bits = todo[wd]; bits != 0; bits &= bits - 1) {
+        const auto k = order_[wd * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        const double v = x[static_cast<std::size_t>(lu.pivot_row[static_cast<std::size_t>(k)])];
+        if (v != 0.0) spike->push_back({k, v});
+      }
+    }
+    for (std::size_t wd = 0; wd < sink_todo_.size(); ++wd) {
+      for (std::uint64_t bits = sinks[wd]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (x[i] != 0.0) spike->push_back({lu.row_pivot[i], x[i]});
+      }
+    }
+  }
+  // U back-substitution, column-oriented, in descending rank, producing the
+  // position-indexed result. A pivot runs only when its input is nonzero
+  // (an input the scatter touches is marked as it goes); the rest would
+  // yield zeros and scatter nothing. Results at or below kDropTol are
+  // rounding noise and become zeros.
+  for (std::size_t wd = todo_.size(); wd-- > 0;) {
+    while (todo[wd] != 0) {
+      const int bit = 63 - std::countl_zero(todo[wd]);
+      todo[wd] &= ~(std::uint64_t{1} << bit);
+      const auto k = static_cast<std::size_t>(order_[wd * 64 + static_cast<std::size_t>(bit)]);
+      double& in = x[static_cast<std::size_t>(lu.pivot_row[k])];
+      double v = in * diag_inv_[k];
+      in = 0.0;
+      if (std::abs(v) <= kDropTol) v = 0.0;
+      const auto p = static_cast<std::size_t>(lu.pivot_pos[k]);
+      y[p] = v;
+      if (v == 0.0) continue;
+      if (out_nz != nullptr) set_bit(out_bits_.data(), p);
+      // Column p's pivots come earlier in the order: lower bits, still ahead.
+      const std::int32_t e = cols_.end(p);
+      for (std::int32_t s = cols_.begin(p); s < e; ++s) {
+        const auto us = static_cast<std::size_t>(s);
+        const auto row = static_cast<std::size_t>(cols_.idx[us]);
+        x[row] -= cols_.val[us] * v;
+        mark_u(row);
+      }
+    }
+  }
+  // The sinks, last: every contribution to them is in.
+  for (std::size_t wd = 0; wd < sink_todo_.size(); ++wd) {
+    for (std::uint64_t bits = sinks[wd]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const auto k = static_cast<std::size_t>(lu.row_pivot[i]);
+      double v = x[i] * diag_inv_[k];
+      x[i] = 0.0;
+      if (std::abs(v) <= kDropTol) v = 0.0;
+      const auto p = static_cast<std::size_t>(lu.pivot_pos[k]);
+      y[p] = v;
+      if (out_nz != nullptr && v != 0.0) set_bit(out_bits_.data(), p);
+    }
+    sinks[wd] = 0;
+  }
+  x.swap(y);
+  if (out_nz != nullptr) take_pattern(x, *out_nz);
+}
+
+template <typename Mark>
+void SparseLuBasis::row_etas_forward(std::vector<double>& x,
+                                     const std::vector<std::int32_t>& nz, Mark& mark_u) const {
+  // Row etas, oldest first: z_t -= sum_j eta_j z_j on the row-indexed
+  // vector, in push form: a row holding a nonzero adds eta_j z_j into the
+  // accumulator of each eta that reads it while it holds that value (until
+  // the next eta writing the row), and an eta runs once something reached
+  // it. Pushes follow a fixed order — the input's nonzero rows ascending,
+  // then each eta's new value as it runs — so any pattern gives the same
+  // sums. An eta nothing reaches would leave its row as it is.
+  if (eta_row_.empty()) return;
+  std::uint64_t* const run = eta_todo_.data();
+  std::vector<double>& acc = eta_acc_;
+  // Pushes value v of `row`, current from eta `from` (-1: the input) until
+  // the next eta writing the row, which runs to carry it on.
+  auto push = [&](std::size_t row, double v, std::int32_t from, std::int32_t until) {
+    for (std::int32_t s = eta_reads_.begin(row); s < eta_reads_.end(row); ++s) {
+      const auto us = static_cast<std::size_t>(s);
+      const std::int32_t g = eta_reads_.idx[us];
+      if (g <= from) continue;
+      if (g >= until) break;
+      acc[static_cast<std::size_t>(g)] += eta_reads_.val[us] * v;
+      set_bit(run, static_cast<std::size_t>(g));
+    }
+    if (until != kNoEta) set_bit(run, static_cast<std::size_t>(until));
+  };
+  // The input rows that reach an eta, ascending and once each.
+  std::vector<std::int32_t>& rows = eta_src_;
+  rows.clear();
+  auto reaches = [&](std::int32_t i) {
+    const auto row = static_cast<std::size_t>(i);
+    return x[row] != 0.0 && (eta_reads_.len[row] > 0 || first_eta_[row] != kNoEta);
+  };
+  std::copy_if(nz.begin(), nz.end(), std::back_inserter(rows), reaches);
+  std::copy_if(l_written_.begin(), l_written_.end(), std::back_inserter(rows), reaches);
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  for (const std::int32_t i : rows) {
+    const auto row = static_cast<std::size_t>(i);
+    push(row, x[row], -1, first_eta_[row]);
+  }
+  for (std::size_t wd = 0; wd < eta_todo_.size(); ++wd) {
+    while (run[wd] != 0) {
+      const int bit = std::countr_zero(run[wd]);
+      run[wd] &= run[wd] - 1;
+      const std::size_t g = wd * 64 + static_cast<std::size_t>(bit);
+      const auto row = static_cast<std::size_t>(eta_row_[g]);
+      double v = x[row] - acc[g];
+      acc[g] = 0.0;
+      if (std::abs(v) <= kDropTol) v = 0.0;
+      x[row] = v;
+      mark_u(row);
+      if (v != 0.0) push(row, v, static_cast<std::int32_t>(g), eta_next_[g]);
+    }
+  }
+}
+
+void SparseLuBasis::btran(std::vector<double>& x, const std::vector<std::int32_t>* nz,
+                          std::vector<std::int32_t>* out_nz) const {
+  const LuData& lu = *lu_;
+  std::uint64_t* const todo = todo_.data();
+  // U^T forward solve on the position-indexed input, column-oriented, in
+  // ascending rank. A pivot runs only when its input is nonzero (an input
+  // the scatter touches is marked as it goes); the rest would yield zeros
+  // and scatter nothing. Each value goes straight to its row of the result.
+  std::vector<double>& y = solve_scratch_;
+  if (nz == nullptr) {
+    gather_nonzeros(x, dense_nz_);
+    nz = &dense_nz_;
+  }
+  mark_nonzeros(x, *nz, pos_rank_, todo);
+  for (std::size_t wd = 0; wd < todo_.size(); ++wd) {
+    while (todo[wd] != 0) {
+      const int bit = std::countr_zero(todo[wd]);
+      todo[wd] &= todo[wd] - 1;
+      const auto k = static_cast<std::size_t>(order_[wd * 64 + static_cast<std::size_t>(bit)]);
+      double& in = x[static_cast<std::size_t>(lu.pivot_pos[k])];
+      double t = in * diag_inv_[k];
+      in = 0.0;
+      if (std::abs(t) <= kDropTol) t = 0.0;
       y[static_cast<std::size_t>(lu.pivot_row[k])] = t;
       if (t == 0.0) continue;
-      const std::int32_t b = lu.u_start[k];
-      const std::int32_t e = lu.u_start[k + 1];
-      for (std::int32_t s = b; s < e; ++s) {
+      if (out_nz != nullptr) set_bit(out_bits_.data(), static_cast<std::size_t>(lu.pivot_row[k]));
+      const std::int32_t e = rows_.end(k);
+      for (std::int32_t s = rows_.begin(k); s < e; ++s) {
         const auto us = static_cast<std::size_t>(s);
-        const auto p = static_cast<std::size_t>(lu.u_pos[us]);
-        x[p] -= lu.u_val[us] * t;
-        // The position's pivot is a later one: a higher bit, still ahead.
-        set_bit(todo, static_cast<std::size_t>(lu.pos_pivot[p]));
+        const auto p = static_cast<std::size_t>(rows_.idx[us]);
+        x[p] -= rows_.val[us] * t;
+        // The position's pivot comes later in the order: a higher bit, still ahead.
+        set_bit(todo, static_cast<std::size_t>(pos_rank_[p]));
       }
+    }
+  }
+  // Row etas transposed, newest first: z_j -= eta_j z_t.
+  for (std::size_t g = eta_row_.size(); g-- > 0;) {
+    const double zt = y[static_cast<std::size_t>(eta_row_[g])];
+    if (zt == 0.0) continue;
+    for (std::int32_t s = eta_start_[g]; s < eta_start_[g + 1]; ++s) {
+      const auto us = static_cast<std::size_t>(s);
+      const auto row = static_cast<std::size_t>(eta_ent_row_[us]);
+      y[row] -= eta_ent_val_[us] * zt;
+      if (out_nz != nullptr) set_bit(out_bits_.data(), row);
     }
   }
   // L^T backward solve over the non-empty L columns, producing the
@@ -794,15 +1062,16 @@ void SparseLuBasis::btran(std::vector<double>& x, const std::vector<std::int32_t
     const std::size_t kk = static_cast<std::size_t>(*it);
     double& out = y[static_cast<std::size_t>(lu.pivot_row[kk])];
     double v = out;
-    const std::int32_t b = lu.l_start[kk];
     const std::int32_t e = lu.l_start[kk + 1];
-    for (std::int32_t s = b; s < e; ++s) {
+    for (std::int32_t s = lu.l_start[kk]; s < e; ++s) {
       const ColEntry& en = lu.l_ent[static_cast<std::size_t>(s)];
       v -= en.val * y[static_cast<std::size_t>(en.row)];
     }
     out = v;
+    if (out_nz != nullptr) set_bit(out_bits_.data(), static_cast<std::size_t>(lu.pivot_row[kk]));
   }
   x.swap(y);
+  if (out_nz != nullptr) take_pattern(x, *out_nz);
 }
 
 }  // namespace
@@ -831,10 +1100,9 @@ void gather_nonzeros(const std::vector<double>& v, std::vector<std::int32_t>& nz
 }
 
 std::unique_ptr<BasisRep> make_basis_rep(BasisKernel kernel, std::size_t m,
-                                         double markowitz_tol,
-                                         double eta_fill_factor) {
+                                         double markowitz_tol) {
   if (kernel == BasisKernel::Dense) return std::make_unique<DenseBasis>(m);
-  return std::make_unique<SparseLuBasis>(m, markowitz_tol, eta_fill_factor);
+  return std::make_unique<SparseLuBasis>(m, markowitz_tol);
 }
 
 }  // namespace archex::milp

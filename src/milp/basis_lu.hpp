@@ -2,23 +2,25 @@
 /// Basis-representation kernels for the bounded-variable revised simplex.
 ///
 /// The simplex loops only ever touch the basis matrix B through four
-/// operations: ftran (x := B^-1 x), btran (x := B^-T x), a product-form
-/// update after a pivot, and a full refactorization. `BasisRep` narrows the
-/// kernel to exactly that surface so the solver can swap representations:
+/// operations: ftran (x := B^-1 x), btran (x := B^-T x), an update after a
+/// pivot, and a full refactorization. `BasisRep` narrows the kernel to
+/// exactly that surface so the solver can swap representations:
 ///
 ///   * `SparseLuBasis` (default) — sparse LU factorization with
 ///     Markowitz-style pivot selection under threshold partial pivoting,
-///     plus an eta file of product-form updates between refactorizations.
-///     Work per pivot is proportional to the nonzeros touched, which is what
-///     makes 1k-5k row models tractable.
+///     updated in place between refactorizations by Forrest–Tomlin: the
+///     entering column's spike replaces its column of U and one sparse row
+///     eta restores triangularity. Work per pivot is proportional to the
+///     nonzeros touched, which is what makes 1k-5k row models tractable.
 ///   * `DenseBasis` — the original explicit dense inverse (Gauss-Jordan
 ///     refactorization, rank-1 product-form updates). O(m^2) per pivot;
 ///     kept as the cross-check oracle and for tiny models.
 ///
 /// A sparse-LU kernel can additionally snapshot its factorization into an
-/// immutable `FactorState` (shared LU + shared eta chunks). The parallel
-/// branch & bound ships these snapshots with exported bases so that loading
-/// a transplanted basis costs an eta replay instead of a refactorization.
+/// immutable `FactorState` (shared LU + shared update-log chunks). The
+/// parallel branch & bound ships these snapshots with exported bases so that
+/// loading a transplanted basis costs a replay of the update log instead of
+/// a refactorization.
 #pragma once
 
 #include <cstdint>
@@ -36,40 +38,52 @@ struct ColEntry {
 /// Which basis kernel a SimplexSolver instantiates (SimplexOptions::kernel).
 enum class BasisKernel : std::uint8_t { SparseLu, Dense };
 
-/// Product-form eta file in pooled (flat) storage. Eta k records that basis
-/// position `pos[k]` was repivoted on the ftran'd entering column w:
-/// `inv_pivot[k]` = 1 / w[pos[k]], and the other nonzeros of w are the
-/// entries t in [start[k], start[k+1]), at position `ent_pos[t]` with value
-/// `ent_val[t]` (two arrays: no padding per entry). Appending an eta never
-/// allocates per update (amortized growth of the pooled arrays, whose
-/// capacity survives refactorizations), and replay walks contiguous memory.
-struct EtaFile {
-  std::vector<std::int32_t> start{0};  ///< size count()+1
-  std::vector<std::int32_t> pos;       ///< repivoted basis position per eta
-  std::vector<double> inv_pivot;       ///< 1/pivot, precomputed (replay multiplies)
-  std::vector<std::int32_t> ent_pos;   ///< pooled off-pivot entries: position
-  std::vector<double> ent_val;         ///< pooled off-pivot entries: value
+/// Forrest–Tomlin update records in pooled (flat) storage. Record k says
+/// that the basis column at the position of pivot `slot[k]` was replaced by
+/// an entering column whose spike (L^-1 a_q after the earlier row etas) is
+/// s, and that the slot then moved to the end of the pivot order:
+///   * its row eta, entries t in [eta_start[k], eta_start[k+1]) at pivot
+///     `eta_slot[t]` with value `eta_val[t]`, eliminated the slot's old U
+///     row: z[slot] -= sum eta_val * z[eta_slot] in ftran;
+///   * its new U diagonal is `diag[k]` (s[slot] minus the eta's share);
+///   * the new U column holds s off the diagonal: entries t in
+///     [spike_start[k], spike_start[k+1]) at pivot `spike_slot[t]` with
+///     value `spike_val[t]`.
+/// The records replace the U columns and rows they name, so replaying them
+/// over the LU they started from rebuilds the updated factor exactly.
+struct UpdateLog {
+  std::vector<std::int32_t> slot;         ///< pivot whose column was replaced
+  std::vector<double> diag;               ///< its new U diagonal
+  std::vector<std::int32_t> eta_start{0};  ///< size count()+1
+  std::vector<std::int32_t> eta_slot;
+  std::vector<double> eta_val;
+  std::vector<std::int32_t> spike_start{0};  ///< size count()+1
+  std::vector<std::int32_t> spike_slot;
+  std::vector<double> spike_val;
 
-  [[nodiscard]] int count() const { return static_cast<int>(pos.size()); }
-  [[nodiscard]] std::size_t nnz() const { return ent_pos.size(); }
+  [[nodiscard]] int count() const { return static_cast<int>(slot.size()); }
   void clear() {
-    start.assign(1, 0);
-    pos.clear();
-    inv_pivot.clear();
-    ent_pos.clear();
-    ent_val.clear();
+    slot.clear();
+    diag.clear();
+    eta_start.assign(1, 0);
+    eta_slot.clear();
+    eta_val.clear();
+    spike_start.assign(1, 0);
+    spike_slot.clear();
+    spike_val.clear();
   }
 };
 
 /// Sparse LU factors of a basis matrix B (with row and position
 /// permutations folded into the pivot order): B = L * U up to permutation.
-/// Immutable once built; shared by snapshots across threads.
+/// Immutable once built; shared by snapshots across threads. Pivot k keeps
+/// its row and position for the factorization's lifetime: updates only
+/// rewrite U and reorder the pivots (see UpdateLog).
 ///
-/// Besides the factors, `factorize` records index arrays that let the solves
-/// follow the nonzeros: the inverse permutations, `l_steps` (the pivots with
-/// a non-empty L column, the only L steps that can change a vector) and the
-/// reverse U index (`ut_*`: which U rows read the value a pivot writes).
-/// They change which steps run, never the arithmetic of a step that does.
+/// Besides the factors, `factorize` records the inverse permutations and
+/// `l_steps` (the pivots with a non-empty L column, the only L steps that
+/// can change a vector). They change which steps run, never the arithmetic
+/// of a step that does.
 struct LuData {
   std::size_t m = 0;
   std::vector<std::int32_t> pivot_row;  ///< original row of pivot k
@@ -88,33 +102,27 @@ struct LuData {
   std::vector<double> u_diag_inv;  ///< 1/pivot value per k, so the solves multiply
   /// Pivots k with a non-empty L column, ascending.
   std::vector<std::int32_t> l_steps;
-  /// Reverse U index: the U rows holding position pivot_pos[s] are
-  /// ut_row[ut_start[s] .. ut_start[s+1]) (each one a pivot k < s).
-  std::vector<std::int32_t> ut_start;  ///< size m+1
-  std::vector<std::int32_t> ut_row;
-
-  [[nodiscard]] std::size_t nnz() const { return l_ent.size() + u_pos.size() + m; }
 };
 
-/// A frozen run of etas, linked to the run before it: a chain of chunks is
-/// an eta file, and chains that share a prefix share its chunks.
-struct EtaChunk {
-  EtaFile etas;
-  std::shared_ptr<const EtaChunk> prev;  ///< older chunk; null for the first
-  int total = 0;  ///< etas in this chunk and every older one
+/// A frozen run of update records, linked to the run before it: a chain of
+/// chunks is an update log, and chains that share a prefix share its chunks.
+struct UpdateChunk {
+  UpdateLog log;
+  std::shared_ptr<const UpdateChunk> prev;  ///< older chunk; null for the first
+  int total = 0;  ///< records in this chunk and every older one
 };
 
 /// Immutable snapshot of a sparse-LU kernel's factorization state: the
-/// (shared, never mutated) LU factors plus the eta file at export time, as
+/// (shared, never mutated) LU factors plus the update log at export time, as
 /// the newest chunk of its chain. Snapshots taken along one dive share the
-/// chunks of their common prefix, so a stack of snapshots stores each eta
-/// once. Safe to hand across threads; adopting it replays the etas instead
-/// of refactorizing.
+/// chunks of their common prefix, so a stack of snapshots stores each record
+/// once. Safe to hand across threads; adopting it replays the log instead of
+/// refactorizing.
 struct FactorState {
   std::shared_ptr<const LuData> lu;
-  std::shared_ptr<const EtaChunk> etas;  ///< null when there are none
+  std::shared_ptr<const UpdateChunk> updates;  ///< null when there are none
 
-  [[nodiscard]] int eta_count() const { return etas ? etas->total : 0; }
+  [[nodiscard]] int update_count() const { return updates ? updates->total : 0; }
 };
 
 /// Abstract basis representation. Vectors are dense (length m). "Row-indexed"
@@ -146,19 +154,28 @@ class BasisRep {
   virtual void ftran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const = 0;
 
   /// x := B^-T x. Input position-indexed, output row-indexed. `nz` as for
-  /// ftran, over positions.
-  virtual void btran(std::vector<double>& x, const std::vector<std::int32_t>* nz) const = 0;
+  /// ftran, over positions. A non-null `out_nz` receives the rows i with
+  /// x[i] != 0.0 of the result, ascending (what gather_nonzeros gives).
+  virtual void btran(std::vector<double>& x, const std::vector<std::int32_t>* nz,
+                     std::vector<std::int32_t>* out_nz) const = 0;
 
-  /// Product-form update after a pivot at basis position `r`; `w` is the
-  /// ftran result of the entering column (position-indexed, w[r] != 0) and
-  /// `wnz` lists the positions with w[i] != 0.0 in ascending order (r
-  /// included), so kernels touch only the nonzeros.
-  virtual void update(const std::vector<double>& w, std::size_t r,
-                      const std::vector<std::int32_t>& wnz) = 0;
+  /// x := B^-1 x for the column about to enter the basis: ftran, after
+  /// which the kernel keeps what its next update() needs (the sparse
+  /// kernel's Forrest–Tomlin spike). Any other update in between leaves
+  /// update() without it. `out_nz` receives the result's nonzero positions,
+  /// ascending.
+  virtual void ftran_entering(std::vector<double>& x, const std::vector<std::int32_t>& nz,
+                              std::vector<std::int32_t>& out_nz) = 0;
 
-  /// Advises refactorizing before `refactor_interval` is reached because the
-  /// eta file has outgrown the factors (always false for the dense kernel).
-  [[nodiscard]] virtual bool fill_heavy() const = 0;
+  /// Update after a pivot at basis position `r`: the column last passed to
+  /// ftran_entering() replaces position r. `w` is that ftran's result
+  /// (position-indexed, w[r] the pivot element) and `wnz` lists the
+  /// positions with w[i] != 0.0 in ascending order (r included). Returns
+  /// false when the kernel declines the update — it failed the stability
+  /// test, would grow the factors too far, or has no spike — and then still
+  /// represents the old basis: the caller must refactorize.
+  [[nodiscard]] virtual bool update(const std::vector<double>& w, std::size_t r,
+                                    const std::vector<std::int32_t>& wnz) = 0;
 
   /// Immutable snapshot of the current factorization for basis transplants;
   /// null when the kernel does not support snapshots (dense).
@@ -178,10 +195,8 @@ class BasisRep {
 void gather_nonzeros(const std::vector<double>& v, std::vector<std::int32_t>& nz);
 
 /// Builds a kernel for an m-row basis. `markowitz_tol` (see SimplexOptions)
-/// and `eta_fill_factor` (the refactorize-early fill bound, a multiple of the
-/// LU nonzeros) only affect the sparse kernel.
+/// only affects the sparse kernel.
 std::unique_ptr<BasisRep> make_basis_rep(BasisKernel kernel, std::size_t m,
-                                         double markowitz_tol,
-                                         double eta_fill_factor);
+                                         double markowitz_tol);
 
 }  // namespace archex::milp

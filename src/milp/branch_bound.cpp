@@ -115,10 +115,11 @@ SolveStatus run_recovery_ladder(SimplexSolver& lp, obs::MetricsRegistry& reg,
   return st;
 }
 
-/// One solver's work counters — iterations and warm-start paths into `sol`,
-/// refactorizations, eta-replay transplants and cutoff stops into the
-/// registry. Called once per solver: each pool worker's own solver after its
-/// run, the root solver (worker 0 of every run) at the end of the solve.
+/// One solver's work counters — iterations and warm-start paths into `sol`;
+/// refactorizations, update-log transplants, cutoff stops and the pivot
+/// counts (all, primal-degenerate, dual-degenerate) into the registry.
+/// Called once per solver: each pool worker's own solver after its run, the
+/// root solver (worker 0 of every run) at the end of the solve.
 void fold_solver_counters(const SimplexSolver& lp, Solution& sol,
                           obs::MetricsRegistry& reg) {
   const SimplexSolver::ReoptStats& s = lp.reopt_stats();
@@ -129,6 +130,9 @@ void fold_solver_counters(const SimplexSolver& lp, Solution& sol,
   reg.counter("milp.refactors").add(s.refactors);
   reg.counter("milp.basis_transplants").add(s.transplants);
   reg.counter("milp.lp_cutoff").add(s.cutoffs);
+  reg.counter("milp.lp.pivots").add(s.total_pivots);
+  reg.counter("milp.lp.degenerate_pivots").add(s.degen_pivots);
+  reg.counter("milp.lp.dual_degenerate").add(s.dual_degenerate);
 }
 
 /// The frame of one solve, shared by its stages: the caller's model and
@@ -731,7 +735,6 @@ class Worker {
       return;
     }
 
-    const std::int64_t refactors0 = lp_->reopt_stats().refactors;
     rebase(node);
     // The node LP may stop as soon as its dual bound proves it prunable. The
     // tree is unchanged: the incumbent only improves, so the check below
@@ -798,8 +801,7 @@ class Worker {
       return;
     }
     close(nid, obs::NodeOutcome::Branched, flip * obj);
-    branch(node, bv, x[static_cast<std::size_t>(bv)], obj,
-           lp_->reopt_stats().refactors != refactors0);
+    branch(node, bv, x[static_cast<std::size_t>(bv)], obj);
   }
 
   /// A node whose LP failed both in-place rungs of the recovery ladder.
@@ -834,8 +836,7 @@ class Worker {
 
   /// Pushes the children of `node`, branched on column `bv` at its LP value
   /// `v`; `obj` is the node's LP objective, the children's parent bound.
-  /// `refactored`: the node's LP refactorized the basis.
-  void branch(const BBNode& node, std::int32_t bv, double v, double obj, bool refactored) {
+  void branch(const BBNode& node, std::int32_t bv, double v, double obj) {
     const double lb0 = lp_->lower_bound(bv);
     const double ub0 = lp_->upper_bound(bv);
     const double down_ub = std::floor(v + kIntTol);
@@ -847,15 +848,10 @@ class Worker {
     const double f = v - std::floor(v);
     const bool down_first = f < up_threshold;
 
-    Basis b = lp_->export_basis();
-    // Ship the factorization only when this node did not refactorize: it
-    // then extends the one its parent's snapshot already holds, so the
-    // open siblings of a dive share one LU and one eta prefix. After a
-    // refactorization, pinning the new LU per level would cost memory for
-    // little gain — the kernel is refactorizing at node rate anyway — so
-    // the children refactorize on load instead.
-    if (refactored) b.factor = nullptr;
-    const auto basis = std::make_shared<const Basis>(std::move(b));
+    // The basis ships its factorization: the children load it by replaying
+    // the update log, and the open siblings of a dive share one LU and one
+    // log prefix.
+    const auto basis = std::make_shared<const Basis>(lp_->export_basis());
     auto make_child = [&](double clb, double cub, PseudoCosts::Dir dir) {
       auto child = std::make_shared<BBNode>();
       child->parent_id = node.id;

@@ -23,9 +23,8 @@ constexpr std::int64_t kMaxIterations = 50'000'000;
 // Degenerate pivots in a row before the primal loop switches to Bland's
 // rule; ten times as many stop the dual loop with NumericalError.
 constexpr int kBlandThreshold = 300;
-// Sparse kernel: refactorize once the eta file holds more than this
-// multiple of the LU nonzeros, even before `refactor_interval` pivots.
-constexpr double kEtaFillFactor = 3.0;
+// Dual ratio-test steps at or below this count as dual-degenerate pivots.
+constexpr double kDualDegenTol = 1e-12;
 }  // namespace
 
 SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
@@ -120,7 +119,7 @@ void SimplexSolver::build_from_model(const Model& model) {
   xval_.assign(total_cols_, 0.0);
   basic_.assign(m_, -1);
   basis_pos_.assign(total_cols_, -1);
-  rep_ = make_basis_rep(opts_.kernel, m_, opts_.markowitz_tol, kEtaFillFactor);
+  rep_ = make_basis_rep(opts_.kernel, m_, opts_.markowitz_tol);
   pricer_ = make_pricer(opts_.pricing);
   if (pricer_ == nullptr) pricer_ = make_pricer("dantzig");  // unknown name
   pricer_->reset(total_cols_);
@@ -180,41 +179,42 @@ void SimplexSolver::initial_basis() {
   assert(ok);
   (void)ok;
   pivots_since_refactor_ = 0;
+  refactor_due_ = false;
 }
 
-void SimplexSolver::ftran(std::int32_t col, std::vector<double>& w) const {
+void SimplexSolver::ftran(std::int32_t col) {
   obs::ScopedSpan span(sampled_spans(), obs::span_id(obs::SpanName::Ftran));
-  std::fill(w.begin(), w.end(), 0.0);
+  std::vector<double>& w = scratch_w_;
+  for (const std::int32_t i : scratch_wnz_) w[static_cast<std::size_t>(i)] = 0.0;
   std::vector<std::int32_t>& nz = scratch_in_nz_;
   nz.clear();
   for (const ColEntry& e : this->col(static_cast<std::size_t>(col))) {
     w[static_cast<std::size_t>(e.row)] += e.val;
     nz.push_back(e.row);
   }
-  rep_->ftran(w, &nz);
+  rep_->ftran_entering(w, nz, scratch_wnz_);
 }
 
-void SimplexSolver::btran_row(std::size_t r, std::vector<double>& rho) const {
+void SimplexSolver::btran_row(std::size_t r) const {
   obs::ScopedSpan span(sampled_spans(), obs::span_id(obs::SpanName::BtranRow));
-  rho.assign(m_, 0.0);
+  std::vector<double>& rho = scratch_rho_;
+  for (const std::int32_t i : scratch_rho_nz_) rho[static_cast<std::size_t>(i)] = 0.0;
   rho[r] = 1.0;
   std::vector<std::int32_t>& nz = scratch_in_nz_;
   nz.assign(1, static_cast<std::int32_t>(r));
-  rep_->btran(rho, &nz);
+  rep_->btran(rho, &nz, &scratch_rho_nz_);
 }
 
-void SimplexSolver::price_row(const std::vector<double>& rho,
-                              std::vector<double>& alpha,
+void SimplexSolver::price_row(std::vector<double>& alpha,
                               std::vector<std::int32_t>& alpha_nz) const {
   obs::ScopedSpan span(sampled_spans(), obs::span_id(obs::SpanName::PriceRow));
   // alpha entries outside alpha_nz are stale from earlier calls; consumers
   // must only read through the nonzero list.
   alpha_nz.clear();
   const std::int64_t stamp = ++mark_stamp_;
-  gather_nonzeros(rho, scratch_rho_nz_);
   for (const std::int32_t i32 : scratch_rho_nz_) {
     const std::size_t i = static_cast<std::size_t>(i32);
-    const double r = rho[i];
+    const double r = scratch_rho_[i];
     for (const ColEntry& e : row_adj(i)) {
       const std::size_t j = static_cast<std::size_t>(e.row);  // a column index
       if (scratch_mark_[j] != stamp) {
@@ -247,6 +247,7 @@ bool SimplexSolver::refactorize() {
   // is also the trace's `refactor` event.
   obs::ScopedSpan span(opts_.spans, obs::span_id(obs::SpanName::Refactor));
   ++reopt_stats_.refactors;
+  refactor_due_ = false;
   if (opts_.fault != nullptr && opts_.fault->fire(FaultSite::SingularFactor)) {
     return false;  // injected singular factorization
   }
@@ -290,7 +291,7 @@ void SimplexSolver::price(const std::vector<double>& cost, std::vector<double>& 
   for (std::size_t i = 0; i < m_; ++i) {
     y[i] = cost[static_cast<std::size_t>(basic_[i])];
   }
-  rep_->btran(y, nullptr);
+  rep_->btran(y, nullptr, nullptr);
   // d_j = c_j - y * A_j  for nonbasic columns.
   for (std::size_t j = 0; j < total_cols_; ++j) {
     if (status_[j] == ColStatus::Basic) { d[j] = 0.0; continue; }
@@ -377,8 +378,11 @@ void SimplexSolver::swap_basis(std::size_t r, std::int32_t q, bool to_upper) {
   basic_[r] = q;
   basis_pos_[q] = static_cast<std::int32_t>(r);
   status_[q] = ColStatus::Basic;
-  rep_->update(scratch_w_, r, scratch_wnz_);
-  ++pivots_since_refactor_;
+  if (rep_->update(scratch_w_, r, scratch_wnz_)) {
+    ++pivots_since_refactor_;
+  } else {
+    refactor_due_ = true;  // declined: the kernel still holds the old basis
+  }
 }
 
 double SimplexSolver::entering_dir(ColStatus st, double dj) {
@@ -421,8 +425,9 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
   rebuild_candidates();
 
   for (;;) {
-    if (const std::optional<SolveStatus> stop = poll_stop()) return *stop;
-    if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
+    // Refactorize first: every exit below then leaves a factorization of
+    // the current basis, even right after a declined update.
+    if (refactor_due()) {
       if (!refactorize()) return SolveStatus::NumericalError;
       compute_basic_values();
       // The reduced costs are *not* re-priced here: refactorization changes
@@ -430,6 +435,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       // 200-pivot stale counter bounds drift, and the optimality exit below
       // always confirms against a fresh pricing pass.
     }
+    if (const std::optional<SolveStatus> stop = poll_stop()) return *stop;
     if (++prices_stale > 200) {
       price(cost, d);
       prices_stale = 0;
@@ -482,7 +488,7 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
       return SolveStatus::Optimal;
     }
 
-    ftran(q, w);
+    ftran(q);
 
     // Ratio test: how far can the entering variable move? It walks w's
     // nonzero positions, which the bookkeeping below and the kernel update
@@ -491,7 +497,6 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
     if (lb_[q] > -kInf && ub_[q] < kInf) t_best = ub_[q] - lb_[q];  // own bound flip
     std::int32_t leave_row = -1;
     bool leave_to_upper = false;
-    gather_nonzeros(w, wnz);
     for (const std::int32_t i32 : wnz) {
       const std::size_t i = static_cast<std::size_t>(i32);
       if (std::abs(w[i]) <= kRatioTol) continue;
@@ -544,8 +549,8 @@ SolveStatus SimplexSolver::primal_loop(const std::vector<double>& cost, bool pha
         continue;
       }
       const std::int32_t k = basic_[r];
-      btran_row(r, scratch_rho_);
-      price_row(scratch_rho_, scratch_alpha_, scratch_alpha_nz_);
+      btran_row(r);
+      price_row(scratch_alpha_, scratch_alpha_nz_);
       update_reduced_costs(q, k, w[r]);
       swap_basis(r, q, leave_to_upper);
       cand_remove(q);
@@ -697,7 +702,6 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
   std::vector<double>& d = scratch_d_;
   std::vector<double>& w = scratch_w_;
   std::vector<std::int32_t>& wnz = scratch_wnz_;
-  std::vector<double>& rho = scratch_rho_;
   std::vector<double>& alphas = scratch_alpha_;
   std::vector<std::int32_t>& alpha_nz = scratch_alpha_nz_;
   // Bitset of the rows whose basic variable violates a bound by more than
@@ -739,13 +743,13 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
   int prices_stale = 0;
 
   for (;;) {
-    if (const std::optional<SolveStatus> stop = poll_stop()) return *stop;
-    if (pivots_since_refactor_ >= opts_.refactor_interval || rep_->fill_heavy()) {
+    if (refactor_due()) {  // first, as in primal_loop
       if (!refactorize()) return SolveStatus::NumericalError;
       refresh();
       price(cost_, d);
       prices_stale = 0;
     }
+    if (const std::optional<SolveStatus> stop = poll_stop()) return *stop;
     if (++prices_stale > 200) {
       price(cost_, d);
       prices_stale = 0;
@@ -780,8 +784,8 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     const bool above = xval_[kleave] > ub_[kleave];
     const double e = above ? 1.0 : -1.0;
 
-    btran_row(r, rho);
-    price_row(rho, alphas, alpha_nz);
+    btran_row(r);
+    price_row(alphas, alpha_nz);
 
     // Dual ratio test over the pivot row's nonzero columns (alphas stay
     // cached for the incremental reduced-cost update below).
@@ -811,7 +815,7 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     }
     if (q < 0) return SolveStatus::Infeasible;  // dual unbounded
 
-    ftran(q, w);
+    ftran(q);
     if (std::abs(w[r]) < opts_.pivot_tol) {
       if (!refactorize()) return SolveStatus::NumericalError;
       refresh();
@@ -825,10 +829,12 @@ SolveStatus SimplexSolver::dual_loop(double cutoff) {
     // bound. x_B(r) changes by -w[r] * delta.
     const double target = above ? ub_[kleave] : lb_[kleave];
     const double delta = (xval_[kleave] - target) / w[r];
+    // The streak guard below reads the primal step; the dual step is
+    // counted apart.
     count_pivot(std::abs(delta), degen_streak);
+    if (best_theta <= kDualDegenTol) ++reopt_stats_.dual_degenerate;
     if (degen_streak > 10 * kBlandThreshold) return SolveStatus::NumericalError;
 
-    gather_nonzeros(w, wnz);
     step(q, delta);
     if (watch_cutoff) z += d[static_cast<std::size_t>(q)] * delta;
     // The reduced-cost update reuses the pivot row of the ratio test.
@@ -853,7 +859,7 @@ std::vector<double> SimplexSolver::dual_values() const {
   for (std::size_t i = 0; i < m_; ++i) {
     y[i] = cost_[static_cast<std::size_t>(basic_[i])];
   }
-  rep_->btran(y, nullptr);
+  rep_->btran(y, nullptr, nullptr);
   // cost_ is negated for Maximize models; flip back to the model's sense.
   if (maximize_) {
     for (double& v : y) v = -v;
@@ -882,6 +888,7 @@ Basis SimplexSolver::export_basis() const {
   for (std::size_t i = 0; i < m_; ++i) {
     b.art_sign[i] = art_val(i) < 0.0 ? std::int8_t{-1} : std::int8_t{1};
   }
+  assert(!refactor_due_);
   b.factor = rep_->snapshot();
   return b;
 }
@@ -928,13 +935,14 @@ bool SimplexSolver::load_basis(const Basis& basis) {
     if (status_[j] != ColStatus::Basic) rest_nonbasic(j);
   }
 
-  // Eta replay: adopt the exporter's factorization snapshot when the kernel
-  // supports it — the transplant then costs an eta replay instead of a full
+  // Transplant: adopt the exporter's factorization snapshot when the kernel
+  // supports it — the load then costs an update-log replay instead of a full
   // refactorization. Fall back to refactorizing (checkpoint-resumed bases
   // and the dense kernel ship no snapshot).
   if (basis.factor != nullptr && rep_->adopt(basis.factor)) {
     ++reopt_stats_.transplants;
-    pivots_since_refactor_ = basis.factor->eta_count();
+    pivots_since_refactor_ = basis.factor->update_count();
+    refactor_due_ = false;
   } else if (!refactorize()) {
     basis_valid_ = false;
     return false;

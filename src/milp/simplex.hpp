@@ -8,9 +8,10 @@
 ///     what makes warm-started branch & bound cheap: branching only changes
 ///     bounds, and bound changes preserve dual feasibility of the basis,
 ///   * a basis representation behind `BasisRep` (milp/basis_lu.hpp): sparse
-///     LU with Markowitz pivoting and eta-file updates by default, the
-///     original dense explicit inverse as the cross-check kernel, both with
-///     periodic refactorization governed by `refactor_interval` and fill-in,
+///     LU with Markowitz pivoting and Forrest–Tomlin updates by default, the
+///     original dense explicit inverse as the cross-check kernel, both
+///     refactorized every `refactor_interval` updates or when the kernel
+///     declines an update (unstable, or U grown too far),
 ///   * pluggable pricing (milp/pricing.hpp): Dantzig by default, devex as
 ///     the first registered alternative.
 ///
@@ -42,7 +43,7 @@ class FaultPlan;
 /// Simplex configuration knobs.
 struct SimplexOptions {
   double pivot_tol = 1e-8;   ///< minimum acceptable pivot magnitude
-  int refactor_interval = 400;  ///< pivots between basis refactorizations
+  int refactor_interval = 400;  ///< kernel updates between basis refactorizations
   /// Basis kernel (see milp/basis_lu.hpp). SparseLu is the default; Dense is
   /// the original explicit inverse, kept as the cross-check oracle.
   BasisKernel kernel = BasisKernel::SparseLu;
@@ -155,7 +156,7 @@ class SimplexSolver {
   [[nodiscard]] Basis export_basis() const;
 
   /// Installs a basis exported from a solver over the *same model*: adopts
-  /// the shipped factorization state (eta replay) when present, otherwise
+  /// the shipped factorization state (update-log replay) when present, otherwise
   /// refactorizes the basis matrix; recomputes basic values against the
   /// current bounds, and revalidates. Returns false (leaving the solver in
   /// a cold-start state) if the snapshot is inconsistent or the basis is
@@ -167,10 +168,12 @@ class SimplexSolver {
     std::int64_t dual_fast = 0;   ///< dual-feasible warm dual solves
     std::int64_t repaired = 0;    ///< dual repair + primal cleanup
     std::int64_t cold = 0;        ///< fell back to a cold primal solve
-    std::int64_t degen_pivots = 0;  ///< pivots with (near-)zero step
+    std::int64_t degen_pivots = 0;  ///< pivots with (near-)zero primal step
     std::int64_t total_pivots = 0;
+    /// Dual-loop pivots whose dual ratio-test step was (near-)zero.
+    std::int64_t dual_degenerate = 0;
     std::int64_t refactors = 0;   ///< basis refactorizations (all causes)
-    std::int64_t transplants = 0; ///< basis loads served by eta replay
+    std::int64_t transplants = 0; ///< basis loads served by update-log replay
     std::int64_t cutoffs = 0;     ///< dual solves stopped at the objective cutoff
   };
   [[nodiscard]] const ReoptStats& reopt_stats() const { return reopt_stats_; }
@@ -185,17 +188,18 @@ class SimplexSolver {
   // --- linear algebra (delegating to the basis kernel) ---
   // ftran, btran_row and price_row run once per pivot and record the
   // sampled kernel spans (sampled_spans()).
-  /// w = Binv * A_col (dense result, sparse column input).
-  void ftran(std::int32_t col, std::vector<double>& w) const;
-  /// rho = row r of Binv (B^-T e_r), row-indexed.
-  void btran_row(std::size_t r, std::vector<double>& rho) const;
-  /// alpha_j = rho * A_j for every column with a nonzero, computed sparsely
-  /// through the row-wise adjacency. `alpha_nz` lists the touched columns
-  /// except basic structurals and slacks and fixed artificials, so outside
-  /// phase 1 it holds no basic column; only its entries of `alpha` are
-  /// current.
-  void price_row(const std::vector<double>& rho, std::vector<double>& alpha,
-                 std::vector<std::int32_t>& alpha_nz) const;
+  /// scratch_w_ = Binv * A_col for the column about to enter (the kernel
+  /// keeps its spike for the update), its nonzero positions in scratch_wnz_.
+  void ftran(std::int32_t col);
+  /// scratch_rho_ = row r of Binv (B^-T e_r), row-indexed, its nonzero
+  /// rows in scratch_rho_nz_.
+  void btran_row(std::size_t r) const;
+  /// alpha_j = rho * A_j for every column with a nonzero, rho the row the
+  /// last btran_row left, computed sparsely through the row-wise adjacency.
+  /// `alpha_nz` lists the touched columns except basic structurals and
+  /// slacks and fixed artificials, so outside phase 1 it holds no basic
+  /// column; only its entries of `alpha` are current.
+  void price_row(std::vector<double>& alpha, std::vector<std::int32_t>& alpha_nz) const;
   /// Rebuilds the basis factorization (stats, span and fault site), then
   /// delegates to the kernel. Returns false on a (numerically) singular
   /// basis or an injected singular factorization.
@@ -238,6 +242,11 @@ class SimplexSolver {
 
   [[nodiscard]] bool is_fixed(std::int32_t j) const { return lb_[j] == ub_[j]; }
   [[nodiscard]] double bound_violation(std::int32_t j) const;
+  /// The loops refactorize at their top on `refactor_interval` updates or
+  /// a declined one.
+  [[nodiscard]] bool refactor_due() const {
+    return refactor_due_ || pivots_since_refactor_ >= opts_.refactor_interval;
+  }
 
   // --- pivot steps shared by primal_loop and dual_loop ---
   // A pivot reads the entering column's ftran result from scratch_w_ (its
@@ -257,7 +266,8 @@ class SimplexSolver {
   /// pricer's weights. `pivot` is the pivot element (alpha_q = w_r).
   void update_reduced_costs(std::int32_t q, std::int32_t k, double pivot);
   /// Basis swap: q becomes basic in row r, the leaving column rests at its
-  /// upper bound if `to_upper`, else its lower; then the kernel update.
+  /// upper bound if `to_upper`, else its lower; then the kernel update. A
+  /// declined update makes refactor_due().
   void swap_basis(std::size_t r, std::int32_t q, bool to_upper);
   /// Direction in which a nonbasic column of status `st` and reduced cost
   /// `dj` can enter and lower the objective: +1 up, -1 down, 0 when it is
@@ -334,6 +344,8 @@ class SimplexSolver {
   bool maximize_ = false;          ///< model was a maximization (cost_ is negated)
   std::int64_t total_iterations_ = 0;
   int pivots_since_refactor_ = 0;
+  /// The kernel declined an update: it does not hold the current basis.
+  bool refactor_due_ = false;
   bool basis_valid_ = false;       ///< a successful solve happened
   ReoptStats reopt_stats_;
   // scratch buffers

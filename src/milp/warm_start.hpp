@@ -24,7 +24,7 @@ namespace archex::milp {
 ///
 /// `factor` additionally carries the exporter's factorization state when
 /// the kernel supports snapshots (sparse LU): the importer then replays
-/// the eta file instead of refactorizing. It is advisory — a null or
+/// the update log instead of refactorizing. It is advisory — a null or
 /// incompatible snapshot just falls back to refactorization — and is
 /// deliberately *not* serialized by checkpoints.
 ///
