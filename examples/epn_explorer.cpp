@@ -18,7 +18,8 @@
 /// prints each iteration's solve/analyze/learn split (a solve that did not
 /// prove optimality also names its status and gap), then one `lazy loop:`
 /// line whose `unaccounted` term is the wall time none of them covers, and
-/// at the end the solver phase split summed over the iterations;
+/// at the end the final solve's timing block with the solver phase split
+/// summed over the iterations;
 /// `monolithic` encodes the reliability requirements eagerly (Fig. 2b).
 /// `--scale=paper` uses the Table 2 template sizes (the monolithic run at
 /// paper scale is expensive by design — the paper reports hours on CPLEX).
@@ -284,7 +285,7 @@ int main(int argc, char** argv) {
     if (!res.final_result.feasible()) return 1;
     res.final_result.architecture.print(std::cout);
     report_links(*problem, res.final_result.architecture);
-    print_solver_phases(std::cout, "solver phases, all iterations", phases);
+    res.final_result.print_timing(std::cout, phases, "solver phases, all iterations");
     if (args.dot) std::cout << res.final_result.architecture.to_dot();
   }
   return 0;

@@ -185,6 +185,11 @@ std::string ExplorationResult::degradation_json() const {
 }
 
 void ExplorationResult::print_timing(std::ostream& os) const {
+  print_timing(os, solution.phases, "solver phases");
+}
+
+void ExplorationResult::print_timing(std::ostream& os, const milp::SolvePhases& phases,
+                                     const char* phase_label) const {
   std::ostringstream fmt;
   fmt.setf(std::ios::fixed);
   fmt.precision(3);
@@ -202,16 +207,10 @@ void ExplorationResult::print_timing(std::ostream& os) const {
   line("formulate", formulation_seconds);
   line("solve", solver_seconds);
   line("extract", extract_seconds);
-  print_solver_phases(os, "solver phases", solution.phases);
-}
-
-void print_solver_phases(std::ostream& os, const char* label, const milp::SolvePhases& p) {
-  std::ostringstream fmt;
-  fmt.setf(std::ios::fixed);
-  fmt.precision(3);
-  fmt << "  " << label << ": presolve " << p.presolve << "s, root LP " << p.root_lp
-      << "s, heuristic " << p.heuristic << "s, tree " << p.tree << "s, extract "
-      << p.extract << "s\n";
+  fmt.str("");
+  fmt << "  " << phase_label << ": presolve " << phases.presolve << "s, root LP "
+      << phases.root_lp << "s, heuristic " << phases.heuristic << "s, tree " << phases.tree
+      << "s, extract " << phases.extract << "s\n";
   os << fmt.str();
 }
 

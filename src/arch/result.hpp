@@ -134,11 +134,10 @@ struct ExplorationResult {
   /// split (presolve, root LP, heuristic, tree, extraction) — the timing
   /// block the explorer examples show after each run.
   void print_timing(std::ostream& os) const;
+  /// The same block with `phases` as the phase split, labelled
+  /// `phase_label`: a lazy loop passes the sum over its iterations' solves.
+  void print_timing(std::ostream& os, const milp::SolvePhases& phases,
+                    const char* phase_label) const;
 };
-
-/// Prints one `  <label>: presolve …s, root LP …s, heuristic …s, tree …s,
-/// extract …s` line: print_timing's phase line, and the lazy explorers'
-/// phase split summed over a loop's solves.
-void print_solver_phases(std::ostream& os, const char* label, const milp::SolvePhases& p);
 
 }  // namespace archex

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <iterator>
 #include <limits>
 
 namespace archex::milp {
@@ -316,12 +315,13 @@ class SparseLuBasis final : public BasisRep {
   /// Moves the marks of `out_bits_` to `out_nz`, ascending, keeping the
   /// indices whose entry of `v` is nonzero.
   void take_pattern(const std::vector<double>& v, std::vector<std::int32_t>& out_nz) const;
+  /// Marks row i's pivot for the U pass of the current ftran.
+  void mark_u(std::size_t i) const {
+    set_bit(todo_.data(), static_cast<std::size_t>(row_rank_[i]));
+  }
   /// The row-eta pass of ftran over the vector the L pass left, marking
-  /// the rows it writes with `mark_u`; `nz` and l_written_ list rows
-  /// holding every nonzero of the vector.
-  template <typename Mark>
-  void row_etas_forward(std::vector<double>& x, const std::vector<std::int32_t>& nz,
-                        Mark& mark_u) const;
+  /// the rows it writes for the U pass.
+  void row_etas_forward(std::vector<double>& x) const;
   /// Resets the working U to lu_'s U, in pivot order.
   void load_working();
   /// Applies record k of `log` to the working U.
@@ -341,11 +341,6 @@ class SparseLuBasis final : public BasisRep {
   // Working U (see the class comment).
   ListPool rows_;   ///< per pivot: off-diagonal (position, value)
   ListPool cols_;   ///< per position: the same entries as (row, value)
-  /// Per original row: its pivot's U column is empty, so ftran defers it
-  /// (nothing reads its result) instead of ordering it.
-  std::vector<char> sink_;
-  /// Bitset over rows: the sinks a solve has reached. Zero between solves.
-  mutable std::vector<std::uint64_t> sink_todo_;
   /// Bitset over result indices a solve wrote, when its caller asked for
   /// the pattern. Zero between solves.
   mutable std::vector<std::uint64_t> out_bits_;
@@ -358,22 +353,11 @@ class SparseLuBasis final : public BasisRep {
   std::size_t u_limit_ = 0;  ///< u_nnz_ past which updates are declined
   // Row etas of the installed records, oldest first, by original row: eta g
   // writes row eta_row_[g] and reads rows eta_ent_row_[e] with values
-  // eta_ent_val_[e] for e in [eta_start_[g], eta_start_[g+1]). `eta_reads_`
-  // lists per row the etas reading it, ascending, so a sparse ftran runs
-  // only the etas a nonzero reaches.
+  // eta_ent_val_[e] for e in [eta_start_[g], eta_start_[g+1]).
   std::vector<std::int32_t> eta_row_;
   std::vector<std::int32_t> eta_start_;
   std::vector<std::int32_t> eta_ent_row_;
   std::vector<double> eta_ent_val_;
-  ListPool eta_reads_;  ///< per row: (eta reading it, its eta value)
-  std::vector<std::int32_t> eta_next_;   ///< per eta: next eta writing its row
-  std::vector<std::int32_t> first_eta_;  ///< per row: first eta writing it
-  std::vector<std::int32_t> last_eta_;   ///< per row: last eta writing it
-  static constexpr std::int32_t kNoEta = std::numeric_limits<std::int32_t>::max();
-  mutable std::vector<std::uint64_t> eta_todo_;  ///< etas left to run; zero between solves
-  mutable std::vector<double> eta_acc_;          ///< per eta: pushed sum; zero between solves
-  mutable std::vector<std::int32_t> eta_src_;    ///< a solve's input rows, sorted
-  mutable std::vector<std::int32_t> l_written_;  ///< rows a solve's L pass wrote
   std::vector<std::int32_t> lens_;  ///< list lengths at a rebuild
 
   /// The spike of the last ftran_entering as (pivot, value), and whether
@@ -678,12 +662,6 @@ void SparseLuBasis::load_working() {
     }
   }
   diag_inv_ = lu.u_diag_inv;
-  sink_.resize(m_);
-  for (std::size_t k = 0; k < m_; ++k) {
-    sink_[static_cast<std::size_t>(lu.pivot_row[k])] =
-        cols_.len[static_cast<std::size_t>(lu.pivot_pos[k])] == 0 ? 1 : 0;
-  }
-  sink_todo_.resize((m_ + 63) / 64);
   out_bits_.resize((m_ + 63) / 64);
   rank_.resize(m_);
   order_.resize(m_);
@@ -699,11 +677,6 @@ void SparseLuBasis::load_working() {
   eta_start_.assign(1, 0);
   eta_ent_row_.clear();
   eta_ent_val_.clear();
-  std::fill(lens_.begin(), lens_.end(), 0);
-  eta_reads_.reset(lens_, kListSlack);
-  eta_next_.clear();
-  first_eta_.assign(m_, kNoEta);
-  last_eta_.assign(m_, -1);
   todo_.resize((m_ + 63) / 64);  // zero between solves, so only the size changes
 }
 
@@ -723,7 +696,6 @@ void SparseLuBasis::install(const UpdateLog& log, int k) {
   for (std::int32_t s = rows_.begin(t); s < rows_.end(t); ++s) {
     const auto p = static_cast<std::size_t>(rows_.idx[static_cast<std::size_t>(s)]);
     cols_.erase(p, trow);
-    if (cols_.len[p] == 0) sink_[static_cast<std::size_t>(lu.pivot_row[static_cast<std::size_t>(lu.pos_pivot[p])])] = 1;
   }
   u_nnz_ -= static_cast<std::size_t>(cols_.len[r] + rows_.len[t]);
   cols_.len[r] = 0;
@@ -735,29 +707,16 @@ void SparseLuBasis::install(const UpdateLog& log, int k) {
     rows_.push(static_cast<std::size_t>(j), r32, log.spike_val[us]);
     cols_.push(r, lu.pivot_row[static_cast<std::size_t>(j)], log.spike_val[us]);
   }
-  sink_[static_cast<std::size_t>(trow)] = cols_.len[r] == 0 ? 1 : 0;
   u_nnz_ += static_cast<std::size_t>(log.spike_start[kk + 1] - log.spike_start[kk] +
                                      log.eta_start[kk + 1] - log.eta_start[kk]);
-  const auto g = static_cast<std::int32_t>(eta_row_.size());
   eta_row_.push_back(trow);
-  eta_next_.push_back(kNoEta);
-  std::int32_t& last = last_eta_[static_cast<std::size_t>(trow)];
-  if (last >= 0) {
-    eta_next_[static_cast<std::size_t>(last)] = g;
-  } else {
-    first_eta_[static_cast<std::size_t>(trow)] = g;
-  }
-  last = g;
   for (std::int32_t s = log.eta_start[kk]; s < log.eta_start[kk + 1]; ++s) {
     const auto us = static_cast<std::size_t>(s);
     const std::int32_t row = lu.pivot_row[static_cast<std::size_t>(log.eta_slot[us])];
     eta_ent_row_.push_back(row);
     eta_ent_val_.push_back(log.eta_val[us]);
-    eta_reads_.push(static_cast<std::size_t>(row), g, log.eta_val[us]);
   }
   eta_start_.push_back(static_cast<std::int32_t>(eta_ent_row_.size()));
-  eta_todo_.resize((eta_row_.size() + 63) / 64, 0);
-  eta_acc_.resize(eta_row_.size(), 0.0);
   // Pivot t moves past every other.
   const auto rank = static_cast<std::int32_t>(order_.size());
   order_[static_cast<std::size_t>(rank_[t])] = -1;
@@ -853,21 +812,9 @@ void SparseLuBasis::forward(std::vector<double>& x, const std::vector<std::int32
                             std::vector<ColEntry>* spike, std::vector<std::int32_t>* out_nz) const {
   const LuData& lu = *lu_;
   std::uint64_t* const todo = todo_.data();
-  // Marks row i's pivot for the U pass: by rank in `todo`, or by row in
-  // `sinks` for a sink.
-  std::uint64_t* const sinks = sink_todo_.data();
-  auto mark_u = [&](std::size_t i) {
-    if (sink_[i] == 0) {
-      set_bit(todo, static_cast<std::size_t>(row_rank_[i]));
-    } else {
-      set_bit(sinks, i);
-    }
-  };
   // L pass, in pivot order, on the row-indexed input. Steps with an empty L
   // column change nothing, so only `l_steps` are walked. Rows the pass
-  // writes are marked for the U pass and listed for the row etas: they are
-  // outside the caller's `nz`.
-  l_written_.clear();
+  // writes are marked for the U pass: they are outside the caller's `nz`.
   for (const std::int32_t k32 : lu.l_steps) {
     const std::size_t k = static_cast<std::size_t>(k32);
     const double xk = x[static_cast<std::size_t>(lu.pivot_row[k])];
@@ -877,16 +824,15 @@ void SparseLuBasis::forward(std::vector<double>& x, const std::vector<std::int32
       const ColEntry& en = lu.l_ent[static_cast<std::size_t>(t)];
       x[static_cast<std::size_t>(en.row)] -= en.val * xk;
       mark_u(static_cast<std::size_t>(en.row));
-      l_written_.push_back(en.row);
     }
   }
+  row_etas_forward(x);
+  // The U pass's input is the spike of an entering column.
+  std::vector<double>& y = solve_scratch_;
   if (nz == nullptr) {
     gather_nonzeros(x, dense_nz_);
     nz = &dense_nz_;
   }
-  row_etas_forward(x, *nz, mark_u);
-  // The U pass's input is the spike of an entering column.
-  std::vector<double>& y = solve_scratch_;
   for (const std::int32_t i : *nz) {
     if (x[static_cast<std::size_t>(i)] != 0.0) mark_u(static_cast<std::size_t>(i));
   }
@@ -896,12 +842,6 @@ void SparseLuBasis::forward(std::vector<double>& x, const std::vector<std::int32
         const auto k = order_[wd * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
         const double v = x[static_cast<std::size_t>(lu.pivot_row[static_cast<std::size_t>(k)])];
         if (v != 0.0) spike->push_back({k, v});
-      }
-    }
-    for (std::size_t wd = 0; wd < sink_todo_.size(); ++wd) {
-      for (std::uint64_t bits = sinks[wd]; bits != 0; bits &= bits - 1) {
-        const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        if (x[i] != 0.0) spike->push_back({lu.row_pivot[i], x[i]});
       }
     }
   }
@@ -933,78 +873,27 @@ void SparseLuBasis::forward(std::vector<double>& x, const std::vector<std::int32
       }
     }
   }
-  // The sinks, last: every contribution to them is in.
-  for (std::size_t wd = 0; wd < sink_todo_.size(); ++wd) {
-    for (std::uint64_t bits = sinks[wd]; bits != 0; bits &= bits - 1) {
-      const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      const auto k = static_cast<std::size_t>(lu.row_pivot[i]);
-      double v = x[i] * diag_inv_[k];
-      x[i] = 0.0;
-      if (std::abs(v) <= kDropTol) v = 0.0;
-      const auto p = static_cast<std::size_t>(lu.pivot_pos[k]);
-      y[p] = v;
-      if (out_nz != nullptr && v != 0.0) set_bit(out_bits_.data(), p);
-    }
-    sinks[wd] = 0;
-  }
   x.swap(y);
   if (out_nz != nullptr) take_pattern(x, *out_nz);
 }
 
-template <typename Mark>
-void SparseLuBasis::row_etas_forward(std::vector<double>& x,
-                                     const std::vector<std::int32_t>& nz, Mark& mark_u) const {
+void SparseLuBasis::row_etas_forward(std::vector<double>& x) const {
   // Row etas, oldest first: z_t -= sum_j eta_j z_j on the row-indexed
-  // vector, in push form: a row holding a nonzero adds eta_j z_j into the
-  // accumulator of each eta that reads it while it holds that value (until
-  // the next eta writing the row), and an eta runs once something reached
-  // it. Pushes follow a fixed order — the input's nonzero rows ascending,
-  // then each eta's new value as it runs — so any pattern gives the same
-  // sums. An eta nothing reaches would leave its row as it is.
-  if (eta_row_.empty()) return;
-  std::uint64_t* const run = eta_todo_.data();
-  std::vector<double>& acc = eta_acc_;
-  // Pushes value v of `row`, current from eta `from` (-1: the input) until
-  // the next eta writing the row, which runs to carry it on.
-  auto push = [&](std::size_t row, double v, std::int32_t from, std::int32_t until) {
-    for (std::int32_t s = eta_reads_.begin(row); s < eta_reads_.end(row); ++s) {
+  // vector (the mirror of btran's transposed pass). A result at or below
+  // kDropTol becomes zero, as in the U pass: update() stores no spike
+  // entry that small, so the solve then agrees with the factor it builds.
+  for (std::size_t g = 0; g < eta_row_.size(); ++g) {
+    double acc = 0.0;
+    for (std::int32_t s = eta_start_[g]; s < eta_start_[g + 1]; ++s) {
       const auto us = static_cast<std::size_t>(s);
-      const std::int32_t g = eta_reads_.idx[us];
-      if (g <= from) continue;
-      if (g >= until) break;
-      acc[static_cast<std::size_t>(g)] += eta_reads_.val[us] * v;
-      set_bit(run, static_cast<std::size_t>(g));
+      acc += eta_ent_val_[us] * x[static_cast<std::size_t>(eta_ent_row_[us])];
     }
-    if (until != kNoEta) set_bit(run, static_cast<std::size_t>(until));
-  };
-  // The input rows that reach an eta, ascending and once each.
-  std::vector<std::int32_t>& rows = eta_src_;
-  rows.clear();
-  auto reaches = [&](std::int32_t i) {
-    const auto row = static_cast<std::size_t>(i);
-    return x[row] != 0.0 && (eta_reads_.len[row] > 0 || first_eta_[row] != kNoEta);
-  };
-  std::copy_if(nz.begin(), nz.end(), std::back_inserter(rows), reaches);
-  std::copy_if(l_written_.begin(), l_written_.end(), std::back_inserter(rows), reaches);
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  for (const std::int32_t i : rows) {
-    const auto row = static_cast<std::size_t>(i);
-    push(row, x[row], -1, first_eta_[row]);
-  }
-  for (std::size_t wd = 0; wd < eta_todo_.size(); ++wd) {
-    while (run[wd] != 0) {
-      const int bit = std::countr_zero(run[wd]);
-      run[wd] &= run[wd] - 1;
-      const std::size_t g = wd * 64 + static_cast<std::size_t>(bit);
-      const auto row = static_cast<std::size_t>(eta_row_[g]);
-      double v = x[row] - acc[g];
-      acc[g] = 0.0;
-      if (std::abs(v) <= kDropTol) v = 0.0;
-      x[row] = v;
-      mark_u(row);
-      if (v != 0.0) push(row, v, static_cast<std::int32_t>(g), eta_next_[g]);
-    }
+    if (acc == 0.0) continue;
+    const auto row = static_cast<std::size_t>(eta_row_[g]);
+    double v = x[row] - acc;
+    if (std::abs(v) <= kDropTol) v = 0.0;
+    x[row] = v;
+    mark_u(row);
   }
 }
 

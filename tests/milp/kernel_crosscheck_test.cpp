@@ -291,9 +291,9 @@ std::vector<double> dense_column(const Columns& cols, std::size_t m, std::size_t
 /// The plain every-step solves over a snapshot: the LU of FactorState plus
 /// its update log, replayed into dense-loop form. It mirrors the kernel's
 /// documented arithmetic (milp/basis_lu.hpp UpdateLog, basis_lu.cpp): the
-/// ftran row etas in push form with the input's nonzero rows first,
-/// ascending, the column-oriented U pass and the row-oriented U^T pass in
-/// rank order, and results at or below 1e-14 dropped to zero.
+/// row etas oldest first in ftran and newest first in btran, the
+/// column-oriented U pass and the row-oriented U^T pass in rank order, and
+/// ftran row-eta and U-pass results at or below 1e-14 dropped to zero.
 class ReferenceSolves {
  public:
   explicit ReferenceSolves(const FactorState& st) : lu_(*st.lu), m_(st.lu->m) {
@@ -325,23 +325,11 @@ class ReferenceSolves {
         x[static_cast<std::size_t>(en.row)] -= en.val * xk;
       }
     }
-    // Row etas, push form: acc[g] sums eta * value over the rows eta g
-    // reads, each row's value pushed while it is current.
-    std::vector<double> acc(etas_.size(), 0.0);
-    auto push = [&](std::size_t row, double v, std::size_t from, std::size_t until) {
-      for (std::size_t g = from; g < until; ++g) {
-        for (const auto& [r, eta] : etas_[g].reads) {
-          if (static_cast<std::size_t>(r) == row) acc[g] += eta * v;
-        }
-      }
-    };
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (x[i] != 0.0) push(i, x[i], 0, next_eta(i, 0));
-    }
-    for (std::size_t g = 0; g < etas_.size(); ++g) {
-      const auto row = static_cast<std::size_t>(etas_[g].row);
-      x[row] = drop(x[row] - acc[g]);
-      if (x[row] != 0.0) push(row, x[row], g + 1, next_eta(row, g + 1));
+    for (const RowEta& eta : etas_) {  // row etas, oldest first
+      double acc = 0.0;
+      for (const auto& [r, v] : eta.reads) acc += v * x[static_cast<std::size_t>(r)];
+      double& z = x[static_cast<std::size_t>(eta.row)];
+      if (acc != 0.0) z = drop(z - acc);
     }
     std::vector<double> y(m_, 0.0);
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
@@ -394,14 +382,6 @@ class ReferenceSolves {
   };
 
   static double drop(double v) { return std::abs(v) <= 1e-14 ? 0.0 : v; }
-
-  /// The first eta from `from` on that writes `row`, or the eta count.
-  [[nodiscard]] std::size_t next_eta(std::size_t row, std::size_t from) const {
-    for (std::size_t g = from; g < etas_.size(); ++g) {
-      if (static_cast<std::size_t>(etas_[g].row) == row) return g;
-    }
-    return etas_.size();
-  }
 
   void replay(const UpdateLog& g, std::size_t k) {
     const auto t = static_cast<std::size_t>(g.slot[k]);

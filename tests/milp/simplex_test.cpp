@@ -237,13 +237,13 @@ TEST(SimplexTest, TinyEpnDiveAndBacktrackPinTheWork) {
   reoptimize_matches_cold("root");
 
   const SimplexSolver::ReoptStats& st = lp.reopt_stats();
-  EXPECT_EQ(lp.iterations(), 754);
+  EXPECT_EQ(lp.iterations(), 786);
   EXPECT_EQ(st.dual_fast, 5);
   EXPECT_EQ(st.repaired, 1);
   EXPECT_EQ(st.cold, 0);
-  EXPECT_EQ(st.degen_pivots, 397);
-  EXPECT_EQ(st.dual_degenerate, 253);
-  EXPECT_EQ(st.total_pivots, 754);
+  EXPECT_EQ(st.degen_pivots, 409);
+  EXPECT_EQ(st.dual_degenerate, 250);
+  EXPECT_EQ(st.total_pivots, 786);
   EXPECT_EQ(st.refactors, 7);
   EXPECT_EQ(st.transplants, 0);
   EXPECT_EQ(st.cutoffs, 0);

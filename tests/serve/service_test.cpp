@@ -775,7 +775,7 @@ TEST(ServeWireTest, EveryRequestPathKeepsItsWire) {
   EXPECT_EQ(untimed_wire(svc.run(compiled_request("c2", "compile"))),
             R"w({"cache":"hit","degraded":false,"fingerprint":"b7d4a81d06026d65","id":"c2","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"done"}],"ok":true,"status":"compiled"})w");
   EXPECT_EQ(untimed_wire(svc.run(compiled_request("sc", "solve_compiled"))),
-            R"w({"attempts":1,"bound":30506.000000000007,"cache":"hit","degraded":false,"fingerprint":"b7d4a81d06026d65","gap":0,"id":"sc","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"solve"},{"state":"extract"},{"state":"done"}],"nodes":145,"objective":30506.000000000007,"ok":true,"status":"optimal"})w");
+            R"w({"attempts":1,"bound":30505.999999999993,"cache":"hit","degraded":false,"fingerprint":"b7d4a81d06026d65","gap":0,"id":"sc","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"solve"},{"state":"extract"},{"state":"done"}],"nodes":197,"objective":30505.999999999993,"ok":true,"status":"optimal"})w");
 
   Request sweep = compiled_request("sw", "sweep");
   for (int i = 0; i < 3; ++i) {
@@ -785,7 +785,7 @@ TEST(ServeWireTest, EveryRequestPathKeepsItsWire) {
     sweep.sweep.push_back(sc);
   }
   EXPECT_EQ(untimed_wire(svc.run(sweep)),
-            R"w({"attempts":1,"bound":31166,"cache":"hit","cold_solves":1,"degraded":false,"fingerprint":"b7d4a81d06026d65","gap":0,"id":"sw","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"solve"},{"state":"extract"},{"state":"done"}],"nodes":588,"objective":31166,"ok":true,"scenarios":[{"bound":30505.999999999996,"degraded":false,"gap":0,"name":"s0","objective":30505.999999999996,"ok":true,"status":"optimal","warm":false},{"bound":30836,"degraded":false,"gap":0,"name":"s1","objective":30836,"ok":true,"status":"optimal","warm":true},{"bound":31166,"degraded":false,"gap":0,"name":"s2","objective":31166,"ok":true,"status":"optimal","warm":true}],"status":"optimal","warm_solves":2})w");
+            R"w({"attempts":1,"bound":31166,"cache":"hit","cold_solves":1,"degraded":false,"fingerprint":"b7d4a81d06026d65","gap":0,"id":"sw","lifecycle":[{"state":"start"},{"state":"compile"},{"state":"solve"},{"state":"extract"},{"state":"done"}],"nodes":443,"objective":31166,"ok":true,"scenarios":[{"bound":30505.999999999996,"degraded":false,"gap":0,"name":"s0","objective":30505.999999999996,"ok":true,"status":"optimal","warm":false},{"bound":30836,"degraded":false,"gap":0,"name":"s1","objective":30836,"ok":true,"status":"optimal","warm":true},{"bound":31166,"degraded":false,"gap":0,"name":"s2","objective":31166,"ok":true,"status":"optimal","warm":true}],"status":"optimal","warm_solves":2})w");
 
   // The QueueWaitSpendsTheDeadline setup: the budget runs out in the queue.
   auto blocker = svc.submit(lp_request("blocker", knapsack_lp(52, 7)));
